@@ -152,9 +152,6 @@ def _degenerate_exit(n: int) -> int:
 
 def _cmd_spectrum(args) -> int:
     n = args.n
-    if n < 2:
-        sys.stderr.write(f"cozero: n must be >= 2, got {n}\n")
-        return EXIT_ERROR
     assembled = sp.assemble_spectrum(n, merge_tol=args.merge_tol)
     if args.format == "text":
         lines = [f"n={n}: {_spectrum_text(assembled)}"]
@@ -164,7 +161,8 @@ def _cmd_spectrum(args) -> int:
             lines.append(f"n={n} is a prime power: null graph, all-zero spectrum")
         _emit("\n".join(lines) + "\n", args)
     elif args.format == "json":
-        report = sp.spectrum_report(n, tol=args.tol, merge_tol=args.merge_tol,
+        report = sp.spectrum_report(assembled, tol=args.tol,
+                                    merge_tol=args.merge_tol,
                                     cap=_resolve_cap(args))
         _emit(_json_envelope(report, args), args)
     elif args.format == "csv":
@@ -178,9 +176,6 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
-    if n < 2:
-        sys.stderr.write(f"cozero: n must be >= 2, got {n}\n")
-        return EXIT_ERROR
     if is_prime(n):
         _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
         return EXIT_DEGENERATE
@@ -319,9 +314,6 @@ def _cmd_scan(args) -> int:
 
 def _cmd_structure(args) -> int:
     n = args.n
-    if n < 2:
-        sys.stderr.write(f"cozero: n must be >= 2, got {n}\n")
-        return EXIT_ERROR
     q = build_quotient(n)
     if q.is_empty:
         _emit(f"n={n}: degenerate (prime, no proper divisors)\n", args)
@@ -373,9 +365,6 @@ def _cmd_structure(args) -> int:
 
 def _cmd_integrality(args) -> int:
     n = args.n
-    if n < 2:
-        sys.stderr.write(f"cozero: n must be >= 2, got {n}\n")
-        return EXIT_ERROR
     assembled = sp.assemble_spectrum(n, merge_tol=args.merge_tol)
     if assembled.degenerate == "empty":
         _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
@@ -405,6 +394,9 @@ def _cmd_integrality(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n", 2) < 2:
+        sys.stderr.write(f"cozero: n must be >= 2, got {args.n}\n")
+        return EXIT_ERROR
     handlers = {
         "spectrum": _cmd_spectrum,
         "verify": _cmd_verify,

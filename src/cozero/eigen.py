@@ -1,10 +1,9 @@
 """Dense symmetric eigensolver and exact polynomial machinery.
 
-The solver is written here rather than borrowed. Cyclic-by-row Jacobi is
-the default path: desk-scale matrices, transparent arithmetic, high
-accuracy on symmetric input. Above FAST_PATH_MIN_DIM the solver switches
-to Householder tridiagonalization with implicit QL shifts; both paths
-must agree and the test suite enforces that on shared sizes.
+The solver is written here rather than borrowed, and one path serves
+every size: blocked Householder tridiagonalization, then implicit QL
+with shifts. A known null vector, such as the square-root weights of a
+weighted Laplacian, is deflated, so its zero eigenvalue comes out exact.
 Characteristic polynomials are exact (Faddeev-LeVerrier over Python
 integers) and real roots come from Sturm bisection in integer
 arithmetic, so the two routes to a quotient spectrum share no code path.
@@ -24,13 +23,14 @@ import numpy as np
 from .errors import ConvergenceError
 from .numbers import all_divisors
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MERGE_TOL = 1e-6
 INTEGER_TOL = 1e-6
-MAX_SWEEPS = 100
-FAST_PATH_MIN_DIM = 2000
 CHARPOLY_MAX_DIM = 64
 SYMMETRY_TOL = 1e-12
+# |A u| <= NULL_VECTOR_TOL * |A| |u| for a null vector u to be deflated
+NULL_VECTOR_TOL = 1e-12
+# columns per panel of the blocked tridiagonalization
+PANEL_WIDTH = 32
 
 
 # ---------------------------------------------------------------------------
@@ -133,86 +133,79 @@ def spectrum_from_values(
 # ---------------------------------------------------------------------------
 # symmetric eigensolver
 
-def _offdiagonal_norm(a: np.ndarray) -> float:
-    # direct sum over off-diagonal squares; subtracting diagonal squares
-    # from the total cancels catastrophically once the residual is tiny
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return math.sqrt(float(np.sum(b * b)))
+def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
+    """Vertex index arrays of the components of a symmetric boolean adjacency.
 
-
-def _jacobi_eigenvalues(a: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
-    m = a.shape[0]
-    if m == 1:
-        return np.diag(a).copy()
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(m)
-    target = tol * norm
-    # pivots below target/m can be skipped: even if all m(m-1) of them
-    # survive, the off-diagonal norm stays under target
-    skip = target / m
-    off = _offdiagonal_norm(a)
-    for _ in range(max_sweeps):
-        if off <= target:
-            return np.diag(a).copy()
-        for p in range(m - 1):
-            row_p = a[p]
-            for q in range(p + 1, m):
-                apq = row_p[q]
-                if -skip <= apq <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p].copy()
-                rq = a[q].copy()
-                new_p = c * rp - s * rq
-                new_q = s * rp + c * rq
-                a[p] = new_p
-                a[q] = new_q
-                a[:, p] = new_p
-                a[:, q] = new_q
-                a[p, p] = c * c * app - 2.0 * c * s * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * c * s * apq + c * c * aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        off = _offdiagonal_norm(a)
-    if off <= target:
-        return np.diag(a).copy()
-    raise ConvergenceError(f"Jacobi sweep cap of {max_sweeps} exhausted", residual=off)
+    Breadth-first by whole frontiers; components come in order of their
+    smallest vertex. For a symmetric matrix these are its irreducible
+    blocks under the pattern of nonzero off-diagonal entries.
+    """
+    m = adjacency.shape[0]
+    seen = np.zeros(m, dtype=bool)
+    components = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        member = np.zeros(m, dtype=bool)
+        member[start] = True
+        frontier = member.copy()
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~member
+            member |= frontier
+        seen |= member
+        components.append(np.flatnonzero(member))
+    return components
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce symmetric a (destroyed) to (diagonal, subdiagonal)."""
+    """Reduce symmetric a (destroyed) to (diagonal, subdiagonal).
+
+    Blocked as LAPACK's DSYTRD/DLATRD (Dongarra, Hammarling & Sorensen
+    1989). Step k applies the reflector I - beta v v^T as the rank-2
+    update A - v w^T - w v^T. Within a panel of PANEL_WIDTH steps the v
+    and w are collected in V and W, and only the column about to be
+    reduced is brought up to date; the trailing block then takes the
+    whole panel at once, A -= V W^T and A -= W V^T.
+    """
     m = a.shape[0]
-    for k in range(m - 2):
-        x = a[k + 1:, k]
-        xnorm = math.sqrt(float(x @ x))
-        if xnorm == 0.0:
-            continue
-        alpha = -math.copysign(xnorm, x[0]) if x[0] != 0.0 else -xnorm
-        v = x.copy()
-        v[0] -= alpha
-        vsq = float(v @ v)
-        if vsq == 0.0:
-            continue
-        block = a[k + 1:, k + 1:]
-        u = block @ v
-        u *= 2.0 / vsq
-        u -= (float(v @ u) / vsq) * v
-        block -= np.outer(v, u)
-        block -= np.outer(u, v)
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        a[k + 2:, k] = 0.0
-        a[k, k + 2:] = 0.0
-    return np.diag(a).copy(), np.diag(a, -1).copy()
+    diag = np.diagonal(a).copy()
+    sub = np.diagonal(a, -1).copy()
+    for start in range(0, m - 2, PANEL_WIDTH):
+        width = min(PANEL_WIDTH, m - 2 - start)
+        # row r of V and W is row start + r of a
+        V = np.zeros((m - start, width))
+        W = np.zeros((m - start, width))
+        for i in range(width):
+            k = start + i
+            col = a[k, k:]  # column k by symmetry, stored contiguously
+            if i:
+                col -= V[i:, :i] @ W[i, :i] + W[i:, :i] @ V[i, :i]
+            diag[k] = col[0]
+            x = col[1:]
+            xnorm = math.sqrt(float(x @ x))
+            if xnorm == 0.0:
+                sub[k] = 0.0
+                continue
+            alpha = -math.copysign(xnorm, x[0])
+            sub[k] = alpha
+            v = V[i + 1:, i]
+            v[:] = x
+            v[0] -= alpha
+            beta = 2.0 / float(v @ v)
+            p = a[k + 1:, k + 1:] @ v
+            if i:
+                vp, wp = V[i + 1:, :i], W[i + 1:, :i]
+                p -= vp @ (wp.T @ v) + wp @ (vp.T @ v)
+            p *= beta
+            p -= (0.5 * beta * float(v @ p)) * v
+            W[i + 1:, i] = p
+        rest = a[start + width:, start + width:]
+        rest -= V[width:] @ W[width:].T
+        rest -= W[width:] @ V[width:].T
+    if m > 2:
+        diag[-2:] = np.diagonal(a)[-2:]
+        sub[-1] = a[-1, -2]
+    return diag, sub
 
 
 def _tridiagonal_eigenvalues(
@@ -220,12 +213,12 @@ def _tridiagonal_eigenvalues(
 ) -> np.ndarray:
     """Implicit QL with shifts on a symmetric tridiagonal matrix."""
     m = len(diag)
-    d = diag.astype(np.float64).copy()
     if m == 1:
-        return d
-    e = np.zeros(m)
-    e[: m - 1] = sub
-    eps = np.finfo(np.float64).eps
+        return np.array(diag, dtype=np.float64)
+    # Python floats: scalar access to numpy arrays costs more than the arithmetic
+    d = [float(x) for x in diag]
+    e = [float(x) for x in sub] + [0.0]
+    eps = float(np.finfo(np.float64).eps)
     for l in range(m):
         iterations = 0
         while True:
@@ -268,46 +261,93 @@ def _tridiagonal_eigenvalues(
                 d[l] -= p_acc
                 e[l] = g
                 e[split] = 0.0
-    return d
+    return np.array(d)
 
 
-def eigenvalues_symmetric(
-    matrix,
-    tol: float = DEFAULT_TOL,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-    method: str = "auto",
-    max_sweeps: int = MAX_SWEEPS,
-) -> SpectrumMultiset:
-    """All eigenvalues of a real symmetric matrix, merged by multiplicity.
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Unsorted eigenvalues of symmetric a (destroyed)."""
+    if a.shape[0] == 0:
+        return np.zeros(0)
+    return _tridiagonal_eigenvalues(*_householder_tridiagonalize(a))
 
-    method is "jacobi", "tridiagonal", or "auto" (switch at
-    FAST_PATH_MIN_DIM). Jacobi runs cyclic-by-row sweeps until the
-    off-diagonal Frobenius norm drops below tol times the matrix norm,
-    raising ConvergenceError past the sweep cap.
+
+def _symmetrized_copy(matrix) -> np.ndarray:
+    """float64 copy of a square matrix, checked and symmetrised in place.
+
+    Works on strips of PANEL_WIDTH rows and the matching columns, so the
+    copy is the only temporary of the matrix's size.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
-    if m == 0:
-        return SpectrumMultiset(())
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_TOL:
-        raise ValueError(f"matrix is asymmetric by {asym:.3e} (limit {SYMMETRY_TOL})")
-    a = 0.5 * (a + a.T)
+    for lo in range(0, m, PANEL_WIDTH):
+        hi = min(lo + PANEL_WIDTH, m)
+        rows = a[lo:hi, lo:]
+        cols = a[lo:, lo:hi].T
+        asym = float(np.max(np.abs(rows - cols)))
+        if asym > SYMMETRY_TOL:
+            raise ValueError(
+                f"matrix is asymmetric by {asym:.3e} (limit {SYMMETRY_TOL})"
+            )
+        mean = 0.5 * (rows + cols)
+        a[lo:hi, lo:] = mean
+        a[lo:, lo:hi] = mean.T
+    return a
 
-    if method == "auto":
-        method = "tridiagonal" if m > FAST_PATH_MIN_DIM else "jacobi"
-    if method == "jacobi":
-        raw = _jacobi_eigenvalues(a, tol, max_sweeps)
-    elif method == "tridiagonal":
-        d, e = _householder_tridiagonalize(a)
-        raw = _tridiagonal_eigenvalues(d, e)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return spectrum_from_values(raw, merge_tol)
+
+def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """The eigenvalues of symmetric a (destroyed) besides the zero of null.
+
+    The reflector H that maps null onto a multiple of e_1 makes the first
+    row and column of H a H vanish; the trailing block holds the rest of
+    the spectrum, so the zero is never computed and cannot drift.
+    """
+    norm = math.sqrt(float(null @ null))
+    residual = math.sqrt(float(np.sum((a @ null) ** 2)))
+    scale = math.sqrt(float(np.sum(a * a))) * norm
+    if norm == 0.0 or residual > NULL_VECTOR_TOL * scale:
+        raise ValueError(
+            f"not a null vector: |A u| = {residual:.3e} against |A| |u| = {scale:.3e}"
+        )
+    v = null / norm
+    v[0] += math.copysign(1.0, v[0])
+    beta = 2.0 / float(v @ v)
+    p = beta * (a @ v)
+    p -= (0.5 * beta * float(v @ p)) * v
+    a -= np.outer(v, p)
+    a -= np.outer(p, v)
+    return _eigenvalues(a[1:, 1:])
+
+
+def eigenvalues_symmetric(
+    matrix,
+    merge_tol: float = DEFAULT_MERGE_TOL,
+    null_vector=None,
+) -> SpectrumMultiset:
+    """All eigenvalues of a real symmetric matrix, merged by multiplicity.
+
+    With null_vector, the matrix is solved one irreducible block (component
+    of its nonzero off-diagonal pattern) at a time. Each block must have
+    null_vector's restriction in its kernel, as the square-root weights do
+    for the symmetric form of a weighted Laplacian, and contributes one
+    exact zero.
+    """
+    a = _symmetrized_copy(matrix)
+    if null_vector is None:
+        return spectrum_from_values(_eigenvalues(a), merge_tol)
+    null = np.asarray(null_vector, dtype=np.float64)
+    if null.shape != (len(a),):
+        raise ValueError(f"null vector of shape {null.shape} for a {a.shape} matrix")
+    pattern = a != 0.0
+    np.fill_diagonal(pattern, False)
+    blocks = connected_components(pattern)
+    triples = [(0.0, len(blocks), True)]
+    for block in blocks:
+        part = a if len(block) == len(a) else a[np.ix_(block, block)]
+        values = _deflated_eigenvalues(part, null[block])
+        triples.extend((v, 1, False) for v in values)
+    return merge_spectrum(triples, merge_tol)
 
 
 # ---------------------------------------------------------------------------

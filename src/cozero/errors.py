@@ -22,7 +22,7 @@ class VertexCapError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver hit its sweep/iteration cap; carries the residual."""
+    """Eigensolver hit its iteration cap; carries the residual."""
 
     def __init__(self, message: str, residual: float):
         self.residual = residual

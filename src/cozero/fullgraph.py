@@ -13,6 +13,7 @@ from math import gcd
 
 import numpy as np
 
+from .eigen import connected_components
 from .errors import EmptyGraphError, VertexCapError
 from .numbers import factorize, is_prime, totient
 
@@ -133,29 +134,15 @@ def build_full_graph(
 
 
 def laplacian_matrix(graph: FullGraph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix, as float64."""
-    a = graph.adjacency.astype(np.float64)
-    return np.diag(graph.degrees().astype(np.float64)) - a
+    """Degree matrix minus adjacency matrix, as float64, built in place."""
+    lap = graph.adjacency.astype(np.float64)
+    np.negative(lap, out=lap)
+    np.fill_diagonal(lap, graph.degrees())
+    return lap
 
 
 def connected_component_count(graph: FullGraph) -> int:
-    m = graph.vertex_count
-    if m == 0:
-        return 0
-    seen = np.zeros(m, dtype=bool)
-    count = 0
-    for start in range(m):
-        if seen[start]:
-            continue
-        count += 1
-        frontier = np.zeros(m, dtype=bool)
-        frontier[start] = True
-        seen[start] = True
-        while frontier.any():
-            reached = graph.adjacency[frontier].any(axis=0) & ~seen
-            seen |= reached
-            frontier = reached
-    return count
+    return len(connected_components(graph.adjacency))
 
 
 def is_connected_full(graph: FullGraph) -> bool:

@@ -16,7 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigen import _charpoly_float, characteristic_polynomial
+from .eigen import (
+    _charpoly_float,
+    characteristic_polynomial,
+    connected_components,
+)
 from .numbers import factorize, is_prime, proper_divisors, totient
 
 
@@ -64,23 +68,7 @@ def build_quotient(n: int) -> QuotientGraph:
 
 
 def quotient_component_count(q: QuotientGraph) -> int:
-    d = q.size
-    if d == 0:
-        return 0
-    seen = np.zeros(d, dtype=bool)
-    count = 0
-    for start in range(d):
-        if seen[start]:
-            continue
-        count += 1
-        frontier = np.zeros(d, dtype=bool)
-        frontier[start] = True
-        seen[start] = True
-        while frontier.any():
-            reached = q.adjacency[frontier].any(axis=0) & ~seen
-            seen |= reached
-            frontier = reached
-    return count
+    return len(connected_components(q.adjacency))
 
 
 def is_connected_quotient(q: QuotientGraph) -> bool:
@@ -109,11 +97,12 @@ def quotient_connected_predicate(n: int) -> bool | None:
 
 
 def weighted_degrees(q: QuotientGraph) -> list[int]:
-    """Sum of neighbour weights per divisor; 0 for isolated vertices."""
-    return [
-        sum(w for w, adj in zip(q.weights, q.adjacency[j]) if adj)
-        for j in range(q.size)
-    ]
+    """Sum of neighbour weights per divisor; 0 for isolated vertices.
+
+    int64 cannot overflow: all weights together sum to n - phi(n) - 1.
+    """
+    weights = np.array(q.weights, dtype=np.int64)
+    return [int(x) for x in q.adjacency.astype(np.int64) @ weights]
 
 
 @dataclass(frozen=True)
@@ -137,18 +126,12 @@ def build_weighted_laplacian(q: QuotientGraph, verify: bool = False) -> Weighted
         raise ValueError(f"n = {q.n} is prime; the quotient has no Laplacian")
     d = q.size
     degrees = weighted_degrees(q)
-    w = np.array(q.weights, dtype=np.float64)
-    entries = np.zeros((d, d), dtype=np.int64)
-    symmetric = np.zeros((d, d), dtype=np.float64)
-    for i in range(d):
-        entries[i, i] = degrees[i]
-        symmetric[i, i] = degrees[i]
-    root_w = np.sqrt(w)
-    for i in range(d):
-        for j in range(d):
-            if i != j and q.adjacency[i, j]:
-                entries[i, j] = -q.weights[j]
-                symmetric[i, j] = -root_w[i] * root_w[j]
+    weights = np.array(q.weights, dtype=np.int64)
+    root_w = np.sqrt(weights.astype(np.float64))
+    entries = np.where(q.adjacency, -weights[None, :], 0)
+    np.fill_diagonal(entries, degrees)
+    symmetric = np.where(q.adjacency, -np.outer(root_w, root_w), 0.0)
+    np.fill_diagonal(symmetric, degrees)
 
     if verify:
         row_sums = entries.sum(axis=1)

@@ -100,14 +100,14 @@ def _combine(
 
 
 def assemble_spectrum(
-    n: int,
-    tol: float = eigen.DEFAULT_TOL,
-    merge_tol: float = eigen.DEFAULT_MERGE_TOL,
+    n: int, merge_tol: float = eigen.DEFAULT_MERGE_TOL
 ) -> AssembledSpectrum:
     """Spectrum via the divisor-class join reduction.
 
     Prime n yields the empty spectrum (marked degenerate "empty");
     prime powers yield the all-zero spectrum of a null graph ("null").
+    The quotient's zero eigenvalues, one per component, are exact: the
+    square-root weights are deflated as known null vectors.
     """
     if n < 2:
         raise ValueError(f"assemble_spectrum requires n >= 2, got {n}")
@@ -121,7 +121,9 @@ def assemble_spectrum(
         for deg, w, d in zip(degrees, q.weights, q.divisors)
     )
     wl = build_weighted_laplacian(q)
-    quotient_part = eigen.eigenvalues_symmetric(wl.symmetric_form, tol, merge_tol)
+    quotient_part = eigen.eigenvalues_symmetric(
+        wl.symmetric_form, merge_tol, np.sqrt(np.array(q.weights, dtype=np.float64))
+    )
     combined = _combine(integer_part, quotient_part, merge_tol)
     expected = n - totient(n) - 1
     if combined.total_multiplicity != expected:
@@ -192,7 +194,6 @@ def closed_form_general(
     n1: int,
     q: int,
     n2: int,
-    tol: float = eigen.DEFAULT_TOL,
     merge_tol: float = eigen.DEFAULT_MERGE_TOL,
 ) -> AssembledSpectrum:
     """Spectrum for n = p**n1 * q**n2 built from the two-prime divisor grid.
@@ -219,25 +220,18 @@ def closed_form_general(
         for a, b in grid
     ]
 
-    def adjacent(u: tuple[int, int], v: tuple[int, int]) -> bool:
-        return (u[0] > v[0] and u[1] < v[1]) or (u[0] < v[0] and u[1] > v[1])
-
-    d = len(grid)
-    degrees = [
-        sum(weights[j] for j in range(d) if adjacent(grid[i], grid[j]))
-        for i in range(d)
-    ]
+    a, b = np.array(grid).T
+    # one exponent strictly larger and the other strictly smaller
+    adjacency = (a[:, None] - a[None, :]) * (b[:, None] - b[None, :]) < 0
+    degrees = [sum(w for w, adj in zip(weights, row) if adj) for row in adjacency]
     integer_part = tuple(
-        ClassEigenvalue(degrees[i], weights[i] - 1, divisors[i]) for i in range(d)
+        ClassEigenvalue(deg, w - 1, div)
+        for deg, w, div in zip(degrees, weights, divisors)
     )
-    symmetric = np.zeros((d, d))
     root_w = np.sqrt(np.array(weights, dtype=np.float64))
-    for i in range(d):
-        symmetric[i, i] = degrees[i]
-        for j in range(i + 1, d):
-            if adjacent(grid[i], grid[j]):
-                symmetric[i, j] = symmetric[j, i] = -root_w[i] * root_w[j]
-    quotient_part = eigen.eigenvalues_symmetric(symmetric, tol, merge_tol)
+    symmetric = np.where(adjacency, -np.outer(root_w, root_w), 0.0)
+    np.fill_diagonal(symmetric, degrees)
+    quotient_part = eigen.eigenvalues_symmetric(symmetric, merge_tol, root_w)
     combined = _combine(integer_part, quotient_part, merge_tol)
     n = p ** n1 * q ** n2
     return AssembledSpectrum(n, integer_part, quotient_part, combined, None)
@@ -249,7 +243,7 @@ def is_laplacian_integral(
 ) -> bool:
     """True iff every eigenvalue sits within tol of an integer."""
     multiset = spectrum.combined if isinstance(spectrum, AssembledSpectrum) else spectrum
-    return all(abs(e.value - round(e.value)) <= tol for e in multiset.entries)
+    return multiset.is_integral(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +311,6 @@ def verify_against_oracle(
     tol: float = 1e-6,
     merge_tol: float = eigen.DEFAULT_MERGE_TOL,
     cap: int = DEFAULT_VERTEX_CAP,
-    solver_tol: float = eigen.DEFAULT_TOL,
 ) -> OracleReport:
     """Assembled spectrum versus a brute-force eigensolve of the full graph.
 
@@ -331,10 +324,8 @@ def verify_against_oracle(
     if is_prime(n):
         return OracleReport(n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(n, cap=cap)
-    oracle = eigen.eigenvalues_symmetric(
-        laplacian_matrix(graph), solver_tol, merge_tol
-    )
-    assembled = assemble_spectrum(n, solver_tol, merge_tol)
+    oracle = eigen.eigenvalues_symmetric(laplacian_matrix(graph), merge_tol)
+    assembled = assemble_spectrum(n, merge_tol)
     comparison = compare_multisets(assembled.combined, oracle, tol)
     return OracleReport(
         n=n,
@@ -353,27 +344,21 @@ def verify_against_oracle(
 # export
 
 def spectrum_report(
-    n: int,
+    assembled: AssembledSpectrum,
     oracle: bool = False,
     tol: float = 1e-6,
     merge_tol: float = eigen.DEFAULT_MERGE_TOL,
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> dict:
-    """JSON-ready result object for one n."""
-    assembled = assemble_spectrum(n, merge_tol=merge_tol)
-    if assembled.degenerate == "empty":
-        classes = []
-    else:
-        q = build_quotient(n)
-        degrees = weighted_degrees(q)
-        classes = [
-            {"d": d, "size": w, "D": deg}
-            for d, w, deg in zip(q.divisors, q.weights, degrees)
-        ]
+    """JSON-ready result object for an assembled spectrum."""
+    n = assembled.n
     report = {
         "n": n,
         "vertex_count": assembled.vertex_count,
-        "divisor_classes": classes,
+        "divisor_classes": [
+            {"d": e.divisor, "size": e.multiplicity + 1, "D": e.value}
+            for e in assembled.integer_part
+        ],
         "spectrum": [
             {
                 "value": int(e.value) if e.exact else e.value,

@@ -59,6 +59,28 @@ class TestSpectrumCommand:
                            "--no-timestamp")
         assert first == second
 
+    def test_json_assembles_once(self, capsys, monkeypatch):
+        from cozero import spectrum
+
+        calls = {"assemble_spectrum": 0, "build_quotient": 0}
+
+        def counted(name):
+            original = getattr(spectrum, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(spectrum, name, wrapper)
+
+        counted("assemble_spectrum")
+        counted("build_quotient")
+        code, out, _ = run(capsys, "spectrum", "30", "--format", "json",
+                           "--no-timestamp")
+        assert code == 0
+        assert calls == {"assemble_spectrum": 1, "build_quotient": 1}
+        assert json.loads(out)["divisor_classes"][0] == {"d": 2, "size": 8, "D": 7}
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spec.txt"
         code, out, _ = run(capsys, "spectrum", "15", "--out", str(target))

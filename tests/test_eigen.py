@@ -5,6 +5,7 @@ import pytest
 
 from cozero import (
     ConvergenceError,
+    SpectrumEntry,
     build_full_graph,
     build_quotient,
     build_weighted_laplacian,
@@ -15,7 +16,13 @@ from cozero import (
     merge_spectrum,
     polynomial_roots_real,
 )
-from cozero.eigen import poly_eval_int, spectrum_from_values
+from cozero.eigen import (
+    PANEL_WIDTH,
+    _householder_tridiagonalize,
+    _tridiagonal_eigenvalues,
+    poly_eval_int,
+    spectrum_from_values,
+)
 
 
 def bareiss_determinant(matrix):
@@ -76,13 +83,11 @@ class TestEigenvaluesSymmetric:
         with pytest.raises(ValueError):
             eigenvalues_symmetric(np.zeros((2, 3)))
 
-    def test_rejects_non_positive_tol(self):
-        with pytest.raises(ValueError):
-            eigenvalues_symmetric(np.eye(2), tol=0.0)
-
     def test_sweep_cap_raises_with_residual(self):
+        # a QL iteration cap of 0 cannot reduce any off-diagonal entry
+        d, e = _householder_tridiagonalize(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.raises(ConvergenceError) as err:
-            eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]], max_sweeps=0)
+            _tridiagonal_eigenvalues(d, e, max_iterations=0)
         assert err.value.residual > 0
 
     def test_trace_identity_random(self):
@@ -116,30 +121,64 @@ class TestEigenvaluesSymmetric:
         shuffled = eigenvalues_symmetric(permuted).values()
         assert float(np.max(np.abs(base - shuffled))) < 1e-8
 
-    def test_jacobi_and_tridiagonal_paths_agree(self):
+    def test_matches_eigvalsh_across_panel_edges(self):
+        # sizes on both sides of one and two blocked-reduction panels
+        nb = PANEL_WIDTH
         rng = np.random.default_rng(7)
-        for m in (2, 5, 30, 120):
+        for m in (2, 5, 30, 120, nb - 1, nb, nb + 1, 2 * nb + 3):
             a = rng.standard_normal((m, m))
             a = a + a.T
-            jac = eigenvalues_symmetric(a, method="jacobi").values()
-            tri = eigenvalues_symmetric(a, method="tridiagonal").values()
-            assert float(np.max(np.abs(jac - tri))) < 1e-9 * max(
+            ours = eigenvalues_symmetric(a).values()
+            reference = np.linalg.eigvalsh(a)[::-1]
+            assert float(np.max(np.abs(ours - reference))) < 1e-9 * max(
                 1.0, float(np.linalg.norm(a))
-            )
+            ), f"m={m}"
 
     def test_paths_agree_on_graph_laplacian(self):
         lap = laplacian_matrix(build_full_graph(60))
-        jac = eigenvalues_symmetric(lap, method="jacobi").values()
-        tri = eigenvalues_symmetric(lap, method="tridiagonal").values()
-        assert float(np.max(np.abs(jac - tri))) < 1e-8
+        ours = eigenvalues_symmetric(lap).values()
+        reference = np.linalg.eigvalsh(lap)[::-1]
+        assert float(np.max(np.abs(ours - reference))) < 1e-8
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            eigenvalues_symmetric(np.eye(2), method="magic")
+    def test_does_not_modify_its_input(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((40, 40))
+        a = a + a.T
+        before = a.copy()
+        eigenvalues_symmetric(a)
+        assert np.array_equal(a, before)
+
+    def test_symmetrises_within_the_limit(self):
+        a = np.array([[2.0, 1.0 + 5e-13], [1.0, 2.0]])
+        assert [e.value for e in eigenvalues_symmetric(a).entries] == [3.0, 1.0]
 
     def test_empty_matrix(self):
         s = eigenvalues_symmetric(np.zeros((0, 0)))
         assert s.entries == ()
+
+
+class TestNullVectorDeflation:
+    def test_one_exact_zero_per_block(self):
+        # two components, weights (1, 4) and (9, 1, 1), plus an isolated vertex
+        w = np.array([1.0, 4.0, 9.0, 1.0, 1.0, 7.0])
+        adjacency = np.zeros((6, 6), dtype=bool)
+        for i, j in ((0, 1), (2, 3), (3, 4)):
+            adjacency[i, j] = adjacency[j, i] = True
+        root = np.sqrt(w)
+        sym = -np.outer(root, root) * adjacency
+        np.fill_diagonal(sym, (adjacency * w[None, :]).sum(axis=1))
+        s = eigenvalues_symmetric(sym, null_vector=root)
+        assert s.entries[-1] == SpectrumEntry(0.0, 3, True)
+        reference = np.linalg.eigvalsh(sym)[::-1]
+        assert float(np.max(np.abs(s.values() - reference))) < 1e-12 * np.linalg.norm(sym)
+
+    def test_rejects_a_vector_outside_the_kernel(self):
+        with pytest.raises(ValueError, match="null vector"):
+            eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]], null_vector=[1.0, 2.0])
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            eigenvalues_symmetric(np.zeros((2, 2)), null_vector=[1.0])
 
 
 class TestLaplacianHygiene:
@@ -223,8 +262,8 @@ class TestPolynomialRootsReal:
         assert abs(sum(roots) - 11.0) < 1e-9
         # cross-check against the symmetric-form eigensolve
         wl = build_weighted_laplacian(build_quotient(12))
-        jac = eigenvalues_symmetric(wl.symmetric_form).values()
-        assert float(np.max(np.abs(np.array(roots) - jac))) < 1e-8
+        solved = eigenvalues_symmetric(wl.symmetric_form).values()
+        assert float(np.max(np.abs(np.array(roots) - solved))) < 1e-8
 
     def test_pure_power(self):
         assert polynomial_roots_real([1, 0, 0, 0, 0, 0]) == [0.0] * 5
@@ -260,7 +299,7 @@ class TestPolynomialRootsReal:
         assert a == b
 
     def test_matches_quotient_eigensolve_across_moduli(self):
-        # exact charpoly route versus Jacobi route for every composite n <= 500
+        # exact charpoly route versus eigensolver route for every composite n <= 500
         from cozero import is_prime
 
         for n in range(4, 501):
@@ -268,5 +307,5 @@ class TestPolynomialRootsReal:
                 continue
             wl = build_weighted_laplacian(build_quotient(n))
             roots = np.array(polynomial_roots_real(characteristic_polynomial(wl.entries)))
-            jac = eigenvalues_symmetric(wl.symmetric_form).values()
-            assert float(np.max(np.abs(roots - jac))) < 1e-6, f"n={n}"
+            solved = eigenvalues_symmetric(wl.symmetric_form).values()
+            assert float(np.max(np.abs(roots - solved))) < 1e-6, f"n={n}"

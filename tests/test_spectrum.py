@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cozero import (
+    SpectrumEntry,
     VertexCapError,
     assemble_spectrum,
     build_full_graph,
@@ -288,10 +289,42 @@ class TestOracleVerification:
             report = verify_against_oracle(n)
             assert report.zero_multiplicity == report.component_count
 
+    def test_five_hundred_vertex_graph(self):
+        report = verify_against_oracle(720)
+        assert report.vertex_count == 527
+        assert report.matched
+        assert report.max_deviation < 1e-8
+        assert report.zero_multiplicity == report.component_count == 1
+
+
+class TestExactQuotientZero:
+    """A large prime squared in n used to turn the quotient's zero into
+    1e-6 to 1e-2, or into a small negative value, with exact=False."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3 * 100003**2,
+            101 * 100003**2,
+            11**3 * 10007**2,
+            10007**2 * 100003**2,
+            100003 * 100019**2,
+            999983**2 * 1000003,
+        ],
+    )
+    def test_zero_is_exact_and_single(self, n):
+        s = assemble_spectrum(n)
+        assert s.quotient_part.entries[-1] == SpectrumEntry(0.0, 1, True)
+        assert s.quotient_part.zero_multiplicity() == 1
+        assert s.combined.entries[-1] == SpectrumEntry(0.0, 1, True)
+        # trace of the quotient Laplacian: the sum of its weighted degrees
+        degrees = sum(e.value for e in s.integer_part)
+        assert abs(float(np.sum(s.quotient_part.values())) - degrees) <= 1e-12 * degrees
+
 
 class TestReports:
     def test_json_report_shape(self):
-        report = spectrum_report(30, oracle=True)
+        report = spectrum_report(assemble_spectrum(30), oracle=True)
         assert report["n"] == 30
         assert report["vertex_count"] == 21
         assert report["divisor_classes"][0] == {"d": 2, "size": 8, "D": 7}
@@ -302,7 +335,7 @@ class TestReports:
         assert report["laplacian_integral"] is False
 
     def test_degenerate_report(self):
-        report = spectrum_report(13)
+        report = spectrum_report(assemble_spectrum(13))
         assert report["degenerate"] == "empty"
         assert report["spectrum"] == []
         assert report["divisor_classes"] == []
