@@ -11,11 +11,9 @@ graph. All public functions are pure and thread-safe.
 
 from .errors import ConvergenceError, EmptyGraphError, VertexCapError
 from .numbers import (
-    DivisorClass,
-    DivisorClassPartition,
     Factorization,
     all_divisors,
-    divisor_class_partition,
+    divisor_exponents,
     factorize,
     gcd_class_count,
     is_prime,
@@ -77,8 +75,6 @@ __all__ = [
     "ClassEigenvalue",
     "ConvergenceError",
     "DEFAULT_VERTEX_CAP",
-    "DivisorClass",
-    "DivisorClassPartition",
     "EmptyGraphError",
     "Factorization",
     "FullGraph",
@@ -100,7 +96,7 @@ __all__ = [
     "closed_form_pq",
     "compare_multisets",
     "connected_component_count",
-    "divisor_class_partition",
+    "divisor_exponents",
     "eigenvalues_symmetric",
     "factorize",
     "full_graph_connected_predicate",

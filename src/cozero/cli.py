@@ -59,6 +59,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cozero", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -69,7 +79,7 @@ def _build_parser() -> _Parser:
                         help="comparison/integrality tolerance")
     common.add_argument("--merge-tol", type=_positive_float, default=1e-6,
                         help="eigenvalue multiplicity merge tolerance")
-    common.add_argument("--cap", type=int, default=None,
+    common.add_argument("--cap", type=_positive_int, default=None,
                         help="vertex cap for full-graph builds "
                              "(default COZERO_CAP env or %d)" % DEFAULT_VERTEX_CAP)
     common.add_argument("--no-timestamp", action="store_true",
@@ -91,7 +101,7 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("lo", type=int)
     p_scan.add_argument("hi", type=int)
     p_scan.add_argument("--filter", choices=FILTERS, default="all")
-    p_scan.add_argument("--jobs", type=int, default=None,
+    p_scan.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes (default: available cores)")
 
     p_struct = sub.add_parser("structure", parents=[common],
@@ -107,13 +117,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_cap(args) -> int:
+def _resolve_cap(args, parser: _Parser) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("COZERO_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_VERTEX_CAP
+    if env is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"COZERO_CAP {exc}")
 
 
 def _emit(text: str, args) -> None:
@@ -145,11 +158,6 @@ def _spectrum_text(assembled: sp.AssembledSpectrum) -> str:
     )
 
 
-def _degenerate_exit(n: int) -> int:
-    f = factorize(n)
-    return EXIT_DEGENERATE if f.is_prime_power else EXIT_OK
-
-
 def _cmd_spectrum(args) -> int:
     n = args.n
     assembled = sp.assemble_spectrum(n, merge_tol=args.merge_tol)
@@ -163,7 +171,7 @@ def _cmd_spectrum(args) -> int:
     elif args.format == "json":
         report = sp.spectrum_report(assembled, tol=args.tol,
                                     merge_tol=args.merge_tol,
-                                    cap=_resolve_cap(args))
+                                    cap=args.cap)
         _emit(_json_envelope(report, args), args)
     elif args.format == "csv":
         _emit(sp.spectrum_csv(assembled), args)
@@ -171,7 +179,7 @@ def _cmd_spectrum(args) -> int:
         sys.stderr.write("cozero: spectrum has no dot rendering; "
                          "use the structure command\n")
         return EXIT_USAGE
-    return _degenerate_exit(n)
+    return EXIT_DEGENERATE if assembled.degenerate else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -181,7 +189,7 @@ def _cmd_verify(args) -> int:
         return EXIT_DEGENERATE
     try:
         report = sp.verify_against_oracle(
-            n, tol=args.tol, merge_tol=args.merge_tol, cap=_resolve_cap(args)
+            n, tol=args.tol, merge_tol=args.merge_tol, cap=args.cap
         )
     except VertexCapError as exc:
         sys.stderr.write(f"cozero: {exc}\n")
@@ -253,14 +261,14 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.lo <= args.hi:
         sys.stderr.write(f"cozero: need 2 <= lo <= hi, got {args.lo}, {args.hi}\n")
         return EXIT_USAGE
-    cap = _resolve_cap(args)
     eligible = [
         n for n in range(args.lo, args.hi + 1) if _matches_filter(n, args.filter)
     ]
-    tasks = [(n, args.tol, args.merge_tol, cap) for n in eligible]
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    tasks = [(n, args.tol, args.merge_tol, args.cap) for n in eligible]
+    cores = os.cpu_count() or 1
+    jobs = min(args.jobs or cores, len(tasks), cores)
     started = time.perf_counter()
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
             rows = pool.map(_scan_one, tasks)
     else:
@@ -324,7 +332,7 @@ def _cmd_structure(args) -> int:
     if args.format == "dot":
         if args.full:
             try:
-                graph = build_full_graph(n, cap=_resolve_cap(args))
+                graph = build_full_graph(n, cap=args.cap)
             except VertexCapError as exc:
                 sys.stderr.write(f"cozero: {exc}\n")
                 return EXIT_CAP
@@ -370,10 +378,10 @@ def _cmd_integrality(args) -> int:
         _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
         return EXIT_DEGENERATE
     integral = sp.is_laplacian_integral(assembled, args.tol)
-    worst = max(
+    worst = float(max(
         (abs(e.value - round(e.value)) for e in assembled.combined.entries),
         default=0.0,
-    )
+    ))
     if args.format == "json":
         payload = {
             "n": n,
@@ -388,7 +396,7 @@ def _cmd_integrality(args) -> int:
             f"(worst integer distance {worst:.3e})\n",
             args,
         )
-    return _degenerate_exit(n)
+    return EXIT_DEGENERATE if assembled.degenerate else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -397,6 +405,7 @@ def main(argv=None) -> int:
     if getattr(args, "n", 2) < 2:
         sys.stderr.write(f"cozero: n must be >= 2, got {args.n}\n")
         return EXIT_ERROR
+    args.cap = _resolve_cap(args, parser)
     handlers = {
         "spectrum": _cmd_spectrum,
         "verify": _cmd_verify,

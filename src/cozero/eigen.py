@@ -38,7 +38,13 @@ PANEL_WIDTH = 32
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    value: float
+    """One eigenvalue and its multiplicity.
+
+    The library gives exact values as Python ints, so they stay exact
+    above 2**53; other values are floats.
+    """
+
+    value: int | float
     multiplicity: int
     exact: bool
 
@@ -62,7 +68,7 @@ class SpectrumMultiset:
         if not self.entries:
             return np.zeros(0)
         return np.repeat(
-            [e.value for e in self.entries],
+            np.array([e.value for e in self.entries], dtype=np.float64),
             [e.multiplicity for e in self.entries],
         )
 
@@ -87,9 +93,11 @@ def merge_spectrum(
     group value (two different exact values never merge, whatever the
     tolerance). A purely numeric group takes the multiplicity-weighted
     mean, snapped to the nearest integer when within integer_tol of one.
+    Exact values keep their type, so Python ints stay exact above 2**53
+    in comparisons and ordering; only the tolerance tests round them.
     """
     items = sorted(
-        ((float(v), int(m), bool(e)) for v, m, e in triples if m > 0),
+        ((v if e else float(v), int(m), bool(e)) for v, m, e in triples if m > 0),
         key=lambda t: (-t[0], not t[2]),
     )
     groups: list[list[tuple[float, int, bool]]] = []
@@ -114,7 +122,7 @@ def merge_spectrum(
             entries.append(SpectrumEntry(pinned, mult, True))
             continue
         mean = sum(v * m for v, m, _ in group) / mult
-        nearest = float(round(mean))
+        nearest = round(mean)
         if abs(mean - nearest) <= integer_tol:
             entries.append(SpectrumEntry(nearest, mult, True))
         else:
@@ -342,7 +350,7 @@ def eigenvalues_symmetric(
     pattern = a != 0.0
     np.fill_diagonal(pattern, False)
     blocks = connected_components(pattern)
-    triples = [(0.0, len(blocks), True)]
+    triples = [(0, len(blocks), True)]
     for block in blocks:
         part = a if len(block) == len(a) else a[np.ix_(block, block)]
         values = _deflated_eigenvalues(part, null[block])

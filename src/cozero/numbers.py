@@ -1,14 +1,18 @@
 """Exact integer arithmetic underpinning the graph construction.
 
-Factorization is deterministic trial division: inputs stay desk-scale
-(n up to ~10**6 in full-graph mode), so nothing fancier is warranted.
-All functions are pure and safe to call concurrently.
+Factorization is deterministic trial division. It runs up to the larger
+of the second-largest prime factor of n and the square root of the
+largest: instant for smooth n of any size, a fraction of a second for a
+product of two primes near 10**6. One Factorization carries everything
+derived from n: primality, phi(n) and the divisors, enumerated once
+together with their exponent vectors. All functions are pure and safe to
+call concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,10 @@ class Factorization:
     @property
     def is_prime_power(self) -> bool:
         return len(self.factors) == 1
+
+    @property
+    def totient(self) -> int:
+        return prod(totient_prime_power(p, e) for p, e in self.factors)
 
 
 def factorize(n: int) -> Factorization:
@@ -68,12 +76,7 @@ def totient(n: int) -> int:
     """Count of integers in [1, n] coprime to n, by the product formula."""
     if n < 1:
         raise ValueError(f"totient requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    result = n
-    for p, _ in factorize(n).factors:
-        result = result // p * (p - 1)
-    return result
+    return 1 if n == 1 else factorize(n).totient
 
 
 def totient_prime_power(p: int, e: int) -> int:
@@ -83,93 +86,29 @@ def totient_prime_power(p: int, e: int) -> int:
     return p ** (e - 1) * (p - 1)
 
 
+def divisor_exponents(f: Factorization) -> list[tuple[int, tuple[int, ...]]]:
+    """Every divisor of f.n with its exponent vector over f.primes, ascending."""
+    divs: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    for p, e in f.factors:
+        divs = [(d * p**a, vec + (a,)) for d, vec in divs for a in range(e + 1)]
+    return sorted(divs)
+
+
 def all_divisors(n: int) -> list[int]:
     """Every divisor of n including 1 and n, ascending."""
     if n < 1:
         raise ValueError(f"all_divisors requires n >= 1, got {n}")
-    if n == 1:
-        return [1]
-    divs = [1]
-    for p, e in factorize(n).factors:
-        power = 1
-        grown = list(divs)
-        for _ in range(e):
-            power *= p
-            grown.extend(d * power for d in divs)
-        divs = grown
-    return sorted(divs)
+    f = factorize(n) if n > 1 else Factorization(1, ())
+    return [d for d, _ in divisor_exponents(f)]
 
 
 def proper_divisors(n: int) -> list[int]:
     """Divisors d with 1 < d < n, ascending; empty when n is prime."""
     if n < 2:
         raise ValueError(f"proper_divisors requires n >= 2, got {n}")
-    return [d for d in all_divisors(n) if 1 < d < n]
-
-
-@dataclass(frozen=True)
-class DivisorClass:
-    divisor: int
-    size: int
-
-
-@dataclass(frozen=True)
-class DivisorClassPartition:
-    """Non-zero non-unit residues of Z_n grouped by gcd with n.
-
-    The class of a proper divisor d holds the phi(n/d) residues x with
-    gcd(x, n) == d. Prime n has no proper divisors and the partition is
-    empty (is_empty marks that explicitly).
-    """
-
-    n: int
-    classes: tuple[DivisorClass, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.classes
-
-    @property
-    def divisors(self) -> tuple[int, ...]:
-        return tuple(c.divisor for c in self.classes)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.classes)
-
-    @property
-    def total_size(self) -> int:
-        return sum(c.size for c in self.classes)
+    return all_divisors(n)[1:-1]
 
 
 def gcd_class_count(n: int, d: int) -> int:
     """|{x in [1, n-1] : gcd(x, n) == d}| by direct scan (verification oracle)."""
     return sum(1 for x in range(1, n) if gcd(x, n) == d)
-
-
-def divisor_class_partition(n: int, verify: bool = False) -> DivisorClassPartition:
-    """All divisor classes with their sizes, divisors ascending.
-
-    verify recounts every class size by direct gcd scan and checks the
-    total against n - phi(n) - 1.
-    """
-    if n < 2:
-        raise ValueError(f"divisor_class_partition requires n >= 2, got {n}")
-    classes = tuple(
-        DivisorClass(d, totient(n // d)) for d in proper_divisors(n)
-    )
-    partition = DivisorClassPartition(n, classes)
-    if verify:
-        for c in classes:
-            direct = gcd_class_count(n, c.divisor)
-            if direct != c.size:
-                raise AssertionError(
-                    f"class size mismatch at n={n}, d={c.divisor}: "
-                    f"phi gives {c.size}, direct count gives {direct}"
-                )
-        expected = n - totient(n) - 1
-        if partition.total_size != expected:
-            raise AssertionError(
-                f"class sizes sum to {partition.total_size}, expected {expected}"
-            )
-    return partition

@@ -1,16 +1,19 @@
-"""Proper-divisor quotient graph with totient weights.
+"""Proper-divisor quotient graph with totient weights: the divisor lattice.
 
-Vertices are the proper divisors of n, adjacent under mutual
-non-divisibility; vertex d carries weight phi(n/d), the size of its
-divisor class. The weighted degree of d sums the weights of its
-neighbours and equals the full-graph degree of every vertex in the class
-of d (the partition is equitable). Two Laplacian reductions live here:
-the integer zero-row-sum form and its symmetric conjugate, which share
-one spectrum.
+Built from one Factorization of n. Vertices are the proper divisors of
+n, each with its exponent vector; two are adjacent when neither divides
+the other, that is when their exponent vectors are incomparable. Vertex
+d carries weight phi(n/d) = prod phi(p^(e - a)), the size of its divisor
+class. The weighted degree of d sums the weights of its neighbours and
+equals the full-graph degree of every vertex in the class of d (the
+partition is equitable). Two Laplacian reductions live here: the integer
+zero-row-sum form and its symmetric conjugate, which share one spectrum.
+Both are int64 and float64 arrays, so n must lie below 2**63.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +24,12 @@ from .eigen import (
     characteristic_polynomial,
     connected_components,
 )
-from .numbers import factorize, is_prime, proper_divisors, totient
+from .numbers import (
+    Factorization,
+    divisor_exponents,
+    factorize,
+    totient_prime_power,
+)
 
 
 @dataclass(frozen=True)
@@ -52,19 +60,30 @@ class QuotientGraph:
         return out
 
 
-def build_quotient(n: int) -> QuotientGraph:
-    """Quotient graph on the proper divisors, ascending. Empty for prime n."""
-    if n < 2:
-        raise ValueError(f"build_quotient requires n >= 2, got {n}")
-    divs = proper_divisors(n)
-    weights = tuple(totient(n // d) for d in divs)
-    dv = np.array(divs, dtype=np.int64)
-    if len(divs):
-        adjacency = (dv[:, None] % dv[None, :] != 0) & (dv[None, :] % dv[:, None] != 0)
-    else:
-        adjacency = np.zeros((0, 0), dtype=bool)
+def build_quotient(n: int | Factorization) -> QuotientGraph:
+    """Quotient graph on the proper divisors, ascending. Empty for prime n.
+
+    Takes n or its factorization. n must lie below 2**63: weighted
+    degrees are int64 sums of weights, which add up to n - phi(n) - 1.
+    """
+    f = n if isinstance(n, Factorization) else factorize(n)
+    if f.n >= 2**63:
+        raise ValueError(
+            f"n = {f.n} is not below 2**63, the bound of the quotient's int64 arithmetic"
+        )
+    proper = divisor_exponents(f)[1:-1]
+    phis = [[totient_prime_power(p, e - a) for a in range(e + 1)] for p, e in f.factors]
+    weights = tuple(math.prod(phi[a] for phi, a in zip(phis, vec)) for _, vec in proper)
+    # d_i divides d_j when no exponent of d_i is larger; adjacent when
+    # neither divides the other. Exponents of n < 2**63 fit in int8.
+    m = len(proper)
+    exponents = np.array([vec for _, vec in proper], dtype=np.int8).reshape(m, len(f.factors))
+    divides = np.ones((m, m), dtype=bool)
+    for col in exponents.T:
+        divides &= col[:, None] <= col[None, :]
+    adjacency = ~(divides | divides.T)
     adjacency.setflags(write=False)
-    return QuotientGraph(n, tuple(divs), weights, adjacency)
+    return QuotientGraph(f.n, tuple(d for d, _ in proper), weights, adjacency)
 
 
 def quotient_component_count(q: QuotientGraph) -> int:
@@ -145,7 +164,12 @@ def build_weighted_laplacian(q: QuotientGraph, verify: bool = False) -> Weighted
         if d <= 16:
             exact = np.array(characteristic_polynomial(entries), dtype=np.float64)
             approx = _charpoly_float(symmetric)
-            scale = np.maximum(np.abs(exact), 1.0)
+            # coefficient k is a sum of C(d, k) products of k eigenvalues, and
+            # the largest absolute row sum rho bounds every |eigenvalue|; the
+            # exact coefficient itself can be 0 while its rounding error is not
+            rho = float(np.max(np.abs(entries).sum(axis=1)))
+            bounds = [math.comb(d, k) * rho**k for k in range(d + 1)]
+            scale = np.maximum(np.array(bounds), 1.0)
             if float(np.max(np.abs(exact - approx) / scale)) > 1e-6:
                 raise AssertionError(
                     f"characteristic polynomials of the two forms disagree at n = {q.n}"

@@ -23,12 +23,7 @@ from .fullgraph import (
     connected_component_count,
     laplacian_matrix,
 )
-from .numbers import (
-    factorize,
-    is_prime,
-    totient,
-    totient_prime_power,
-)
+from .numbers import Factorization, factorize, is_prime
 from .quotient import (
     build_quotient,
     build_weighted_laplacian,
@@ -74,22 +69,13 @@ class AssembledSpectrum:
         return self.degenerate == "empty"
 
 
-def _degeneracy(n: int) -> str | None:
-    f = factorize(n)
-    if f.is_prime:
-        return "empty"
-    if f.is_prime_power:
-        return "null"
-    return None
-
-
 def _combine(
     integer_part: tuple[ClassEigenvalue, ...],
     quotient_part: eigen.SpectrumMultiset,
     merge_tol: float,
 ) -> eigen.SpectrumMultiset:
     triples = [
-        (float(e.value), e.multiplicity, True)
+        (e.value, e.multiplicity, True)
         for e in integer_part
         if e.multiplicity > 0
     ]
@@ -100,21 +86,21 @@ def _combine(
 
 
 def assemble_spectrum(
-    n: int, merge_tol: float = eigen.DEFAULT_MERGE_TOL
+    n: int | Factorization, merge_tol: float = eigen.DEFAULT_MERGE_TOL
 ) -> AssembledSpectrum:
     """Spectrum via the divisor-class join reduction.
 
-    Prime n yields the empty spectrum (marked degenerate "empty");
-    prime powers yield the all-zero spectrum of a null graph ("null").
-    The quotient's zero eigenvalues, one per component, are exact: the
-    square-root weights are deflated as known null vectors.
+    Takes n or its factorization; n is factored once, here. Prime n
+    yields the empty spectrum (marked degenerate "empty"); prime powers
+    yield the all-zero spectrum of a null graph ("null"). The quotient's
+    zero eigenvalues, one per component, are exact: the square-root
+    weights are deflated as known null vectors.
     """
-    if n < 2:
-        raise ValueError(f"assemble_spectrum requires n >= 2, got {n}")
-    if is_prime(n):
+    f = n if isinstance(n, Factorization) else factorize(n)
+    if f.is_prime:
         empty = eigen.SpectrumMultiset(())
-        return AssembledSpectrum(n, (), empty, empty, "empty")
-    q = build_quotient(n)
+        return AssembledSpectrum(f.n, (), empty, empty, "empty")
+    q = build_quotient(f)
     degrees = weighted_degrees(q)
     integer_part = tuple(
         ClassEigenvalue(deg, w - 1, d)
@@ -125,13 +111,14 @@ def assemble_spectrum(
         wl.symmetric_form, merge_tol, np.sqrt(np.array(q.weights, dtype=np.float64))
     )
     combined = _combine(integer_part, quotient_part, merge_tol)
-    expected = n - totient(n) - 1
+    expected = f.n - f.totient - 1
     if combined.total_multiplicity != expected:
         raise AssertionError(
-            f"assembled {combined.total_multiplicity} eigenvalues at n = {n}, "
+            f"assembled {combined.total_multiplicity} eigenvalues at n = {f.n}, "
             f"expected {expected}"
         )
-    return AssembledSpectrum(n, integer_part, quotient_part, combined, _degeneracy(n))
+    degenerate = "null" if f.is_prime_power else None
+    return AssembledSpectrum(f.n, integer_part, quotient_part, combined, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +150,8 @@ def closed_form_pq(p: int, q: int) -> AssembledSpectrum:
     )
     quotient_part = eigen.SpectrumMultiset(
         (
-            eigen.SpectrumEntry(float(p + q - 2), 1, True),
-            eigen.SpectrumEntry(0.0, 1, True),
+            eigen.SpectrumEntry(p + q - 2, 1, True),
+            eigen.SpectrumEntry(0, 1, True),
         )
     )
     combined = _combine(integer_part, quotient_part, eigen.DEFAULT_MERGE_TOL)
@@ -196,45 +183,19 @@ def closed_form_general(
     n2: int,
     merge_tol: float = eigen.DEFAULT_MERGE_TOL,
 ) -> AssembledSpectrum:
-    """Spectrum for n = p**n1 * q**n2 built from the two-prime divisor grid.
+    """Spectrum for n = p**n1 * q**n2 from the two-prime divisor lattice.
 
-    Divisors are p**a * q**b over the exponent grid; two are adjacent
-    exactly when one has more of p and less of q than the other. Weighted
-    degrees and class sizes are exact integer sums over the grid, and the
-    (n1+1)(n2+1)-2 quotient eigenvalues are solved numerically. The result
-    must agree with assemble_spectrum(n) exactly on the integer part.
+    The factorization is known, so n is never factored: it goes to the
+    same lattice and assembly as assemble_spectrum. Divisors are
+    p**a * q**b over the exponent grid, adjacent exactly when one has
+    more of p and less of q than the other, and the (n1+1)(n2+1)-2
+    quotient eigenvalues are solved numerically.
     """
     _require_distinct_primes(p, q)
     if n1 < 1 or n2 < 1:
         raise ValueError(f"exponents must be >= 1, got {n1}, {n2}")
-    grid = [
-        (a, b)
-        for a in range(n1 + 1)
-        for b in range(n2 + 1)
-        if (a, b) not in ((0, 0), (n1, n2))
-    ]
-    grid.sort(key=lambda ab: p ** ab[0] * q ** ab[1])
-    divisors = [p ** a * q ** b for a, b in grid]
-    weights = [
-        totient_prime_power(p, n1 - a) * totient_prime_power(q, n2 - b)
-        for a, b in grid
-    ]
-
-    a, b = np.array(grid).T
-    # one exponent strictly larger and the other strictly smaller
-    adjacency = (a[:, None] - a[None, :]) * (b[:, None] - b[None, :]) < 0
-    degrees = [sum(w for w, adj in zip(weights, row) if adj) for row in adjacency]
-    integer_part = tuple(
-        ClassEigenvalue(deg, w - 1, div)
-        for deg, w, div in zip(degrees, weights, divisors)
-    )
-    root_w = np.sqrt(np.array(weights, dtype=np.float64))
-    symmetric = np.where(adjacency, -np.outer(root_w, root_w), 0.0)
-    np.fill_diagonal(symmetric, degrees)
-    quotient_part = eigen.eigenvalues_symmetric(symmetric, merge_tol, root_w)
-    combined = _combine(integer_part, quotient_part, merge_tol)
-    n = p ** n1 * q ** n2
-    return AssembledSpectrum(n, integer_part, quotient_part, combined, None)
+    factors = tuple(sorted(((p, n1), (q, n2))))
+    return assemble_spectrum(Factorization(p**n1 * q**n2, factors), merge_tol)
 
 
 def is_laplacian_integral(
@@ -281,14 +242,14 @@ def _multiplicity_mismatches(
     while i < len(ea) or j < len(eb):
         if i < len(ea) and j < len(eb) and abs(ea[i].value - eb[j].value) <= tol:
             if ea[i].multiplicity != eb[j].multiplicity:
-                out.append((ea[i].value, ea[i].multiplicity, eb[j].multiplicity))
+                out.append((float(ea[i].value), ea[i].multiplicity, eb[j].multiplicity))
             i += 1
             j += 1
         elif j >= len(eb) or (i < len(ea) and ea[i].value > eb[j].value):
-            out.append((ea[i].value, ea[i].multiplicity, 0))
+            out.append((float(ea[i].value), ea[i].multiplicity, 0))
             i += 1
         else:
-            out.append((eb[j].value, 0, eb[j].multiplicity))
+            out.append((float(eb[j].value), 0, eb[j].multiplicity))
             j += 1
     return tuple(out)
 

@@ -217,8 +217,13 @@ def test_criterion_4_oracle_equivalence(sweep):
              sweep.elapsed_seconds)
 
 
-def test_criterion_5_two_prime_power_family():
-    """The two-prime-power generator agrees with assembly, quotient size included."""
+def test_criterion_5_two_prime_power_family(oracle_spectrum):
+    """The two-prime-power generator agrees with assembly, quotient size included.
+
+    closed_form_general runs the same lattice and assembly as
+    assemble_spectrum, so each case is also checked against the
+    brute-force oracle, which shares no code with either.
+    """
     violations = []
     for p, n1, q, n2 in GENERAL_CASES:
         n = p**n1 * q**n2
@@ -237,6 +242,10 @@ def test_criterion_5_two_prime_power_family():
         cmp = compare_multisets(general.combined, assembled.combined, TOL)
         if not cmp.matched:
             violations.append((n, f"combined off by {cmp.max_deviation:.2e}"))
+            continue
+        cmp = compare_multisets(general.combined, oracle_spectrum(n), TOL)
+        if not cmp.matched:
+            violations.append((n, f"oracle deviation {cmp.max_deviation:.2e}"))
     conclude(5, f"two-prime-power family over {len(GENERAL_CASES)} cases", violations)
 
 

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from cozero import build_quotient, cli, weighted_degrees
 from cozero.cli import main
 
 
@@ -81,6 +83,44 @@ class TestSpectrumCommand:
         assert calls == {"assemble_spectrum": 1, "build_quotient": 1}
         assert json.loads(out)["divisor_classes"][0] == {"d": 2, "size": 8, "D": 7}
 
+    def test_csv_factors_once(self, capsys, monkeypatch):
+        from cozero import numbers
+
+        calls = []
+        original = numbers.factorize
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cozero") and getattr(module, "factorize", None) is original:
+                monkeypatch.setattr(module, "factorize", counted)
+        n = 999007 * 999023
+        code, out, _ = run(capsys, "spectrum", str(n), "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == "1998028,1,true"
+        assert calls == [n]
+
+    def test_exact_values_above_two_to_the_53(self, capsys):
+        # seven of these class values lie above 2**53, where a float rounds them
+        n = 3 * 2**60
+        q = build_quotient(n)
+        code, out, _ = run(capsys, "spectrum", str(n), "--format", "csv")
+        assert code == 0
+        printed = {int(row.split(",")[0]) for row in out.splitlines()[1:]
+                   if row.endswith(",true")}
+        values = {D for D, w in zip(weighted_degrees(q), q.weights) if w > 1}
+        assert max(values) > 2**53
+        assert values <= printed
+
+    @pytest.mark.parametrize("command", ["spectrum", "structure"])
+    def test_refuses_n_from_two_to_the_63(self, capsys, command):
+        code, out, err = run(capsys, command, str(3 * 2**64), "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "2**63" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spec.txt"
         code, out, _ = run(capsys, "spectrum", "15", "--out", str(target))
@@ -114,6 +154,21 @@ class TestVerifyCommand:
         monkeypatch.setenv("COZERO_CAP", "5")
         code, _, err = run(capsys, "verify", "30")
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["many", "2.5", "0", "-1"])
+    def test_bad_cap_in_environment_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("COZERO_CAP", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "30"])
+        assert exc.value.code == 64
+        assert "COZERO_CAP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    def test_bad_cap_option_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "30", "--cap", value])
+        assert exc.value.code == 64
+        assert "--cap" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "15", "--format", "json",
@@ -157,6 +212,38 @@ class TestScanCommand:
         doc = json.loads(out)
         assert [row["n"] for row in doc["rows"]] == [12, 18, 20]
         assert doc["failures"] == 0
+
+    def test_jobs_clamped_to_tasks_and_cores(self, capsys, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert run(capsys, "scan", "4", "9", "--jobs", "1000000")[0] == 0
+        assert run(capsys, "scan", "4", "40", "--jobs", "1000000")[0] == 0
+        assert run(capsys, "scan", "4", "40", "--jobs", "3")[0] == 0
+        assert run(capsys, "scan", "6", "6", "--jobs", "1000000")[0] == 0
+        # 4, 6, 8, 9 are four tasks; 4..40 has 28; a single task runs inline
+        assert pools == [4, 8, 3]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "4", "9", "--jobs", jobs])
+        assert exc.value.code == 64
+        assert "--jobs" in capsys.readouterr().err
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "scan", "30", "6", "--jobs", "1")

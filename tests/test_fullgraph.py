@@ -8,8 +8,8 @@ from cozero import (
     EmptyGraphError,
     VertexCapError,
     build_full_graph,
+    build_quotient,
     connected_component_count,
-    divisor_class_partition,
     full_graph_connected_predicate,
     is_adjacent_by_definition,
     is_adjacent_by_divisor,
@@ -117,13 +117,13 @@ class TestEquitableStructure:
     def test_within_class_edgeless_between_class_all_or_none(self):
         for n in composite_range(300):
             graph = build_full_graph(n)
-            part = divisor_class_partition(n)
+            divisors = build_quotient(n).divisors
             classes = np.array(graph.classes)
-            for i, di in enumerate(part.divisors):
+            for i, di in enumerate(divisors):
                 idx_i = np.nonzero(classes == di)[0]
                 block = graph.adjacency[np.ix_(idx_i, idx_i)]
                 assert not block.any(), f"edges inside class {di} of n={n}"
-                for dj in part.divisors[i + 1:]:
+                for dj in divisors[i + 1:]:
                     idx_j = np.nonzero(classes == dj)[0]
                     count = int(graph.adjacency[np.ix_(idx_i, idx_j)].sum())
                     assert count in (0, len(idx_i) * len(idx_j)), (

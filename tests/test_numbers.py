@@ -1,11 +1,12 @@
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from cozero import (
     all_divisors,
-    divisor_class_partition,
+    build_quotient,
+    divisor_exponents,
     factorize,
     gcd_class_count,
     is_prime,
@@ -102,39 +103,48 @@ class TestDivisors:
         assert all_divisors(1) == [1]
         assert all_divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
+    def test_exponent_vectors_rebuild_each_divisor(self):
+        for n in range(2, 501):
+            f = factorize(n)
+            pairs = divisor_exponents(f)
+            assert [d for d, _ in pairs] == all_divisors(n)
+            for d, vec in pairs:
+                assert d == prod(p**a for p, a in zip(f.primes, vec))
+
 
 class TestDivisorClassPartition:
+    """The divisor classes are the quotient's vertices: the class of d
+    holds the phi(n/d) residues x with gcd(x, n) == d, its weight."""
+
     def test_worked_example(self):
-        part = divisor_class_partition(30)
-        assert part.divisors == (2, 3, 5, 6, 10, 15)
-        assert part.sizes == (8, 4, 2, 4, 2, 1)
+        q = build_quotient(30)
+        assert q.divisors == (2, 3, 5, 6, 10, 15)
+        assert q.weights == (8, 4, 2, 4, 2, 1)
 
     def test_smallest_composite(self):
-        part = divisor_class_partition(4)
-        assert part.divisors == (2,)
-        assert part.sizes == (1,)
+        q = build_quotient(4)
+        assert q.divisors == (2,)
+        assert q.weights == (1,)
 
     def test_prime_power_sizes(self):
-        part = divisor_class_partition(12)
-        assert part.sizes == (2, 2, 2, 1)
+        assert build_quotient(12).weights == (2, 2, 2, 1)
 
     def test_prime_gives_empty_marker(self):
-        part = divisor_class_partition(13)
-        assert part.is_empty
-        assert part.classes == ()
+        q = build_quotient(13)
+        assert q.is_empty
+        assert q.divisors == q.weights == ()
 
     def test_total_size_identity(self):
         # sum of phi(n/d) over proper divisors is n - phi(n) - 1
         for n in range(2, 1001):
-            part = divisor_class_partition(n)
-            assert part.total_size == n - totient(n) - 1
+            assert sum(build_quotient(n).weights) == n - totient(n) - 1
 
     def test_sizes_match_direct_gcd_counts(self):
         for n in range(2, 501):
             counts = Counter(gcd(x, n) for x in range(1, n))
             del counts[1]
-            part = divisor_class_partition(n)
-            assert dict(zip(part.divisors, part.sizes)) == dict(counts)
+            q = build_quotient(n)
+            assert dict(zip(q.divisors, q.weights)) == dict(counts)
 
     def test_gcd_class_count_helper(self):
         assert gcd_class_count(30, 2) == 8
@@ -142,4 +152,7 @@ class TestDivisorClassPartition:
 
     def test_verify_mode(self):
         for n in (12, 30, 97, 210):
-            divisor_class_partition(n, verify=True)
+            q = build_quotient(n)
+            for d, w in zip(q.divisors, q.weights):
+                assert gcd_class_count(n, d) == w, f"class {d} of n={n}"
+            assert sum(q.weights) == n - totient(n) - 1

@@ -5,6 +5,7 @@ from cozero import (
     build_full_graph,
     build_quotient,
     build_weighted_laplacian,
+    factorize,
     is_connected_quotient,
     is_prime,
     laplacian_in_order,
@@ -51,6 +52,24 @@ class TestBuildQuotient:
     def test_prime_is_empty(self):
         q = build_quotient(11)
         assert q.is_empty
+
+    def test_factorization_gives_the_same_graph(self):
+        for n in (12, 30, 720720, 3 * 2**60):
+            a, b = build_quotient(n), build_quotient(factorize(n))
+            assert (a.n, a.divisors, a.weights) == (b.n, b.divisors, b.weights)
+            assert np.array_equal(a.adjacency, b.adjacency)
+
+    def test_adjacency_is_mutual_non_divisibility(self):
+        for n in range(4, 1001):
+            q = build_quotient(n)
+            for i, a in enumerate(q.divisors):
+                for j, b in enumerate(q.divisors):
+                    assert q.adjacency[i, j] == (a % b != 0 and b % a != 0)
+
+    def test_refuses_n_from_two_to_the_63(self):
+        build_quotient(2**62 * 3 // 2)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            build_quotient(2**63)
 
     def test_weight_sum_identity(self):
         for n in range(2, 1001):
@@ -138,8 +157,11 @@ class TestWeightedLaplacian:
             assert float(np.max(np.abs(ours - reference))) < 1e-8
 
     def test_verify_mode(self):
-        for n in (12, 15, 30, 360):
-            build_weighted_laplacian(build_quotient(n), verify=True)
+        # includes n = 60, 72, 80, ..., where the exact constant term is 0
+        # and its float counterpart is not
+        for n in range(4, 400):
+            if not is_prime(n):
+                build_weighted_laplacian(build_quotient(n), verify=True)
 
 
 class TestConnectivity:

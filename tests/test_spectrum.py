@@ -226,6 +226,19 @@ class TestClosedFormGeneral:
         cmp = compare_multisets(general.combined, oracle_spectrum(72), 1e-6)
         assert cmp.matched
 
+    def test_never_factors_n(self, monkeypatch):
+        from cozero import numbers, quotient, spectrum
+
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        for module in (numbers, quotient, spectrum):
+            monkeypatch.setattr(module, "factorize", refuse)
+        general = closed_form_general(999983, 1, 1000003, 1)
+        direct = closed_form_pq(999983, 1000003)
+        assert integer_part_map(general) == integer_part_map(direct)
+        assert general.combined == direct.combined
+
     @pytest.mark.parametrize("args", [(2, 0, 3, 1), (2, 1, 2, 1), (4, 1, 3, 1)])
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
