@@ -50,7 +50,6 @@ from .eigen import (
     characteristic_polynomial,
     eigenvalues_symmetric,
     merge_spectrum,
-    polynomial_roots_real,
     spectrum_from_values,
 )
 from .spectrum import (
@@ -111,7 +110,6 @@ __all__ = [
     "laplacian_in_order",
     "laplacian_matrix",
     "merge_spectrum",
-    "polynomial_roots_real",
     "proper_divisors",
     "quotient_component_count",
     "quotient_connected_predicate",

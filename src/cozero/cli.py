@@ -26,7 +26,7 @@ from .fullgraph import (
     full_graph_connected_predicate,
     to_dot as full_graph_dot,
 )
-from .numbers import factorize, is_prime
+from .numbers import Factorization, factorize
 from .quotient import (
     build_quotient,
     build_weighted_laplacian,
@@ -169,9 +169,7 @@ def _cmd_spectrum(args) -> int:
             lines.append(f"n={n} is a prime power: null graph, all-zero spectrum")
         _emit("\n".join(lines) + "\n", args)
     elif args.format == "json":
-        report = sp.spectrum_report(assembled, tol=args.tol,
-                                    merge_tol=args.merge_tol,
-                                    cap=args.cap)
+        report = sp.spectrum_report(assembled, tol=args.tol)
         _emit(_json_envelope(report, args), args)
     elif args.format == "csv":
         _emit(sp.spectrum_csv(assembled), args)
@@ -184,9 +182,6 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
-    if is_prime(n):
-        _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
-        return EXIT_DEGENERATE
     try:
         report = sp.verify_against_oracle(
             n, tol=args.tol, merge_tol=args.merge_tol, cap=args.cap
@@ -194,6 +189,9 @@ def _cmd_verify(args) -> int:
     except VertexCapError as exc:
         sys.stderr.write(f"cozero: {exc}\n")
         return EXIT_CAP
+    if report.degenerate == "empty":
+        _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
+        return EXIT_DEGENERATE
     if args.format == "json":
         payload = {
             "n": n,
@@ -222,8 +220,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.matched else EXIT_ERROR
 
 
-def _matches_filter(n: int, family: str) -> bool:
-    f = factorize(n)
+def _matches_filter(f: Factorization, family: str) -> bool:
     if f.is_prime:
         return False
     exponents = sorted(e for _, e in f.factors)
@@ -240,10 +237,11 @@ def _matches_filter(n: int, family: str) -> bool:
     raise ValueError(f"unknown filter {family!r}")
 
 
-def _scan_one(task: tuple[int, float, float, int]) -> dict:
-    n, tol, merge_tol, cap = task
+def _scan_one(task: tuple[Factorization, float, float, int]) -> dict:
+    f, tol, merge_tol, cap = task
+    n = f.n
     try:
-        report = sp.verify_against_oracle(n, tol=tol, merge_tol=merge_tol, cap=cap)
+        report = sp.verify_against_oracle(f, tol=tol, merge_tol=merge_tol, cap=cap)
     except VertexCapError as exc:
         return {"n": n, "status": "CAP", "error": str(exc)}
     except Exception as exc:  # collected, not fatal
@@ -262,9 +260,10 @@ def _cmd_scan(args) -> int:
         sys.stderr.write(f"cozero: need 2 <= lo <= hi, got {args.lo}, {args.hi}\n")
         return EXIT_USAGE
     eligible = [
-        n for n in range(args.lo, args.hi + 1) if _matches_filter(n, args.filter)
+        f for f in map(factorize, range(args.lo, args.hi + 1))
+        if _matches_filter(f, args.filter)
     ]
-    tasks = [(n, args.tol, args.merge_tol, args.cap) for n in eligible]
+    tasks = [(f, args.tol, args.merge_tol, args.cap) for f in eligible]
     cores = os.cpu_count() or 1
     jobs = min(args.jobs or cores, len(tasks), cores)
     started = time.perf_counter()
@@ -322,7 +321,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_structure(args) -> int:
     n = args.n
-    q = build_quotient(n)
+    f = factorize(n)
+    q = build_quotient(f)
     if q.is_empty:
         _emit(f"n={n}: degenerate (prime, no proper divisors)\n", args)
         return EXIT_DEGENERATE
@@ -332,7 +332,7 @@ def _cmd_structure(args) -> int:
     if args.format == "dot":
         if args.full:
             try:
-                graph = build_full_graph(n, cap=args.cap)
+                graph = build_full_graph(f, cap=args.cap)
             except VertexCapError as exc:
                 sys.stderr.write(f"cozero: {exc}\n")
                 return EXIT_CAP
@@ -350,7 +350,7 @@ def _cmd_structure(args) -> int:
             ],
             "edges": [list(e) for e in q.edges()],
             "quotient_connectivity": quotient_connectivity_state(q),
-            "full_graph_connected": full_graph_connected_predicate(n),
+            "full_graph_connected": full_graph_connected_predicate(f),
             "boundary_case": boundary,
         }
         _emit(_json_envelope(payload, args), args)
@@ -358,7 +358,7 @@ def _cmd_structure(args) -> int:
         lines = [
             f"n={n}: {q.size} proper divisors, {q.edge_count} quotient edges",
             f"quotient {quotient_connectivity_state(q)}; "
-            f"full graph connected: {str(full_graph_connected_predicate(n)).lower()}",
+            f"full graph connected: {str(full_graph_connected_predicate(f)).lower()}",
         ]
         if boundary:
             lines.append("note: n=4 is the single-vertex boundary case (even prime squared)")

@@ -1,12 +1,13 @@
-"""Dense symmetric eigensolver and exact polynomial machinery.
+"""Dense symmetric eigensolver and the exact characteristic polynomial.
 
 The solver is written here rather than borrowed, and one path serves
 every size: blocked Householder tridiagonalization, then implicit QL
-with shifts. A known null vector, such as the square-root weights of a
-weighted Laplacian, is deflated, so its zero eigenvalue comes out exact.
-Characteristic polynomials are exact (Faddeev-LeVerrier over Python
-integers) and real roots come from Sturm bisection in integer
-arithmetic, so the two routes to a quotient spectrum share no code path.
+with shifts. It is the only route to eigenvalues. A known null vector,
+such as the square-root weights of a weighted Laplacian, is deflated, so
+its zero eigenvalue comes out exact. The characteristic polynomial is
+exact (Faddeev-LeVerrier over Python integers); it finds no roots and
+serves as an independent reference for small integer matrices, such as
+the paper's p**2 * q quartic.
 
 All entry points are pure; concurrent calls on distinct matrices are safe.
 """
@@ -15,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .numbers import all_divisors
 
 DEFAULT_MERGE_TOL = 1e-6
 INTEGER_TOL = 1e-6
@@ -419,368 +418,9 @@ def characteristic_polynomial(matrix) -> list[int]:
     return coeffs
 
 
-def _charpoly_float(matrix: np.ndarray) -> np.ndarray:
-    """Float Faddeev-LeVerrier, used only for debug cross-checks."""
-    a = np.asarray(matrix, dtype=np.float64)
-    m = a.shape[0]
-    coeffs = [1.0]
-    work = a.copy()
-    eye = np.eye(m)
-    for k in range(1, m + 1):
-        if k > 1:
-            work = a @ (work + coeffs[-1] * eye)
-        coeffs.append(-float(np.trace(work)) / k)
-    return np.array(coeffs)
-
-
 def poly_eval_int(coeffs: Sequence[int], x: int) -> int:
     """Exact Horner evaluation of an integer polynomial at an integer."""
     acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-# ---------------------------------------------------------------------------
-# exact real-root isolation (Sturm bisection)
-#
-# Polynomials are coefficient lists in descending powers. The zero
-# polynomial is []; otherwise the leading coefficient is nonzero.
-# All interval endpoints are dyadic rationals num / 2**shift, so sign
-# evaluations stay in integer arithmetic throughout.
-
-def _poly_trim(c: list) -> list:
-    i = 0
-    while i < len(c) and c[i] == 0:
-        i += 1
-    return c[i:]
-
-
-def _frac(c: Sequence) -> list[Fraction]:
-    return [Fraction(x) for x in c]
-
-
-def _poly_derivative(c: list) -> list:
-    deg = len(c) - 1
-    if deg < 1:
-        return []
-    return [coef * (deg - i) for i, coef in enumerate(c[:-1])]
-
-
-def _poly_sub(a: list, b: list) -> list:
-    la, lb = len(a), len(b)
-    size = max(la, lb)
-    out = [Fraction(0)] * size
-    for i, x in enumerate(a):
-        out[size - la + i] += Fraction(x)
-    for i, x in enumerate(b):
-        out[size - lb + i] -= Fraction(x)
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Long division over Fractions; returns (quotient, remainder)."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = _frac(num)
-    den = _frac(den)
-    if len(num) < len(den):
-        return [], _poly_trim(num)
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    work = num[:]
-    for i in range(len(quot)):
-        if work[i] == 0:
-            continue
-        factor = work[i] / den[0]
-        quot[i] = factor
-        for j, d in enumerate(den):
-            work[i + j] -= factor * d
-    return _poly_trim(quot), _poly_trim(work[len(quot):])
-
-
-def _poly_div_exact(num: list, den: list) -> list[Fraction]:
-    quot, rem = _poly_divmod(num, den)
-    if rem:
-        raise ArithmeticError("polynomial division expected to be exact")
-    return _frac(quot)
-
-
-def _primitive_int(c: list) -> list[int]:
-    """Scale by a positive rational down to primitive integer coefficients.
-
-    Positive scaling only: sign flips would corrupt Sturm variation counts.
-    """
-    if not c:
-        return []
-    fracs = _frac(c)
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    content = 0
-    for x in ints:
-        content = math.gcd(content, abs(x))
-    if content > 1:
-        ints = [x // content for x in ints]
-    return ints
-
-
-def _poly_gcd(a: Sequence, b: Sequence) -> list[int]:
-    """Primitive positive-lead gcd via Euclid with per-step primitivization."""
-    a = _primitive_int(_poly_trim(list(a)))
-    b = _primitive_int(_poly_trim(list(b)))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, _primitive_int(r)
-    if a and a[0] < 0:
-        a = [-x for x in a]
-    return a
-
-
-def _squarefree_factors(c: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's algorithm: c = const * prod factor_i^i, factors squarefree.
-
-    Intermediate polynomials stay exact Fractions; only the emitted
-    factors are primitivized (a positive scale leaves roots unchanged).
-    """
-    f = _frac(c)
-    fp = _poly_derivative(f)
-    d = _poly_gcd(c, fp)
-    if len(d) <= 1:
-        return [(_primitive_int(c), 1)]
-    b = _poly_div_exact(f, d)
-    cc = _poly_div_exact(fp, d)
-    z = _poly_sub(cc, _poly_derivative(b))
-    factors: list[tuple[list[int], int]] = []
-    i = 1
-    while len(b) > 1:
-        if i > len(c):
-            raise ArithmeticError("squarefree split failed to terminate")
-        a = _poly_gcd(b, z) if z else _primitive_int(b)
-        if len(a) > 1:
-            factors.append((a, i))
-        b = _poly_div_exact(b, a)
-        zz = _poly_div_exact(z, a) if z else []
-        z = _poly_sub(zz, _poly_derivative(b))
-        i += 1
-    return factors
-
-
-def _sturm_chain(c: list[int]) -> list[list[int]]:
-    chain = [list(c)]
-    deriv = _primitive_int(_poly_derivative(c))
-    if deriv:
-        chain.append(deriv)
-    while len(chain[-1]) > 1:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        r = _primitive_int(r)
-        if not r:
-            break
-        chain.append([-x for x in r])
-    return chain
-
-
-def _dyadic_sign(c: list[int], num: int, shift: int) -> int:
-    """Sign of the polynomial at the dyadic rational num / 2**shift.
-
-    Horner on 2**(shift*deg) * p(num / 2**shift), integers only.
-    """
-    if not c:
-        return 0
-    acc = c[0]
-    power = 0
-    for coef in c[1:]:
-        power += shift
-        acc = acc * num + (coef << power if coef else 0)
-    return (acc > 0) - (acc < 0)
-
-
-def _variations(chain: list[list[int]], num: int, shift: int) -> int:
-    signs = []
-    for poly in chain:
-        s = _dyadic_sign(poly, num, shift)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _split(
-    chain: list[list[int]],
-    f: list[int],
-    lo: int,
-    hi: int,
-    shift: int,
-    v_lo: int,
-    v_hi: int,
-    roots: list[Fraction],
-    intervals: list[tuple[int, int, int]],
-) -> None:
-    """Split (lo, hi] / 2**shift until each piece isolates exactly one root.
-
-    Sturm counts roots on half-open intervals: v_lo - v_hi of them live
-    in (lo, hi]. Midpoints that are roots come out exactly; the recursion
-    then continues on a punctured neighbourhood.
-    """
-    count = v_lo - v_hi
-    if count == 0:
-        return
-    if count == 1:
-        intervals.append((lo, hi, shift))
-        return
-    mid = lo + hi
-    lo2, hi2 = lo * 2, hi * 2
-    shift2 = shift + 1
-    if _dyadic_sign(f, mid, shift2) != 0:
-        v_mid = _variations(chain, mid, shift2)
-        _split(chain, f, lo2, mid, shift2, v_lo, v_mid, roots, intervals)
-        _split(chain, f, mid, hi2, shift2, v_mid, v_hi, roots, intervals)
-        return
-    roots.append(Fraction(mid, 1 << shift2))
-    # carve out a neighbourhood of mid that holds no other root
-    extra = 12
-    while True:
-        s = shift2 + extra
-        mid_s = mid << extra
-        left = mid_s - 1
-        right = mid_s + 1
-        if _dyadic_sign(f, left, s) != 0 and _dyadic_sign(f, right, s) != 0:
-            v_left = _variations(chain, left, s)
-            v_right = _variations(chain, right, s)
-            if v_left - v_right == 1:  # only mid itself lives in (left, right]
-                break
-        extra += 12
-    _split(chain, f, lo2 << extra, left, s, v_lo, v_left, roots, intervals)
-    _split(chain, f, right, hi2 << extra, s, v_right, v_hi, roots, intervals)
-
-
-def _exact_root_candidates(f: list[int], approx: Fraction) -> list[Fraction]:
-    """Rational-root-theorem candidates near approx (denominator | lead)."""
-    candidates = [Fraction(round(approx))]
-    lead = abs(f[0])
-    if 1 < lead <= 10**6:
-        for q in all_divisors(lead):
-            if q > 1:
-                candidates.append(Fraction(round(approx * q), q))
-    return candidates
-
-
-def _is_exact_root(f: list[int], x: Fraction) -> bool:
-    acc = Fraction(0)
-    for coef in f:
-        acc = acc * x + coef
-    return acc == 0
-
-
-def _refine(f: list[int], lo: int, hi: int, shift: int) -> Fraction:
-    """Bisect the half-open isolating interval (lo, hi] / 2**shift."""
-    sign_hi = _dyadic_sign(f, hi, shift)
-    if sign_hi == 0:
-        return Fraction(hi, 1 << shift)
-    sign_lo = _dyadic_sign(f, lo, shift)
-    if sign_lo == sign_hi:
-        # a simple root strictly inside forces opposite endpoint signs
-        raise ArithmeticError("isolating interval lost its sign change")
-    # stop once the width is ~2**-46 of the root magnitude (or of 1)
-    while (hi - lo) << 46 > max(1 << shift, abs(lo), abs(hi)):
-        mid = lo + hi
-        lo *= 2
-        hi *= 2
-        shift += 1
-        s = _dyadic_sign(f, mid, shift)
-        if s == 0:
-            return Fraction(mid, 1 << shift)
-        if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    lo_frac = Fraction(lo, 1 << shift)
-    hi_frac = Fraction(hi, 1 << shift)
-    # bisection midpoints need not land on rational roots; a candidate
-    # inside the final interval that zeroes f exactly is the root itself
-    for candidate in _exact_root_candidates(f, (lo_frac + hi_frac) / 2):
-        if lo_frac < candidate <= hi_frac and _is_exact_root(f, candidate):
-            return candidate
-    return Fraction(lo + hi, 1 << (shift + 1))
-
-
-def _real_roots_squarefree(f: list[int]) -> list[Fraction]:
-    deg = len(f) - 1
-    if deg == 1:
-        return [Fraction(-f[1], f[0])]
-    chain = _sturm_chain(f)
-    # Cauchy bound rounded up to a power of two keeps endpoints dyadic;
-    # every root then lies strictly inside (-b, b)
-    lead = abs(f[0])
-    tail = max(abs(x) for x in f[1:])
-    b = 2
-    while b * lead < lead + tail:
-        b *= 2
-    roots: list[Fraction] = []
-    intervals: list[tuple[int, int, int]] = []
-    v_lo = _variations(chain, -b, 0)
-    v_hi = _variations(chain, b, 0)
-    _split(chain, f, -b, b, 0, v_lo, v_hi, roots, intervals)
-    for lo, hi, shift in intervals:
-        roots.append(_refine(f, lo, hi, shift))
-    return roots
-
-
-def _check_residual(poly: list[int], root: Fraction, tol: float) -> None:
-    """Exact residual test |p(root)| <= tol * sum |c_i| |root|^(deg-i)."""
-    value = Fraction(0)
-    scale = Fraction(0)
-    r = Fraction(root)
-    for coef in poly:
-        value = value * r + coef
-        scale = scale * abs(r) + abs(coef)
-    if scale == 0:
-        return
-    if abs(value) > Fraction(tol) * scale:
-        raise ArithmeticError(
-            f"root {float(root)} fails the residual check: "
-            f"|p(root)|/scale = {float(abs(value) / scale):.3e} > {tol}"
-        )
-
-
-def polynomial_roots_real(coeffs: Sequence, tol: float = 1e-9) -> list[float]:
-    """All real roots with multiplicity, descending.
-
-    Expects a real-rooted polynomial (Laplacian-similar matrices produce
-    those); finding fewer real roots than the degree raises. The pipeline
-    is exact until the final float conversion: positive integer scaling,
-    zero-root stripping, Yun squarefree split, Sturm bisection isolation,
-    dyadic refinement. Every root is residual-checked against the input
-    polynomial in exact arithmetic.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    c = _primitive_int(_poly_trim(_frac(coeffs)))
-    deg = len(c) - 1
-    if deg <= 0:
-        return []
-    full = list(c)
-    roots: list[tuple[Fraction, int]] = []
-    n_zero = 0
-    while c and c[-1] == 0:
-        c.pop()
-        n_zero += 1
-    if n_zero:
-        roots.append((Fraction(0), n_zero))
-    if len(c) > 1:
-        for factor, mult in _squarefree_factors(c):
-            for root in _real_roots_squarefree(factor):
-                roots.append((root, mult))
-    total = sum(m for _, m in roots)
-    if total != deg:
-        raise ArithmeticError(
-            f"found {total} real roots of a degree-{deg} polynomial; "
-            "input has non-real roots"
-        )
-    for root, _ in roots:
-        if root != 0:
-            _check_residual(full, root, tol)
-    out: list[float] = []
-    for root, mult in roots:
-        out.extend([float(root)] * mult)
-    out.sort(reverse=True)
-    return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigen import connected_components
 from .errors import EmptyGraphError, VertexCapError
-from .numbers import factorize, is_prime, totient
+from .numbers import Factorization, factorize
 
 DEFAULT_VERTEX_CAP = 20_000
 
@@ -97,19 +97,19 @@ class FullGraph:
 
 
 def build_full_graph(
-    n: int, cap: int = DEFAULT_VERTEX_CAP, verify: bool = False
+    n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP, verify: bool = False
 ) -> FullGraph:
-    """Build the graph for composite n.
+    """Build the graph for composite n, given as n or its factorization.
 
     Prime n raises EmptyGraphError (no vertices at all, distinct from the
     edgeless null graphs of prime powers). The cap bounds memory: a graph
     on m vertices stores an m x m boolean matrix.
     """
-    if n < 2:
-        raise ValueError(f"build_full_graph requires n >= 2, got {n}")
-    if is_prime(n):
+    f = n if isinstance(n, Factorization) else factorize(n)
+    n = f.n
+    if f.is_prime:
         raise EmptyGraphError(n)
-    m = n - totient(n) - 1
+    m = n - f.totient - 1
     if m > cap:
         raise VertexCapError(n, m, cap)
 
@@ -152,21 +152,20 @@ def is_connected_full(graph: FullGraph) -> bool:
     return connected_component_count(graph) == 1
 
 
-def full_graph_connected_predicate(n: int) -> bool | None:
+def full_graph_connected_predicate(n: int | Factorization) -> bool | None:
     """Closed-form connectivity without building the graph.
 
-    None for prime n (empty graph). Otherwise the graph is connected
-    unless n is a prime power, with n = 4 as the single-vertex boundary
-    case that still counts as connected.
+    Takes n or its factorization. None for prime n (empty graph).
+    Otherwise the graph is connected unless n is a prime power, with
+    n = 4 as the single-vertex boundary case that still counts as
+    connected.
     """
-    if n < 2:
-        raise ValueError(f"predicate requires n >= 2, got {n}")
-    f = factorize(n)
+    f = n if isinstance(n, Factorization) else factorize(n)
     if f.is_prime:
         return None
     if not f.is_prime_power:
         return True
-    return n == 4
+    return f.n == 4
 
 
 def to_dot(graph: FullGraph) -> str:

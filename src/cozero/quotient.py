@@ -19,11 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigen import (
-    _charpoly_float,
-    characteristic_polynomial,
-    connected_components,
-)
+from .eigen import connected_components
 from .numbers import (
     Factorization,
     divisor_exponents,
@@ -143,7 +139,6 @@ class WeightedLaplacian:
 def build_weighted_laplacian(q: QuotientGraph, verify: bool = False) -> WeightedLaplacian:
     if q.is_empty:
         raise ValueError(f"n = {q.n} is prime; the quotient has no Laplacian")
-    d = q.size
     degrees = weighted_degrees(q)
     weights = np.array(q.weights, dtype=np.int64)
     root_w = np.sqrt(weights.astype(np.float64))
@@ -161,23 +156,10 @@ def build_weighted_laplacian(q: QuotientGraph, verify: bool = False) -> Weighted
         conj = (root_w[:, None] * entries.astype(np.float64)) / root_w[None, :]
         if float(np.max(np.abs(conj - symmetric))) > 1e-12 * max(1.0, float(np.max(np.abs(symmetric)))):
             raise AssertionError(f"symmetric form is not the conjugate at n = {q.n}")
-        if d <= 16:
-            exact = np.array(characteristic_polynomial(entries), dtype=np.float64)
-            approx = _charpoly_float(symmetric)
-            # coefficient k is a sum of C(d, k) products of k eigenvalues, and
-            # the largest absolute row sum rho bounds every |eigenvalue|; the
-            # exact coefficient itself can be 0 while its rounding error is not
-            rho = float(np.max(np.abs(entries).sum(axis=1)))
-            bounds = [math.comb(d, k) * rho**k for k in range(d + 1)]
-            scale = np.maximum(np.array(bounds), 1.0)
-            if float(np.max(np.abs(exact - approx) / scale)) > 1e-6:
-                raise AssertionError(
-                    f"characteristic polynomials of the two forms disagree at n = {q.n}"
-                )
 
     entries.setflags(write=False)
     symmetric.setflags(write=False)
-    return WeightedLaplacian(d, entries, symmetric)
+    return WeightedLaplacian(q.size, entries, symmetric)
 
 
 def laplacian_in_order(

@@ -13,6 +13,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call to cozero.numbers.<name>.
+
+    Patches the function in each cozero module that imported it, so calls
+    between modules are seen too.
+    """
+    from cozero import numbers
+
+    calls = []
+    original = getattr(numbers, name)
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cozero") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestSpectrumCommand:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "spectrum", "15")
@@ -84,18 +105,7 @@ class TestSpectrumCommand:
         assert json.loads(out)["divisor_classes"][0] == {"d": 2, "size": 8, "D": 7}
 
     def test_csv_factors_once(self, capsys, monkeypatch):
-        from cozero import numbers
-
-        calls = []
-        original = numbers.factorize
-
-        def counted(n):
-            calls.append(n)
-            return original(n)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cozero") and getattr(module, "factorize", None) is original:
-                monkeypatch.setattr(module, "factorize", counted)
+        calls = count_calls(monkeypatch, "factorize")
         n = 999007 * 999023
         code, out, _ = run(capsys, "spectrum", str(n), "--format", "csv")
         assert code == 0
@@ -178,8 +188,22 @@ class TestVerifyCommand:
         assert doc["matched"] is True
         assert doc["vertex_count"] == 6
 
+    def test_factors_once(self, capsys, monkeypatch):
+        calls = {name: count_calls(monkeypatch, name)
+                 for name in ("factorize", "is_prime", "totient")}
+        code, out, _ = run(capsys, "verify", "998")
+        assert code == 0
+        assert out.startswith("n=998: PASS")
+        assert calls == {"factorize": [998], "is_prime": [], "totient": []}
+
 
 class TestScanCommand:
+    def test_factors_each_n_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "factorize")
+        code, _, _ = run(capsys, "scan", "4", "30", "--jobs", "1")
+        assert code == 0
+        assert calls == list(range(4, 31))
+
     def test_two_prime_filter(self, capsys):
         code, out, _ = run(capsys, "scan", "6", "40", "--filter", "pq",
                            "--jobs", "1", "--no-timestamp")
@@ -289,6 +313,15 @@ class TestStructureCommand:
         doc = json.loads(out)
         assert doc["quotient_connectivity"] == "connected"
         assert len(doc["edges"]) == 9
+
+    def test_json_factors_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "factorize")
+        n = 999007 * 999023
+        code, out, _ = run(capsys, "structure", str(n), "--format", "json",
+                           "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["full_graph_connected"] is True
+        assert calls == [n]
 
 
 class TestIntegralityCommand:

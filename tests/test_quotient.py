@@ -157,8 +157,8 @@ class TestWeightedLaplacian:
             assert float(np.max(np.abs(ours - reference))) < 1e-8
 
     def test_verify_mode(self):
-        # includes n = 60, 72, 80, ..., where the exact constant term is 0
-        # and its float counterpart is not
+        # zero row sums, and the symmetric form equals the integer form
+        # conjugated by diag(sqrt(w)), entry for entry
         for n in range(4, 400):
             if not is_prime(n):
                 build_weighted_laplacian(build_quotient(n), verify=True)
