@@ -131,6 +131,18 @@ class TestSpectrumCommand:
         assert out == ""
         assert "2**63" in err
 
+    def test_prime_near_two_to_the_60_is_degenerate(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "1000000000000000003")
+        assert code == 2
+        assert "degenerate" in out
+
+    def test_refuses_n_beyond_the_primality_bound(self, capsys):
+        # the least strong pseudoprime to all 13 Miller-Rabin bases
+        code, out, err = run(capsys, "spectrum", "3317044064679887385961981")
+        assert code == 1
+        assert out == ""
+        assert "proven only below 3317044064679887385961981" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spec.txt"
         code, out, _ = run(capsys, "spectrum", "15", "--out", str(target))

@@ -1,9 +1,10 @@
 from collections import Counter
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
 from cozero import (
+    Factorization,
     all_divisors,
     build_quotient,
     divisor_exponents,
@@ -15,8 +16,47 @@ from cozero import (
 )
 
 
+# the least composite that is a strong probable prime to every prime base 2..41
+PSI_13 = 3317044064679887385961981
+SIEVE_LIMIT = 10**5
+
+
 def brute_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, n))
+
+
+@pytest.fixture(scope="module")
+def smallest_prime_factor():
+    """spf[n] for every n below SIEVE_LIMIT, by the sieve of Eratosthenes."""
+    spf = list(range(SIEVE_LIMIT))
+    for p in range(2, isqrt(SIEVE_LIMIT - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, SIEVE_LIMIT, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def sieve_factors(spf, n):
+    factors = Counter()
+    while n > 1:
+        factors[spf[n]] += 1
+        n //= spf[n]
+    return tuple(sorted(factors.items()))
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 class TestFactorize:
@@ -51,6 +91,40 @@ class TestFactorize:
                 previous = p
             assert product == n
 
+    def test_matches_sieve(self, smallest_prime_factor):
+        for n in range(2, SIEVE_LIMIT):
+            assert factorize(n).factors == sieve_factors(smallest_prime_factor, n), n
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            # two primes just below sqrt(2**63), where rho is slowest below 2**63
+            ((3037000453, 1), (3037000493, 1)),
+            ((2147483647, 1), (4294967291, 1)),
+            ((3, 1), (2**53 + 5, 1)),
+            ((3, 1), (100003, 2)),
+            ((999983, 2), (1000003, 1)),
+            ((1000003, 3),),
+            # just above trial division; rho finds the larger prime first
+            ((1009, 1), (1013, 1)),
+            ((1009, 2),),
+            # 897612484786617600, the n below 2**63 with the most divisors
+            ((2, 8), (3, 4), (5, 2), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+             (23, 1), (29, 1), (31, 1), (37, 1)),
+            # above the Miller-Rabin bound: smooth, or with a prime cofactor below it
+            ((2, 200), (3, 100), (997, 20)),
+            ((2, 70), (1000000000000000003, 1)),
+        ],
+    )
+    def test_constructed(self, factors):
+        n = prod(p**e for p, e in factors)
+        assert factorize(n) == Factorization(n, factors)
+
+    @pytest.mark.parametrize("n", [PSI_13, 2 * PSI_13, PSI_13 * 1000003])
+    def test_refuses_undecidable_cofactor(self, n):
+        with pytest.raises(ValueError, match=f"proven only below {PSI_13}"):
+            factorize(n)
+
     def test_prime_flags(self):
         assert factorize(13).is_prime
         assert factorize(13).is_prime_power
@@ -60,9 +134,50 @@ class TestFactorize:
 
 
 class TestIsPrime:
-    def test_matches_brute_force(self):
-        for n in range(0, 500):
-            assert is_prime(n) == brute_is_prime(n)
+    def test_matches_brute_force(self, smallest_prime_factor):
+        # the sieve is the brute-force reference here
+        assert not is_prime(0) and not is_prime(1)
+        for n in range(2, SIEVE_LIMIT):
+            assert is_prime(n) == (smallest_prime_factor[n] == n), n
+
+    @pytest.mark.parametrize(
+        "n,bases",
+        [
+            # psi_k, the least strong pseudoprime to the first k prime bases
+            (2047, 1),
+            (1373653, 2),
+            (25326001, 3),
+            (3215031751, 4),
+            (2152302898747, 5),
+            (3474749660383, 6),
+            (341550071728321, 8),
+            (3825123056546413051, 11),
+            (318665857834031151167461, 12),
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n, bases):
+        fooled = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:bases]
+        assert all(strong_probable_prime(n, a) for a in fooled)
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [561, 41041, 825265])
+    def test_carmichael_numbers_are_composite(self, n):
+        assert all(pow(a, n - 1, n) == 1 for a in range(2, 100) if gcd(a, n) == 1)
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize(
+        "n", [2**31 - 1, 2**61 - 1, 10**9 + 7, 999999999989, 2**53 + 5]
+    )
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_refuses_at_the_bound(self):
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        assert all(strong_probable_prime(PSI_13, a) for a in bases)
+        with pytest.raises(ValueError, match=f"proven only below {PSI_13}"):
+            is_prime(PSI_13)
+        # an even n above the bound is decided by trial division
+        assert not is_prime(PSI_13 + 1)
 
 
 class TestTotient:

@@ -152,6 +152,12 @@ class TestClosedFormTwoPrimes:
         cmp = compare_multisets(closed_form_pq(2, 3).combined, oracle_spectrum(6), 1e-6)
         assert cmp.matched
 
+    def test_primes_far_above_two_to_the_53(self):
+        p, q = 999983, 2**61 - 1
+        entries = closed_form_pq(p, q).quotient_part.entries
+        assert (entries[0].value, entries[0].exact) == (p + q - 2, True)
+        assert type(entries[0].value) is int
+
 
 class TestQuarticCharpoly:
     def test_frozen_coefficients_at_two_three(self):
