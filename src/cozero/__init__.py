@@ -50,7 +50,6 @@ from .eigen import (
     characteristic_polynomial,
     eigenvalues_symmetric,
     merge_spectrum,
-    spectrum_from_values,
 )
 from .spectrum import (
     AssembledSpectrum,
@@ -114,7 +113,6 @@ __all__ = [
     "quotient_component_count",
     "quotient_connected_predicate",
     "quotient_connectivity_state",
-    "spectrum_from_values",
     "spectrum_report",
     "totient",
     "verify_against_oracle",

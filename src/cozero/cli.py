@@ -30,6 +30,7 @@ from .numbers import Factorization, factorize
 from .quotient import (
     build_quotient,
     build_weighted_laplacian,
+    factorize_for_quotient,
     laplacian_csv,
     quotient_connectivity_state,
     to_dot as quotient_dot,
@@ -52,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -75,10 +69,6 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--format", choices=("json", "csv", "dot", "text"), default="text"
     )
-    common.add_argument("--tol", type=_positive_float, default=1e-6,
-                        help="comparison/integrality tolerance")
-    common.add_argument("--merge-tol", type=_positive_float, default=1e-6,
-                        help="eigenvalue multiplicity merge tolerance")
     common.add_argument("--cap", type=_positive_int, default=None,
                         help="vertex cap for full-graph builds "
                              "(default COZERO_CAP env or %d)" % DEFAULT_VERTEX_CAP)
@@ -160,7 +150,11 @@ def _spectrum_text(assembled: sp.AssembledSpectrum) -> str:
 
 def _cmd_spectrum(args) -> int:
     n = args.n
-    assembled = sp.assemble_spectrum(n, merge_tol=args.merge_tol)
+    if args.format == "dot":
+        sys.stderr.write("cozero: spectrum has no dot rendering; "
+                         "use the structure command\n")
+        return EXIT_USAGE
+    assembled = sp.assemble_spectrum(n)
     if args.format == "text":
         lines = [f"n={n}: {_spectrum_text(assembled)}"]
         if assembled.degenerate == "empty":
@@ -169,26 +163,15 @@ def _cmd_spectrum(args) -> int:
             lines.append(f"n={n} is a prime power: null graph, all-zero spectrum")
         _emit("\n".join(lines) + "\n", args)
     elif args.format == "json":
-        report = sp.spectrum_report(assembled, tol=args.tol)
-        _emit(_json_envelope(report, args), args)
-    elif args.format == "csv":
-        _emit(sp.spectrum_csv(assembled), args)
+        _emit(_json_envelope(sp.spectrum_report(assembled), args), args)
     else:
-        sys.stderr.write("cozero: spectrum has no dot rendering; "
-                         "use the structure command\n")
-        return EXIT_USAGE
+        _emit(sp.spectrum_csv(assembled), args)
     return EXIT_DEGENERATE if assembled.degenerate else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     n = args.n
-    try:
-        report = sp.verify_against_oracle(
-            n, tol=args.tol, merge_tol=args.merge_tol, cap=args.cap
-        )
-    except VertexCapError as exc:
-        sys.stderr.write(f"cozero: {exc}\n")
-        return EXIT_CAP
+    report = sp.verify_against_oracle(n, cap=args.cap)
     if report.degenerate == "empty":
         _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
         return EXIT_DEGENERATE
@@ -237,11 +220,11 @@ def _matches_filter(f: Factorization, family: str) -> bool:
     raise ValueError(f"unknown filter {family!r}")
 
 
-def _scan_one(task: tuple[Factorization, float, float, int]) -> dict:
-    f, tol, merge_tol, cap = task
+def _scan_one(task: tuple[Factorization, int]) -> dict:
+    f, cap = task
     n = f.n
     try:
-        report = sp.verify_against_oracle(f, tol=tol, merge_tol=merge_tol, cap=cap)
+        report = sp.verify_against_oracle(f, cap=cap)
     except VertexCapError as exc:
         return {"n": n, "status": "CAP", "error": str(exc)}
     except Exception as exc:  # collected, not fatal
@@ -263,7 +246,7 @@ def _cmd_scan(args) -> int:
         f for f in map(factorize, range(args.lo, args.hi + 1))
         if _matches_filter(f, args.filter)
     ]
-    tasks = [(f, args.tol, args.merge_tol, args.cap) for f in eligible]
+    tasks = [(f, args.cap) for f in eligible]
     cores = os.cpu_count() or 1
     jobs = min(args.jobs or cores, len(tasks), cores)
     started = time.perf_counter()
@@ -321,7 +304,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_structure(args) -> int:
     n = args.n
-    f = factorize(n)
+    f = factorize_for_quotient(n)
     q = build_quotient(f)
     if q.is_empty:
         _emit(f"n={n}: degenerate (prime, no proper divisors)\n", args)
@@ -331,12 +314,7 @@ def _cmd_structure(args) -> int:
 
     if args.format == "dot":
         if args.full:
-            try:
-                graph = build_full_graph(f, cap=args.cap)
-            except VertexCapError as exc:
-                sys.stderr.write(f"cozero: {exc}\n")
-                return EXIT_CAP
-            _emit(full_graph_dot(graph), args)
+            _emit(full_graph_dot(build_full_graph(f, cap=args.cap)), args)
         else:
             _emit(quotient_dot(q, degrees), args)
     elif args.format == "csv":
@@ -373,11 +351,11 @@ def _cmd_structure(args) -> int:
 
 def _cmd_integrality(args) -> int:
     n = args.n
-    assembled = sp.assemble_spectrum(n, merge_tol=args.merge_tol)
+    assembled = sp.assemble_spectrum(n)
     if assembled.degenerate == "empty":
         _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
         return EXIT_DEGENERATE
-    integral = sp.is_laplacian_integral(assembled, args.tol)
+    integral = sp.is_laplacian_integral(assembled)
     worst = float(max(
         (abs(e.value - round(e.value)) for e in assembled.combined.entries),
         default=0.0,

@@ -22,8 +22,16 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-DEFAULT_MERGE_TOL = 1e-6
+# The absolute tolerances that decide multiplicities, integrality, zeros
+# and agreement with the oracle. No function takes one as an argument.
+# values less than MERGE_TOL below their group's largest join the group
+MERGE_TOL = 1e-6
+# a numeric group mean within INTEGER_TOL of an integer is snapped to it
 INTEGER_TOL = 1e-6
+# two spectra match when paired values differ by at most MATCH_TOL
+MATCH_TOL = 1e-6
+# a value within ZERO_TOL of 0 counts as a zero eigenvalue
+ZERO_TOL = 1e-8
 CHARPOLY_MAX_DIM = 64
 SYMMETRY_TOL = 1e-12
 # |A u| <= NULL_VECTOR_TOL * |A| |u| for a null vector u to be deflated
@@ -74,24 +82,21 @@ class SpectrumMultiset:
     def min_value(self) -> float:
         return self.entries[-1].value if self.entries else math.nan
 
-    def zero_multiplicity(self, tol: float = 1e-8) -> int:
-        return sum(e.multiplicity for e in self.entries if abs(e.value) <= tol)
+    def zero_multiplicity(self) -> int:
+        return sum(e.multiplicity for e in self.entries if abs(e.value) <= ZERO_TOL)
 
-    def is_integral(self, tol: float = INTEGER_TOL) -> bool:
-        return all(abs(e.value - round(e.value)) <= tol for e in self.entries)
+    def is_integral(self) -> bool:
+        return all(abs(e.value - round(e.value)) <= INTEGER_TOL for e in self.entries)
 
 
-def merge_spectrum(
-    triples: Iterable[tuple[float, int, bool]],
-    merge_tol: float = DEFAULT_MERGE_TOL,
-    integer_tol: float = INTEGER_TOL,
-) -> SpectrumMultiset:
+def merge_spectrum(triples: Iterable[tuple[float, int, bool]]) -> SpectrumMultiset:
     """Merge (value, multiplicity, exact) triples into tolerance groups.
 
-    Groups are anchored at their largest member; an exact member pins the
-    group value (two different exact values never merge, whatever the
-    tolerance). A purely numeric group takes the multiplicity-weighted
-    mean, snapped to the nearest integer when within integer_tol of one.
+    Groups are anchored at their largest member and take every value
+    within MERGE_TOL of it; an exact member pins the group value (two
+    different exact values never merge, however close). A purely numeric
+    group takes the multiplicity-weighted mean, snapped to the nearest
+    integer when within INTEGER_TOL of one.
     Exact values keep their type, so Python ints stay exact above 2**53
     in comparisons and ordering; only the tolerance tests round them.
     """
@@ -105,7 +110,7 @@ def merge_spectrum(
             group = groups[-1]
             anchor = group[0][0]
             pinned = next((v for v, _, e in group if e), None)
-            fits = anchor - item[0] < merge_tol
+            fits = anchor - item[0] < MERGE_TOL
             if fits and item[2] and pinned is not None and pinned != item[0]:
                 fits = False  # conflicting exact values stay separate
             if fits:
@@ -122,19 +127,11 @@ def merge_spectrum(
             continue
         mean = sum(v * m for v, m, _ in group) / mult
         nearest = round(mean)
-        if abs(mean - nearest) <= integer_tol:
+        if abs(mean - nearest) <= INTEGER_TOL:
             entries.append(SpectrumEntry(nearest, mult, True))
         else:
             entries.append(SpectrumEntry(mean, mult, False))
     return SpectrumMultiset(tuple(entries))
-
-
-def spectrum_from_values(
-    values: Iterable[float],
-    merge_tol: float = DEFAULT_MERGE_TOL,
-    integer_tol: float = INTEGER_TOL,
-) -> SpectrumMultiset:
-    return merge_spectrum(((v, 1, False) for v in values), merge_tol, integer_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +324,7 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     return _eigenvalues(a[1:, 1:])
 
 
-def eigenvalues_symmetric(
-    matrix,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-    null_vector=None,
-) -> SpectrumMultiset:
+def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     """All eigenvalues of a real symmetric matrix, merged by multiplicity.
 
     With null_vector, the matrix is solved one irreducible block (component
@@ -342,7 +335,7 @@ def eigenvalues_symmetric(
     """
     a = _symmetrized_copy(matrix)
     if null_vector is None:
-        return spectrum_from_values(_eigenvalues(a), merge_tol)
+        return merge_spectrum((v, 1, False) for v in _eigenvalues(a))
     null = np.asarray(null_vector, dtype=np.float64)
     if null.shape != (len(a),):
         raise ValueError(f"null vector of shape {null.shape} for a {a.shape} matrix")
@@ -354,7 +347,7 @@ def eigenvalues_symmetric(
         part = a if len(block) == len(a) else a[np.ix_(block, block)]
         values = _deflated_eigenvalues(part, null[block])
         triples.extend((v, 1, False) for v in values)
-    return merge_spectrum(triples, merge_tol)
+    return merge_spectrum(triples)
 
 
 # ---------------------------------------------------------------------------

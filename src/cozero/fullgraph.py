@@ -87,11 +87,6 @@ class FullGraph:
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
 
-    @property
-    def is_null(self) -> bool:
-        """Edgeless but non-empty (n a prime power)."""
-        return self.vertex_count > 0 and self.edge_count == 0
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1, dtype=np.int64)
 

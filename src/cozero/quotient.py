@@ -24,6 +24,7 @@ from .numbers import (
     Factorization,
     divisor_exponents,
     factorize,
+    is_prime,
     totient_prime_power,
 )
 
@@ -56,17 +57,32 @@ class QuotientGraph:
         return out
 
 
+def _require_below_int64(n: int) -> None:
+    if n >= 2**63:
+        raise ValueError(
+            f"n = {n} is not below 2**63, the bound of the quotient's int64 arithmetic"
+        )
+
+
+def factorize_for_quotient(n: int) -> Factorization:
+    """factorize(n), but a composite n >= 2**63 is refused before any factoring.
+
+    A prime n passes, so that it can still be reported degenerate:
+    is_prime is trial division and Miller-Rabin, with no rho.
+    """
+    if n >= 2**63 and not is_prime(n):
+        _require_below_int64(n)
+    return factorize(n)
+
+
 def build_quotient(n: int | Factorization) -> QuotientGraph:
     """Quotient graph on the proper divisors, ascending. Empty for prime n.
 
     Takes n or its factorization. n must lie below 2**63: weighted
     degrees are int64 sums of weights, which add up to n - phi(n) - 1.
     """
-    f = n if isinstance(n, Factorization) else factorize(n)
-    if f.n >= 2**63:
-        raise ValueError(
-            f"n = {f.n} is not below 2**63, the bound of the quotient's int64 arithmetic"
-        )
+    f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
+    _require_below_int64(f.n)
     proper = divisor_exponents(f)[1:-1]
     phis = [[totient_prime_power(p, e - a) for a in range(e + 1)] for p, e in f.factors]
     weights = tuple(math.prod(phi[a] for phi, a in zip(phis, vec)) for _, vec in proper)

@@ -27,6 +27,7 @@ from .numbers import Factorization, factorize, is_prime
 from .quotient import (
     build_quotient,
     build_weighted_laplacian,
+    factorize_for_quotient,
     weighted_degrees,
 )
 
@@ -70,9 +71,7 @@ class AssembledSpectrum:
 
 
 def _combine(
-    integer_part: tuple[ClassEigenvalue, ...],
-    quotient_part: eigen.SpectrumMultiset,
-    merge_tol: float,
+    integer_part: tuple[ClassEigenvalue, ...], quotient_part: eigen.SpectrumMultiset
 ) -> eigen.SpectrumMultiset:
     triples = [
         (e.value, e.multiplicity, True)
@@ -82,21 +81,20 @@ def _combine(
     triples.extend(
         (e.value, e.multiplicity, e.exact) for e in quotient_part.entries
     )
-    return eigen.merge_spectrum(triples, merge_tol)
+    return eigen.merge_spectrum(triples)
 
 
-def assemble_spectrum(
-    n: int | Factorization, merge_tol: float = eigen.DEFAULT_MERGE_TOL
-) -> AssembledSpectrum:
+def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     """Spectrum via the divisor-class join reduction.
 
-    Takes n or its factorization; n is factored once, here. Prime n
-    yields the empty spectrum (marked degenerate "empty"); prime powers
-    yield the all-zero spectrum of a null graph ("null"). The quotient's
-    zero eigenvalues, one per component, are exact: the square-root
-    weights are deflated as known null vectors.
+    Takes n or its factorization; n is factored once, here, and a
+    composite n >= 2**63 is refused before that. Prime n yields the empty
+    spectrum (marked degenerate "empty"); prime powers yield the all-zero
+    spectrum of a null graph ("null"). The quotient's zero eigenvalues,
+    one per component, are exact: the square-root weights are deflated
+    as known null vectors.
     """
-    f = n if isinstance(n, Factorization) else factorize(n)
+    f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
     if f.is_prime:
         empty = eigen.SpectrumMultiset(())
         return AssembledSpectrum(f.n, (), empty, empty, "empty")
@@ -108,9 +106,9 @@ def assemble_spectrum(
     )
     wl = build_weighted_laplacian(q)
     quotient_part = eigen.eigenvalues_symmetric(
-        wl.symmetric_form, merge_tol, np.sqrt(np.array(q.weights, dtype=np.float64))
+        wl.symmetric_form, np.sqrt(np.array(q.weights, dtype=np.float64))
     )
-    combined = _combine(integer_part, quotient_part, merge_tol)
+    combined = _combine(integer_part, quotient_part)
     expected = f.n - f.totient - 1
     if combined.total_multiplicity != expected:
         raise AssertionError(
@@ -154,7 +152,7 @@ def closed_form_pq(p: int, q: int) -> AssembledSpectrum:
             eigen.SpectrumEntry(0, 1, True),
         )
     )
-    combined = _combine(integer_part, quotient_part, eigen.DEFAULT_MERGE_TOL)
+    combined = _combine(integer_part, quotient_part)
     return AssembledSpectrum(n, integer_part, quotient_part, combined, None)
 
 
@@ -176,13 +174,7 @@ def charpoly_p2q(p: int, q: int) -> list[int]:
     return [1, -c3, c2, -c1, 0]
 
 
-def closed_form_general(
-    p: int,
-    n1: int,
-    q: int,
-    n2: int,
-    merge_tol: float = eigen.DEFAULT_MERGE_TOL,
-) -> AssembledSpectrum:
+def closed_form_general(p: int, n1: int, q: int, n2: int) -> AssembledSpectrum:
     """Spectrum for n = p**n1 * q**n2 from the two-prime divisor lattice.
 
     The factorization is known, so n is never factored: it goes to the
@@ -195,16 +187,13 @@ def closed_form_general(
     if n1 < 1 or n2 < 1:
         raise ValueError(f"exponents must be >= 1, got {n1}, {n2}")
     factors = tuple(sorted(((p, n1), (q, n2))))
-    return assemble_spectrum(Factorization(p**n1 * q**n2, factors), merge_tol)
+    return assemble_spectrum(Factorization(p**n1 * q**n2, factors))
 
 
-def is_laplacian_integral(
-    spectrum: AssembledSpectrum | eigen.SpectrumMultiset,
-    tol: float = eigen.INTEGER_TOL,
-) -> bool:
-    """True iff every eigenvalue sits within tol of an integer."""
+def is_laplacian_integral(spectrum: AssembledSpectrum | eigen.SpectrumMultiset) -> bool:
+    """True iff every eigenvalue sits within eigen.INTEGER_TOL of an integer."""
     multiset = spectrum.combined if isinstance(spectrum, AssembledSpectrum) else spectrum
-    return multiset.is_integral(tol)
+    return multiset.is_integral()
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +209,31 @@ class MultisetComparison:
 
 
 def compare_multisets(
-    a: eigen.SpectrumMultiset, b: eigen.SpectrumMultiset, tol: float
+    a: eigen.SpectrumMultiset, b: eigen.SpectrumMultiset
 ) -> MultisetComparison:
-    """Greedy descending pairing; reports the worst gap, not just a verdict."""
+    """Greedy descending pairing; reports the worst gap, not just a verdict.
+
+    The spectra match when no paired values differ by more than
+    eigen.MATCH_TOL.
+    """
     va, vb = a.values(), b.values()
     if len(va) != len(vb):
-        mismatches = _multiplicity_mismatches(a, b, tol)
+        mismatches = _multiplicity_mismatches(a, b)
         return MultisetComparison(False, math.inf, len(va), len(vb), mismatches)
     dev = float(np.max(np.abs(va - vb))) if len(va) else 0.0
-    matched = dev <= tol
-    mismatches = () if matched else _multiplicity_mismatches(a, b, tol)
+    matched = dev <= eigen.MATCH_TOL
+    mismatches = () if matched else _multiplicity_mismatches(a, b)
     return MultisetComparison(matched, dev, len(va), len(vb), mismatches)
 
 
 def _multiplicity_mismatches(
-    a: eigen.SpectrumMultiset, b: eigen.SpectrumMultiset, tol: float
+    a: eigen.SpectrumMultiset, b: eigen.SpectrumMultiset
 ) -> tuple[tuple[float, int, int], ...]:
     out = []
     i = j = 0
     ea, eb = a.entries, b.entries
     while i < len(ea) or j < len(eb):
-        if i < len(ea) and j < len(eb) and abs(ea[i].value - eb[j].value) <= tol:
+        if i < len(ea) and j < len(eb) and abs(ea[i].value - eb[j].value) <= eigen.MATCH_TOL:
             if ea[i].multiplicity != eb[j].multiplicity:
                 out.append((float(ea[i].value), ea[i].multiplicity, eb[j].multiplicity))
             i += 1
@@ -268,10 +261,7 @@ class OracleReport:
 
 
 def verify_against_oracle(
-    n: int | Factorization,
-    tol: float = 1e-6,
-    merge_tol: float = eigen.DEFAULT_MERGE_TOL,
-    cap: int = DEFAULT_VERTEX_CAP,
+    n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP
 ) -> OracleReport:
     """Assembled spectrum versus a brute-force eigensolve of the full graph.
 
@@ -286,16 +276,16 @@ def verify_against_oracle(
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f, cap=cap)
-    oracle = eigen.eigenvalues_symmetric(laplacian_matrix(graph), merge_tol)
-    assembled = assemble_spectrum(f, merge_tol)
-    comparison = compare_multisets(assembled.combined, oracle, tol)
+    oracle = eigen.eigenvalues_symmetric(laplacian_matrix(graph))
+    assembled = assemble_spectrum(f)
+    comparison = compare_multisets(assembled.combined, oracle)
     return OracleReport(
         n=f.n,
         vertex_count=graph.vertex_count,
         matched=comparison.matched,
         max_deviation=comparison.max_deviation,
         multiplicity_mismatches=comparison.multiplicity_mismatches,
-        laplacian_integral=is_laplacian_integral(assembled, tol),
+        laplacian_integral=is_laplacian_integral(assembled),
         degenerate=assembled.degenerate,
         zero_multiplicity=oracle.zero_multiplicity(),
         component_count=connected_component_count(graph),
@@ -305,7 +295,7 @@ def verify_against_oracle(
 # ---------------------------------------------------------------------------
 # export
 
-def spectrum_report(assembled: AssembledSpectrum, tol: float = 1e-6) -> dict:
+def spectrum_report(assembled: AssembledSpectrum) -> dict:
     """JSON-ready result object for an assembled spectrum.
 
     The report never runs the oracle (that is verify_against_oracle), so
@@ -326,7 +316,7 @@ def spectrum_report(assembled: AssembledSpectrum, tol: float = 1e-6) -> dict:
             }
             for e in assembled.combined.entries
         ],
-        "laplacian_integral": is_laplacian_integral(assembled, tol),
+        "laplacian_integral": is_laplacian_integral(assembled),
         "oracle_checked": False,
         "max_deviation": None,
         "degenerate": assembled.degenerate,

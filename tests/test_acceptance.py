@@ -110,7 +110,7 @@ def sweep(oracle_spectrum):
         lap = laplacian_matrix(graph)
         oracle = oracle_spectrum(n)
         assembled = assemble_spectrum(n)
-        comparison = compare_multisets(assembled.combined, oracle, TOL)
+        comparison = compare_multisets(assembled.combined, oracle)
         q = build_quotient(n)
         wl = build_weighted_laplacian(q)
         quotient_spec = eigenvalues_symmetric(wl.symmetric_form)
@@ -160,7 +160,7 @@ def test_criterion_1_two_prime_closed_form(oracle_spectrum):
         if got != expected:
             violations.append((n, f"closed form multiset {got} != {expected}"))
             continue
-        cmp = compare_multisets(assembled.combined, oracle_spectrum(n), TOL)
+        cmp = compare_multisets(assembled.combined, oracle_spectrum(n))
         if not cmp.matched:
             violations.append((n, f"oracle deviation {cmp.max_deviation:.2e}"))
     elapsed = time.perf_counter() - started
@@ -173,9 +173,9 @@ def test_criterion_2_integrality_census():
     violations = []
     for p, q in prime_pairs_product_up_to(400):
         n = p * q
-        if not is_laplacian_integral(assemble_spectrum(n), TOL):
+        if not is_laplacian_integral(assemble_spectrum(n)):
             violations.append(n)
-        if not is_laplacian_integral(closed_form_pq(p, q), TOL):
+        if not is_laplacian_integral(closed_form_pq(p, q)):
             violations.append((n, "closed form"))
     conclude(2, "integrality census over two-prime products", violations)
 
@@ -200,7 +200,7 @@ def test_criterion_3_quartic_polynomial_identity(oracle_spectrum):
         # numpy's roots are the test-side reference; the library finds none
         triples.extend((r, 1, False) for r in np.roots(closed).real)
         rebuilt = merge_spectrum(triples)
-        cmp = compare_multisets(rebuilt, oracle_spectrum(n), TOL)
+        cmp = compare_multisets(rebuilt, oracle_spectrum(n))
         if not cmp.matched:
             violations.append((n, f"root union off by {cmp.max_deviation:.2e}"))
     conclude(3, "quartic charpoly identity for six p*p*q cases", violations)
@@ -239,11 +239,11 @@ def test_criterion_5_two_prime_power_family(oracle_spectrum):
                     f"expected {expected_quotient}")
             )
             continue
-        cmp = compare_multisets(general.combined, assembled.combined, TOL)
+        cmp = compare_multisets(general.combined, assembled.combined)
         if not cmp.matched:
             violations.append((n, f"combined off by {cmp.max_deviation:.2e}"))
             continue
-        cmp = compare_multisets(general.combined, oracle_spectrum(n), TOL)
+        cmp = compare_multisets(general.combined, oracle_spectrum(n))
         if not cmp.matched:
             violations.append((n, f"oracle deviation {cmp.max_deviation:.2e}"))
     conclude(5, f"two-prime-power family over {len(GENERAL_CASES)} cases", violations)

@@ -34,6 +34,16 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def no_rho(monkeypatch):
+    """Make any call to Pollard-Brent rho fail the test."""
+    from cozero import numbers
+
+    def pollard_brent(m):
+        raise AssertionError(f"rho ran on {m}")
+
+    monkeypatch.setattr(numbers, "_pollard_brent", pollard_brent)
+
+
 class TestSpectrumCommand:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "spectrum", "15")
@@ -70,7 +80,13 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.splitlines()[0] == "value,multiplicity,exact"
 
-    def test_dot_is_rejected(self, capsys):
+    def test_dot_is_rejected(self, capsys, monkeypatch):
+        from cozero import spectrum
+
+        def assemble(n):
+            raise AssertionError("the refusal comes before the assembly")
+
+        monkeypatch.setattr(spectrum, "assemble_spectrum", assemble)
         code, _, err = run(capsys, "spectrum", "15", "--format", "dot")
         assert code == 64
         assert "structure" in err
@@ -130,6 +146,24 @@ class TestSpectrumCommand:
         assert code == 1
         assert out == ""
         assert "2**63" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "structure", "integrality"])
+    def test_refuses_n_from_two_to_the_63_before_factoring(
+        self, capsys, monkeypatch, command
+    ):
+        no_rho(monkeypatch)
+        # 1820275395151 * 1822274944367, just below the Miller-Rabin bound
+        code, out, err = run(capsys, command, "3317042244431407466564417")
+        assert code == 1
+        assert out == ""
+        assert "2**63" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "integrality"])
+    def test_prime_above_two_to_the_63_is_degenerate(self, capsys, monkeypatch, command):
+        no_rho(monkeypatch)
+        code, out, _ = run(capsys, command, "9223372036854775837")
+        assert code == 2
+        assert "degenerate" in out
 
     def test_prime_near_two_to_the_60_is_degenerate(self, capsys):
         code, out, _ = run(capsys, "spectrum", "1000000000000000003")
@@ -358,10 +392,13 @@ class TestUsageErrors:
             main(["frobnicate", "30"])
         assert exc.value.code == 64
 
-    def test_negative_tolerance(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "15", "--tol", "-1"])
-        assert exc.value.code == 64
+    def test_tolerance_flags_are_unknown(self, capsys):
+        # the tolerances are constants of cozero.eigen, not options
+        for argv in (["spectrum", "15", "--tol", "1e-6"],
+                     ["verify", "15", "--merge-tol", "1e-6"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 64
 
     def test_missing_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:

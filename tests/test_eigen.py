@@ -21,7 +21,6 @@ from cozero.eigen import (
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
     poly_eval_int,
-    spectrum_from_values,
 )
 
 
@@ -193,7 +192,7 @@ class TestLaplacianHygiene:
 
 class TestMergeSpectrum:
     def test_groups_nearby_values(self):
-        s = spectrum_from_values([2.0, 2.0 + 1e-9, 1.0, 0.0])
+        s = merge_spectrum((v, 1, False) for v in [2.0, 2.0 + 1e-9, 1.0, 0.0])
         assert as_entry_pairs(s) == [(2.0, 2), (1.0, 1), (0.0, 1)]
 
     def test_exact_pin_wins(self):
@@ -203,16 +202,16 @@ class TestMergeSpectrum:
         assert s.entries[0].exact
 
     def test_distinct_exact_values_never_merge(self):
-        s = merge_spectrum([(1.0, 1, True), (1.0 - 1e-9, 1, True)], merge_tol=1e-6)
+        s = merge_spectrum([(1.0, 1, True), (1.0 - 1e-9, 1, True)])
         assert len(s.entries) == 2
 
     def test_near_integer_snaps(self):
-        s = spectrum_from_values([2.9999999])
+        s = merge_spectrum([(2.9999999, 1, False)])
         assert s.entries[0].value == 3.0
         assert s.entries[0].exact
 
     def test_far_from_integer_stays_numeric(self):
-        s = spectrum_from_values([2.5])
+        s = merge_spectrum([(2.5, 1, False)])
         assert not s.entries[0].exact
 
     def test_zero_multiplicity_dropped(self):

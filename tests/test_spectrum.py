@@ -82,7 +82,7 @@ class TestAssembleSpectrum:
 
     def test_twelve_matches_oracle(self, oracle_spectrum):
         s = assemble_spectrum(12)
-        cmp = compare_multisets(s.combined, oracle_spectrum(12), 1e-6)
+        cmp = compare_multisets(s.combined, oracle_spectrum(12))
         assert cmp.matched
 
     def test_total_multiplicity(self):
@@ -145,11 +145,11 @@ class TestClosedFormTwoPrimes:
             closed = closed_form_pq(p, q)
             assembled = assemble_spectrum(p * q)
             assert integer_part_map(closed) == integer_part_map(assembled)
-            cmp = compare_multisets(closed.combined, assembled.combined, 1e-6)
+            cmp = compare_multisets(closed.combined, assembled.combined)
             assert cmp.matched, f"(p, q) = ({p}, {q})"
 
     def test_matches_oracle_for_small_case(self, oracle_spectrum):
-        cmp = compare_multisets(closed_form_pq(2, 3).combined, oracle_spectrum(6), 1e-6)
+        cmp = compare_multisets(closed_form_pq(2, 3).combined, oracle_spectrum(6))
         assert cmp.matched
 
     def test_primes_far_above_two_to_the_53(self):
@@ -189,7 +189,7 @@ class TestQuarticCharpoly:
             ]
             triples.extend((r, 1, False) for r in roots)
             rebuilt = merge_spectrum(triples)
-            cmp = compare_multisets(rebuilt, oracle_spectrum(n), 1e-6)
+            cmp = compare_multisets(rebuilt, oracle_spectrum(n))
             assert cmp.matched, f"(p, q) = ({p}, {q})"
 
 
@@ -198,7 +198,7 @@ class TestClosedFormGeneral:
         general = closed_form_general(3, 1, 5, 1)
         direct = closed_form_pq(3, 5)
         assert integer_part_map(general) == integer_part_map(direct)
-        assert compare_multisets(general.combined, direct.combined, 1e-6).matched
+        assert compare_multisets(general.combined, direct.combined).matched
 
     def test_degree_values_at_twelve(self):
         general = closed_form_general(2, 2, 3, 1)
@@ -215,7 +215,7 @@ class TestClosedFormGeneral:
             general = closed_form_general(p, n1, q, n2)
             assembled = assemble_spectrum(p**n1 * q**n2)
             assert integer_part_map(general) == integer_part_map(assembled)
-            cmp = compare_multisets(general.combined, assembled.combined, 1e-6)
+            cmp = compare_multisets(general.combined, assembled.combined)
             assert cmp.matched
 
     def test_quotient_size_bookkeeping(self):
@@ -228,7 +228,7 @@ class TestClosedFormGeneral:
 
     def test_matches_oracle_at_seventy_two(self, oracle_spectrum):
         general = closed_form_general(2, 3, 3, 2)
-        cmp = compare_multisets(general.combined, oracle_spectrum(72), 1e-6)
+        cmp = compare_multisets(general.combined, oracle_spectrum(72))
         assert cmp.matched
 
     def test_never_factors_n(self, monkeypatch):
