@@ -305,10 +305,10 @@ def _cmd_scan(args) -> int:
 def _cmd_structure(args) -> int:
     n = args.n
     f = factorize_for_quotient(n)
-    q = build_quotient(f)
-    if q.is_empty:
+    if f.is_prime:
         _emit(f"n={n}: degenerate (prime, no proper divisors)\n", args)
         return EXIT_DEGENERATE
+    q = build_quotient(f)
     degrees = weighted_degrees(q)
     boundary = n == 4
 

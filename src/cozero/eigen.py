@@ -38,6 +38,9 @@ SYMMETRY_TOL = 1e-12
 NULL_VECTOR_TOL = 1e-12
 # columns per panel of the blocked tridiagonalization
 PANEL_WIDTH = 32
+# rows per strip of a rank-k update, so its temporary is STRIP_HEIGHT x m,
+# never m x m
+STRIP_HEIGHT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +143,10 @@ def merge_spectrum(triples: Iterable[tuple[float, int, bool]]) -> SpectrumMultis
 def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
     """Vertex index arrays of the components of a symmetric boolean adjacency.
 
-    Breadth-first by whole frontiers; components come in order of their
-    smallest vertex. For a symmetric matrix these are its irreducible
-    blocks under the pattern of nonzero off-diagonal entries.
+    Breadth-first by whole frontiers, whose rows are read STRIP_HEIGHT at
+    a time; components come in order of their smallest vertex. For a
+    symmetric matrix these are its irreducible blocks under the pattern
+    of nonzero off-diagonal entries.
     """
     m = adjacency.shape[0]
     seen = np.zeros(m, dtype=bool)
@@ -154,7 +158,11 @@ def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
         member[start] = True
         frontier = member.copy()
         while frontier.any():
-            frontier = adjacency[frontier].any(axis=0) & ~member
+            rows = np.flatnonzero(frontier)
+            frontier = np.zeros(m, dtype=bool)
+            for lo in range(0, len(rows), STRIP_HEIGHT):
+                frontier |= adjacency[rows[lo:lo + STRIP_HEIGHT]].any(axis=0)
+            frontier &= ~member
             member |= frontier
         seen |= member
         components.append(np.flatnonzero(member))
@@ -169,7 +177,8 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     update A - v w^T - w v^T. Within a panel of PANEL_WIDTH steps the v
     and w are collected in V and W, and only the column about to be
     reduced is brought up to date; the trailing block then takes the
-    whole panel at once, A -= V W^T and A -= W V^T.
+    whole panel at once, A -= V W^T and A -= W V^T, STRIP_HEIGHT rows at
+    a time.
     """
     m = a.shape[0]
     diag = np.diagonal(a).copy()
@@ -204,8 +213,11 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             p -= (0.5 * beta * float(v @ p)) * v
             W[i + 1:, i] = p
         rest = a[start + width:, start + width:]
-        rest -= V[width:] @ W[width:].T
-        rest -= W[width:] @ V[width:].T
+        V, W = V[width:], W[width:]  # rows of the trailing block
+        for lo in range(0, len(rest), STRIP_HEIGHT):
+            rows = slice(lo, lo + STRIP_HEIGHT)
+            rest[rows] -= V[rows] @ W.T
+            rest[rows] -= W[rows] @ V.T
     if m > 2:
         diag[-2:] = np.diagonal(a)[-2:]
         sub[-1] = a[-1, -2]
@@ -278,8 +290,8 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
 def _symmetrized_copy(matrix) -> np.ndarray:
     """float64 copy of a square matrix, checked and symmetrised in place.
 
-    Works on strips of PANEL_WIDTH rows and the matching columns, so the
-    copy is the only temporary of the matrix's size.
+    Works on strips of PANEL_WIDTH rows and the matching columns, so
+    besides the copy each temporary holds one strip.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -309,7 +321,7 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     """
     norm = math.sqrt(float(null @ null))
     residual = math.sqrt(float(np.sum((a @ null) ** 2)))
-    scale = math.sqrt(float(np.sum(a * a))) * norm
+    scale = math.sqrt(float(np.vdot(a, a))) * norm
     if norm == 0.0 or residual > NULL_VECTOR_TOL * scale:
         raise ValueError(
             f"not a null vector: |A u| = {residual:.3e} against |A| |u| = {scale:.3e}"
@@ -319,8 +331,10 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     beta = 2.0 / float(v @ v)
     p = beta * (a @ v)
     p -= (0.5 * beta * float(v @ p)) * v
-    a -= np.outer(v, p)
-    a -= np.outer(p, v)
+    for lo in range(0, len(a), STRIP_HEIGHT):
+        rows = slice(lo, lo + STRIP_HEIGHT)
+        a[rows] -= np.outer(v[rows], p)
+        a[rows] -= np.outer(p[rows], v)
     return _eigenvalues(a[1:, 1:])
 
 

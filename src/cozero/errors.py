@@ -21,6 +21,16 @@ class VertexCapError(RuntimeError):
         )
 
 
+class VertexBoundError(VertexCapError):
+    """Raised before n is factored: a lower bound on its vertex count exceeds the cap."""
+
+    def __str__(self) -> str:
+        return (
+            f"n = {self.n} needs at least {self.vertex_count} vertices, "
+            f"above the cap of {self.cap}"
+        )
+
+
 class ConvergenceError(RuntimeError):
     """Eigensolver hit its iteration cap; carries the residual."""
 

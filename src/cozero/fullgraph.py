@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .eigen import connected_components
+from .eigen import STRIP_HEIGHT, connected_components
 from .errors import EmptyGraphError, VertexCapError
 from .numbers import Factorization, factorize
 
@@ -98,7 +98,8 @@ def build_full_graph(
 
     Prime n raises EmptyGraphError (no vertices at all, distinct from the
     edgeless null graphs of prime powers). The cap bounds memory: a graph
-    on m vertices stores an m x m boolean matrix.
+    on m vertices stores an m x m boolean matrix, filled STRIP_HEIGHT rows
+    at a time so that no larger temporary is formed.
     """
     f = n if isinstance(n, Factorization) else factorize(n)
     n = f.n
@@ -108,11 +109,15 @@ def build_full_graph(
     if m > cap:
         raise VertexCapError(n, m, cap)
 
-    vertices = np.array([x for x in range(1, n) if gcd(x, n) > 1], dtype=np.int64)
+    # the non-units are the multiples of n's primes
+    vertices = np.unique(np.concatenate([np.arange(p, n, p) for p in f.primes]))
     assert len(vertices) == m
     g = np.gcd(vertices, n)
-    # the divisor criterion evaluated on every pair at once
-    adjacency = (g[:, None] % g[None, :] != 0) & (g[None, :] % g[:, None] != 0)
+    # the divisor criterion evaluated on every pair, one strip of rows at a time
+    adjacency = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, STRIP_HEIGHT):
+        strip = g[lo:lo + STRIP_HEIGHT, None]
+        adjacency[lo:lo + STRIP_HEIGHT] = (strip % g != 0) & (g % strip != 0)
 
     if verify:
         for i in range(m):
@@ -129,8 +134,12 @@ def build_full_graph(
 
 
 def laplacian_matrix(graph: FullGraph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix, as float64, built in place."""
-    lap = graph.adjacency.astype(np.float64)
+    """Degree matrix minus adjacency matrix, exact, built in place.
+
+    The dtype is the smallest signed integer type that holds -m, so every
+    degree fits: int16 below 32768 vertices, a quarter of float64's bytes.
+    """
+    lap = graph.adjacency.astype(np.min_scalar_type(-graph.vertex_count))
     np.negative(lap, out=lap)
     np.fill_diagonal(lap, graph.degrees())
     return lap

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
+from .errors import VertexBoundError
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     build_full_graph,
@@ -268,11 +269,19 @@ def verify_against_oracle(
     Takes n or its factorization; n is factored once, here, and both
     sides read that factorization. The oracle builds the explicit
     vertex-level Laplacian and solves it with no knowledge of the join
-    structure. Raises VertexCapError when the graph would exceed cap.
-    Prime n verifies trivially (both sides empty) and is flagged
-    degenerate.
+    structure. Raises VertexCapError when the graph would exceed cap;
+    a composite n has at least isqrt(n) - 1 vertices (the multiples of
+    its least prime), so when that already exceeds cap, n is refused
+    before it is factored. Prime n verifies trivially (both sides empty)
+    and is flagged degenerate.
     """
-    f = n if isinstance(n, Factorization) else factorize(n)
+    if isinstance(n, Factorization):
+        f = n
+    else:
+        bound = math.isqrt(n) - 1
+        if bound > cap and not is_prime(n):
+            raise VertexBoundError(n, bound, cap)
+        f = factorize(n)
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f, cap=cap)

@@ -158,7 +158,7 @@ class TestSpectrumCommand:
         assert out == ""
         assert "2**63" in err
 
-    @pytest.mark.parametrize("command", ["spectrum", "integrality"])
+    @pytest.mark.parametrize("command", ["spectrum", "structure", "integrality"])
     def test_prime_above_two_to_the_63_is_degenerate(self, capsys, monkeypatch, command):
         no_rho(monkeypatch)
         code, out, _ = run(capsys, command, "9223372036854775837")
@@ -205,6 +205,20 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "30", "--cap", "5")
         assert code == 3
         assert "cap" in err
+
+    def test_refuses_above_the_cap_before_factoring(self, capsys, monkeypatch):
+        no_rho(monkeypatch)
+        # 1820275395151 * 1822274944367 has at least isqrt(n) - 1 vertices
+        code, out, err = run(capsys, "verify", "3317042244431407466564417")
+        assert code == 3
+        assert out == ""
+        assert "at least 1821274895348 vertices" in err
+
+    def test_prime_above_the_cap_bound_is_degenerate(self, capsys, monkeypatch):
+        no_rho(monkeypatch)
+        code, out, _ = run(capsys, "verify", "9223372036854775837")
+        assert code == 2
+        assert "degenerate" in out
 
     def test_cap_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("COZERO_CAP", "5")

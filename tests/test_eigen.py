@@ -18,6 +18,7 @@ from cozero import (
 )
 from cozero.eigen import (
     PANEL_WIDTH,
+    STRIP_HEIGHT,
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
     poly_eval_int,
@@ -121,10 +122,12 @@ class TestEigenvaluesSymmetric:
         assert float(np.max(np.abs(base - shuffled))) < 1e-8
 
     def test_matches_eigvalsh_across_panel_edges(self):
-        # sizes on both sides of one and two blocked-reduction panels
-        nb = PANEL_WIDTH
+        # sizes on both sides of one and two blocked-reduction panels, and
+        # trailing blocks on both sides of one and two update strips
+        nb, sh = PANEL_WIDTH, STRIP_HEIGHT
         rng = np.random.default_rng(7)
-        for m in (2, 5, 30, 120, nb - 1, nb, nb + 1, 2 * nb + 3):
+        strips = (nb + sh - 1, nb + sh, nb + sh + 1, nb + 2 * sh - 1, nb + 2 * sh + 1)
+        for m in (2, 5, 30, 120, nb - 1, nb, nb + 1, 2 * nb + 3, *strips):
             a = rng.standard_normal((m, m))
             a = a + a.T
             ours = eigenvalues_symmetric(a).values()
@@ -168,6 +171,27 @@ class TestNullVectorDeflation:
         np.fill_diagonal(sym, (adjacency * w[None, :]).sum(axis=1))
         s = eigenvalues_symmetric(sym, null_vector=root)
         assert s.entries[-1] == SpectrumEntry(0.0, 3, True)
+        reference = np.linalg.eigvalsh(sym)[::-1]
+        assert float(np.max(np.abs(s.values() - reference))) < 1e-12 * np.linalg.norm(sym)
+
+    @pytest.mark.parametrize(
+        "m", [STRIP_HEIGHT - 1, STRIP_HEIGHT, STRIP_HEIGHT + 1, 2 * STRIP_HEIGHT + 1]
+    )
+    def test_deflation_across_strip_edges(self, m):
+        # a connected weighted Laplacian in symmetric form; its reflector
+        # update runs on both sides of one and two strips
+        rng = np.random.default_rng(m)
+        w = rng.integers(1, 50, size=m).astype(np.float64)
+        adjacency = rng.random((m, m)) < 0.3
+        adjacency = np.triu(adjacency, 1)
+        adjacency |= adjacency.T
+        adjacency[np.arange(m - 1), np.arange(1, m)] = True
+        adjacency[np.arange(1, m), np.arange(m - 1)] = True
+        root = np.sqrt(w)
+        sym = -np.outer(root, root) * adjacency
+        np.fill_diagonal(sym, (adjacency * w[None, :]).sum(axis=1))
+        s = eigenvalues_symmetric(sym, null_vector=root)
+        assert s.entries[-1] == SpectrumEntry(0, 1, True)
         reference = np.linalg.eigvalsh(sym)[::-1]
         assert float(np.max(np.abs(s.values() - reference))) < 1e-12 * np.linalg.norm(sym)
 

@@ -18,6 +18,7 @@ from cozero import (
     is_prime,
     laplacian_matrix,
 )
+from cozero import fullgraph
 from cozero.fullgraph import to_dot
 
 
@@ -107,6 +108,19 @@ class TestBuildFullGraph:
                 x for x in range(1, n) if gcd(x, n) > 1
             )
 
+    def test_lists_non_units_from_the_primes(self, monkeypatch):
+        # a gcd per residue would take n = 1009**2 calls for 1008 vertices
+        calls = []
+
+        def counted(a, b):
+            calls.append(a)
+            return gcd(a, b)
+
+        monkeypatch.setattr(fullgraph, "gcd", counted)
+        graph = build_full_graph(1009**2)
+        assert graph.vertices == tuple(range(1009, 1009**2, 1009))
+        assert len(calls) <= graph.vertex_count
+
     def test_adjacency_is_read_only(self):
         graph = build_full_graph(12)
         with pytest.raises(ValueError):
@@ -155,8 +169,18 @@ class TestConnectivity:
 class TestExports:
     def test_laplacian_rows_sum_to_zero(self):
         lap = laplacian_matrix(build_full_graph(30))
-        assert np.allclose(lap.sum(axis=1), 0.0)
-        assert np.allclose(lap, lap.T)
+        assert np.array_equal(lap.sum(axis=1), np.zeros(21))
+        assert np.array_equal(lap, lap.T)
+
+    @pytest.mark.parametrize("n,dtype", [(30, np.int8), (720, np.int16)])
+    def test_laplacian_is_exact_in_the_least_signed_type(self, n, dtype):
+        graph = build_full_graph(n)
+        lap = laplacian_matrix(graph)
+        assert lap.dtype == dtype
+        assert np.array_equal(np.diagonal(lap), graph.degrees())
+        off_diagonal = -lap.astype(np.int64)
+        np.fill_diagonal(off_diagonal, 0)
+        assert np.array_equal(off_diagonal, graph.adjacency)
 
     def test_dot_output(self):
         graph = build_full_graph(12)

@@ -1,0 +1,60 @@
+"""Peak memory of the oracle, traced with tracemalloc (numpy reports to it).
+
+Peaks are in units of one m x m float64 array, 8 m**2 bytes, at n = 720
+(527 vertices). The solver's working copy is one unit; no other temporary
+of the matrix's size may be formed, so the bounds leave room for strips
+of STRIP_HEIGHT rows but not for a second full array.
+
+Implicit QL works on two lists of m Python floats, after the Householder
+reduction has released its panels. tracemalloc hooks every float it
+creates, which makes QL some sixty times slower, so here it passes the
+diagonal through: the values are wrong, the arrays are the real ones.
+"""
+
+import tracemalloc
+
+import pytest
+
+from cozero import build_full_graph, eigen, eigenvalues_symmetric, laplacian_matrix
+from cozero.spectrum import verify_against_oracle
+
+N = 720
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced during fn(*args), beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(autouse=True)
+def untraced_ql(monkeypatch):
+    monkeypatch.setattr(eigen, "_tridiagonal_eigenvalues", lambda diag, sub: diag)
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return build_full_graph(N)
+
+
+@pytest.fixture(scope="module")
+def unit(graph):
+    return 8 * graph.vertex_count**2
+
+
+def test_eigensolve_forms_one_working_copy(graph, unit):
+    lap = laplacian_matrix(graph)
+    assert traced_peak(eigenvalues_symmetric, lap) <= 1.4 * unit
+
+
+def test_oracle_holds_one_working_copy(unit):
+    assert traced_peak(verify_against_oracle, N) <= 1.8 * unit
+
+
+def test_full_graph_build_forms_no_full_size_temporary(unit):
+    # the boolean adjacency is an eighth of a unit
+    assert traced_peak(build_full_graph, N) <= 0.6 * unit
