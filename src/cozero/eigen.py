@@ -1,8 +1,10 @@
 """Dense symmetric eigensolver and the exact characteristic polynomial.
 
 The solver is written here rather than borrowed, and one path serves
-every size: blocked Householder tridiagonalization, then implicit QL
-with shifts. It is the only route to eigenvalues. A known null vector,
+every size: blocked Householder tridiagonalization, then root-free QL
+with shifts (Pal-Walker-Kahan, as LAPACK's DSTERF). QL deflates with one
+threshold scaled by |T|, the largest entry of the tridiagonal T: e_i**2
+<= (eps |T|)**2. It is the only route to eigenvalues. A known null vector,
 such as the square-root weights of a weighted Laplacian, is deflated, so
 its zero eigenvalue comes out exact. The characteristic polynomial is
 exact (Faddeev-LeVerrier over Python integers); it finds no roots and
@@ -107,34 +109,37 @@ def merge_spectrum(triples: Iterable[tuple[float, int, bool]]) -> SpectrumMultis
         ((v if e else float(v), int(m), bool(e)) for v, m, e in triples if m > 0),
         key=lambda t: (-t[0], not t[2]),
     )
-    groups: list[list[tuple[float, int, bool]]] = []
-    for item in items:
-        if groups:
-            group = groups[-1]
-            anchor = group[0][0]
-            pinned = next((v for v, _, e in group if e), None)
-            fits = anchor - item[0] < MERGE_TOL
-            if fits and item[2] and pinned is not None and pinned != item[0]:
-                fits = False  # conflicting exact values stay separate
-            if fits:
-                group.append(item)
-                continue
-        groups.append([item])
-
+    # the open group: its anchor, first exact member, multiplicity and
+    # the running sum of value * multiplicity over its numeric members
     entries = []
-    for group in groups:
-        mult = sum(m for _, m, _ in group)
-        pinned = next((v for v, _, e in group if e), None)
-        if pinned is not None:
-            entries.append(SpectrumEntry(pinned, mult, True))
-            continue
-        mean = sum(v * m for v, m, _ in group) / mult
-        nearest = round(mean)
-        if abs(mean - nearest) <= INTEGER_TOL:
-            entries.append(SpectrumEntry(nearest, mult, True))
-        else:
-            entries.append(SpectrumEntry(mean, mult, False))
+    anchor = pinned = None
+    mult = total = 0
+    for value, m, exact in items:
+        fits = anchor is not None and anchor - value < MERGE_TOL
+        if fits and exact and pinned is not None and pinned != value:
+            fits = False  # conflicting exact values stay separate
+        if not fits:
+            if anchor is not None:
+                entries.append(_group_entry(pinned, mult, total))
+            anchor, pinned, mult, total = value, None, 0, 0
+        mult += m
+        if not exact:
+            total += value * m
+        elif pinned is None:
+            pinned = value
+    if anchor is not None:
+        entries.append(_group_entry(pinned, mult, total))
     return SpectrumMultiset(tuple(entries))
+
+
+def _group_entry(pinned, mult: int, total: float) -> SpectrumEntry:
+    if pinned is not None:
+        return SpectrumEntry(pinned, mult, True)
+    mean = total / mult
+    nearest = round(mean)
+    if abs(mean - nearest) <= INTEGER_TOL:
+        return SpectrumEntry(nearest, mult, True)
+    return SpectrumEntry(mean, mult, False)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +172,17 @@ def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
         seen |= member
         components.append(np.flatnonzero(member))
     return components
+
+
+def upper_pairs(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns i < j of the nonzero entries of a square matrix,
+    row-major, read STRIP_HEIGHT rows at a time: no m x m temporary."""
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, len(adjacency), STRIP_HEIGHT):
+        i, j = np.nonzero(np.triu(adjacency[lo:lo + STRIP_HEIGHT, lo:], 1))
+        rows.append(i + lo)
+        cols.append(j + lo)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,57 +243,63 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _tridiagonal_eigenvalues(
     diag: np.ndarray, sub: np.ndarray, max_iterations: int = 60
 ) -> np.ndarray:
-    """Implicit QL with shifts on a symmetric tridiagonal matrix."""
+    """Root-free QL with shifts on a symmetric tridiagonal matrix T.
+
+    It updates the squared subdiagonal, so a sweep takes no square root
+    (Parlett, The Symmetric Eigenvalue Problem). T is first scaled by a
+    power of two near |T|, so no square over- or underflows. A block's
+    end is found once, when it starts; each sweep then ends the block at
+    the lowest new subdiagonal under the threshold.
+    """
     m = len(diag)
-    if m == 1:
-        return np.array(diag, dtype=np.float64)
     # Python floats: scalar access to numpy arrays costs more than the arithmetic
-    d = [float(x) for x in diag]
-    e = [float(x) for x in sub] + [0.0]
-    eps = float(np.finfo(np.float64).eps)
-    for l in range(m):
-        iterations = 0
-        while True:
-            split = l
-            while split < m - 1:
-                scale = abs(d[split]) + abs(d[split + 1])
-                if abs(e[split]) <= eps * scale:
-                    break
-                split += 1
-            if split == l:
-                break
+    d, e = diag.tolist(), sub.tolist()
+    norm = max(map(abs, d + e))
+    scale = math.ldexp(1.0, math.frexp(norm)[1])
+    d = [x / scale for x in d]
+    e2 = [(x / scale) ** 2 for x in e] + [0.0]
+    tol2 = (float(np.finfo(np.float64).eps) * norm / scale) ** 2
+    start = 0
+    while start < m:
+        end = start
+        while e2[end] > tol2:
+            end += 1
+        l, iterations = start, 0
+        while l < end:
             iterations += 1
             if iterations > max_iterations:
                 raise ConvergenceError(
                     f"implicit QL cap of {max_iterations} exhausted",
-                    residual=float(abs(e[l])),
+                    residual=math.sqrt(e2[l]) * scale,
                 )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[split] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p_acc = 0.0
-            for i in range(split - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p_acc
-                    e[split] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p_acc
-                r = (d[i] - g) * s + 2.0 * c * b
-                p_acc = s * r
-                d[i + 1] = g + p_acc
-                g = c * r - b
-            else:
-                d[l] -= p_acc
-                e[l] = g
-                e[split] = 0.0
-    return np.array(d)
+            rte = math.sqrt(e2[l])
+            sigma = (d[l + 1] - d[l]) / (2.0 * rte)
+            sigma = d[l] - rte / (sigma + math.copysign(math.hypot(sigma, 1.0), sigma))
+            gamma = d[end] - sigma
+            p = gamma * gamma
+            c, s, low = 1.0, 0.0, end
+            for i in range(end - 1, l - 1, -1):
+                bb = e2[i]
+                r = p + bb
+                t = s * r
+                e2[i + 1] = t
+                if t <= tol2:
+                    low = i + 1
+                oldc = c
+                c = p / r
+                s = bb / r
+                oldgam = gamma
+                alpha = d[i]
+                gamma = c * (alpha - sigma) - s * oldgam
+                d[i + 1] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * bb
+            e2[l] = s * p
+            d[l] = sigma + gamma
+            if e2[l] <= tol2:
+                l, iterations = l + 1, 0
+            end = low
+        start = end + 1
+    return np.array(d) * scale
 
 
 def _eigenvalues(a: np.ndarray) -> np.ndarray:

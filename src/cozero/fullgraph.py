@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .eigen import STRIP_HEIGHT, connected_components
+from .eigen import STRIP_HEIGHT, connected_components, upper_pairs
 from .errors import EmptyGraphError, VertexCapError
 from .numbers import Factorization, factorize
 
@@ -183,10 +183,10 @@ def to_dot(graph: FullGraph) -> str:
         lines.append(
             f'  v{v} [label="{v}", fillcolor="{color_of[c]}", tooltip="class {c}"];'
         )
-    m = graph.vertex_count
-    for i in range(m):
-        for j in range(i + 1, m):
-            if graph.adjacency[i, j]:
-                lines.append(f"  v{graph.vertices[i]} -- v{graph.vertices[j]};")
+    i, j = upper_pairs(graph.adjacency)
+    vertices = np.array(graph.vertices)
+    lines.extend(
+        f"  v{a} -- v{b};" for a, b in zip(vertices[i].tolist(), vertices[j].tolist())
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigen import connected_components
+from .eigen import connected_components, upper_pairs
 from .numbers import (
     Factorization,
     divisor_exponents,
@@ -49,12 +49,9 @@ class QuotientGraph:
         return int(self.adjacency.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.adjacency[i, j]:
-                    out.append((self.divisors[i], self.divisors[j]))
-        return out
+        i, j = upper_pairs(self.adjacency)
+        d = np.array(self.divisors, dtype=np.int64)
+        return list(zip(d[i].tolist(), d[j].tolist()))
 
 
 def _require_below_int64(n: int) -> None:

@@ -17,6 +17,8 @@ from cozero import (
     merge_spectrum,
 )
 from cozero.eigen import (
+    INTEGER_TOL,
+    MERGE_TOL,
     PANEL_WIDTH,
     STRIP_HEIGHT,
     _householder_tridiagonalize,
@@ -84,11 +86,16 @@ class TestEigenvaluesSymmetric:
             eigenvalues_symmetric(np.zeros((2, 3)))
 
     def test_sweep_cap_raises_with_residual(self):
-        # a QL iteration cap of 0 cannot reduce any off-diagonal entry
+        # a QL iteration cap of 0 cannot reduce any off-diagonal entry; the
+        # residual is the top one of the first block, in the input's units
         d, e = _householder_tridiagonalize(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.raises(ConvergenceError) as err:
             _tridiagonal_eigenvalues(d, e, max_iterations=0)
         assert err.value.residual > 0
+        d, e = 1e6 * np.arange(1.0, 5.0), 1e6 * np.array([0.5, 0.25, 0.125])
+        with pytest.raises(ConvergenceError) as err:
+            _tridiagonal_eigenvalues(d, e, max_iterations=0)
+        assert err.value.residual == pytest.approx(0.5e6, rel=1e-15)
 
     def test_trace_identity_random(self):
         rng = np.random.default_rng(11)
@@ -157,6 +164,78 @@ class TestEigenvaluesSymmetric:
     def test_empty_matrix(self):
         s = eigenvalues_symmetric(np.zeros((0, 0)))
         assert s.entries == ()
+
+
+def tridiagonal(diag, sub):
+    return np.diag(diag) + np.diag(sub, 1) + np.diag(sub, -1)
+
+
+def assert_ql_matches_eigvalsh(diag, sub, factor=4):
+    """QL's values against eigvalsh of the same tridiagonal, normwise.
+
+    The bound is factor * m * eps * |T|, with |T| the largest absolute
+    row sum, at most three times the |T| of QL's deflation threshold.
+    """
+    diag, sub = np.asarray(diag, dtype=np.float64), np.asarray(sub, dtype=np.float64)
+    t = tridiagonal(diag, sub)
+    ours = np.sort(_tridiagonal_eigenvalues(diag.copy(), sub.copy()))
+    reference = np.linalg.eigvalsh(t)
+    norm = float(np.max(np.abs(t).sum(axis=1)))
+    bound = factor * len(diag) * np.finfo(np.float64).eps * norm
+    assert float(np.max(np.abs(ours - reference))) <= bound
+
+
+class TestTridiagonalQL:
+    def test_one_by_one(self):
+        assert _tridiagonal_eigenvalues(np.array([-3.5]), np.zeros(0)).tolist() == [-3.5]
+
+    @pytest.mark.parametrize("diag,sub", [([2.0, 2.0], [1.0]), ([1.0, -4.0], [1e-3]), ([0.0, 0.0], [-7.0])])
+    def test_two_by_two(self, diag, sub):
+        assert_ql_matches_eigvalsh(diag, sub)
+
+    def test_zero_subdiagonal_returns_the_diagonal(self):
+        diag = np.array([3.0, -1.0, 0.0, 2.5, 2.5])
+        ours = _tridiagonal_eigenvalues(diag, np.zeros(4))
+        assert np.array_equal(np.sort(ours), np.sort(diag))
+
+    def test_interior_zeros_split_up_front(self):
+        rng = np.random.default_rng(31)
+        for m in (3, 8, 25, 60):
+            diag = rng.standard_normal(m)
+            sub = rng.standard_normal(m - 1)
+            sub[rng.random(m - 1) < 0.3] = 0.0
+            sub[m // 2 - 1] = 0.0
+            assert_ql_matches_eigvalsh(diag, sub)
+
+    @pytest.mark.parametrize("m", [6, 20, 70])
+    def test_repeated_eigenvalues_split_during_the_iteration(self, m):
+        # the reduction of Q diag(values) Q^T has no zero subdiagonal to
+        # start with; the repeated values make them appear as QL converges
+        rng = np.random.default_rng(m)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        values = np.resize([-2.0, 1.0, 3.0, 5.0], m)
+        diag, sub = _householder_tridiagonalize((q * values) @ q.T)
+        assert_ql_matches_eigvalsh(diag, sub)
+
+    def test_graded_diagonal(self):
+        for m in (5, 13, 40):
+            diag = np.logspace(0, 12, m)
+            sub = 0.5 * np.sqrt(diag[:-1] * diag[1:])
+            assert_ql_matches_eigvalsh(diag, sub)
+            assert_ql_matches_eigvalsh(diag[::-1].copy(), sub[::-1].copy())
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
+    def test_squares_neither_overflow_nor_underflow(self, scale):
+        # at 1e300 and 1e-300 the squared entries fall outside float64
+        # unless QL scales before squaring; the reference is unscaled
+        rng = np.random.default_rng(17)
+        diag = rng.standard_normal(30)
+        sub = rng.standard_normal(29)
+        t = tridiagonal(diag, sub)
+        ours = np.sort(_tridiagonal_eigenvalues(diag * scale, sub * scale)) / scale
+        reference = np.linalg.eigvalsh(t)
+        bound = 4 * 30 * np.finfo(np.float64).eps * float(np.max(np.abs(t).sum(axis=1)))
+        assert float(np.max(np.abs(ours - reference))) <= bound
 
 
 class TestNullVectorDeflation:
@@ -241,6 +320,89 @@ class TestMergeSpectrum:
     def test_zero_multiplicity_dropped(self):
         s = merge_spectrum([(1.0, 0, True), (2.0, 1, True)])
         assert as_entry_pairs(s) == [(2.0, 1)]
+
+
+def reference_merge(triples):
+    """merge_spectrum as one group list, closed afterwards: the grouping
+    rules, summation order and value types the library must keep."""
+    items = sorted(
+        ((v if e else float(v), int(m), bool(e)) for v, m, e in triples if m > 0),
+        key=lambda t: (-t[0], not t[2]),
+    )
+    groups = []
+    for item in items:
+        if groups:
+            group = groups[-1]
+            pinned = next((v for v, _, e in group if e), None)
+            fits = group[0][0] - item[0] < MERGE_TOL
+            if fits and item[2] and pinned is not None and pinned != item[0]:
+                fits = False
+            if fits:
+                group.append(item)
+                continue
+        groups.append([item])
+    entries = []
+    for group in groups:
+        mult = sum(m for _, m, _ in group)
+        pinned = next((v for v, _, e in group if e), None)
+        if pinned is not None:
+            entries.append(SpectrumEntry(pinned, mult, True))
+            continue
+        mean = 0  # left to right, as sum() added floats before Python 3.12
+        for v, m, _ in group:
+            mean += v * m
+        mean /= mult
+        nearest = round(mean)
+        if abs(mean - nearest) <= INTEGER_TOL:
+            entries.append(SpectrumEntry(nearest, mult, True))
+        else:
+            entries.append(SpectrumEntry(mean, mult, False))
+    return tuple(entries)
+
+
+def typed(entries):
+    return [(type(e.value), e.value, e.multiplicity, e.exact) for e in entries]
+
+
+class TestMergeAgainstGroupList:
+    OFFSETS = (
+        0.0, 1e-9, -1e-9, 3e-7, MERGE_TOL, -MERGE_TOL, INTEGER_TOL, -INTEGER_TOL,
+        MERGE_TOL - 1e-12, MERGE_TOL + 1e-12, -MERGE_TOL + 1e-12, -MERGE_TOL - 1e-12,
+        INTEGER_TOL - 1e-12, INTEGER_TOL + 1e-12, -INTEGER_TOL + 1e-12, -INTEGER_TOL - 1e-12,
+    )
+    ANCHORS = (0, 1, 2, 7, 2**53 + 1, 2**60 + 3, 3**40)
+
+    def random_triples(self, rng):
+        triples = []
+        for _ in range(int(rng.integers(0, 30))):
+            anchor = self.ANCHORS[int(rng.integers(len(self.ANCHORS)))]
+            if rng.random() < 0.2:
+                anchor += float(rng.uniform(-3, 3))
+            mult = int(rng.integers(0, 4))
+            kind = rng.random()
+            if kind < 0.25 and isinstance(anchor, int):
+                triples.append((anchor, mult, True))  # an exact int, maybe above 2**53
+            else:
+                value = anchor + self.OFFSETS[int(rng.integers(len(self.OFFSETS)))]
+                value += float(rng.uniform(-2e-6, 2e-6)) if rng.random() < 0.3 else 0.0
+                # an exact float inside MERGE_TOL of another exact value conflicts with it
+                triples.append((value, mult, kind < 0.4))
+        return triples
+
+    def test_matches_the_group_list_on_random_triples(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            triples = self.random_triples(rng)
+            expected = typed(reference_merge(triples))
+            assert typed(merge_spectrum(triples).entries) == expected, triples
+
+    def test_large_group(self):
+        # one group of a thousand numeric members, as the oracle's
+        # largest class eigenvalue at n = 3010
+        rng = np.random.default_rng(5)
+        triples = [(3.0 + float(x), 1, False) for x in rng.uniform(-4e-7, 4e-7, 1000)]
+        triples += [(1.5, 2, False), (2**53 + 1, 3, True)]
+        assert typed(merge_spectrum(triples).entries) == typed(reference_merge(triples))
 
 
 class TestCharacteristicPolynomial:
