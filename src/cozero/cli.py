@@ -11,12 +11,12 @@ check). Exit codes: 0 success, 1 error or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from datetime import datetime, timezone
-from multiprocessing import Pool
 
 from . import spectrum as sp
 from .errors import EmptyGraphError, VertexCapError
@@ -63,7 +63,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main() call and reused: parse_args returns a fresh
+    # Namespace each time, and no argument has a mutable default or appends
     parser = _Parser(prog="cozero", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -251,6 +254,8 @@ def _cmd_scan(args) -> int:
     jobs = min(args.jobs or cores, len(tasks), cores)
     started = time.perf_counter()
     if jobs > 1:
+        from multiprocessing import Pool  # only here: it costs every start ~6 ms
+
         with Pool(processes=jobs) as pool:
             rows = pool.map(_scan_one, tasks)
     else:
@@ -399,7 +404,7 @@ def main(argv=None) -> int:
     except VertexCapError as exc:
         sys.stderr.write(f"cozero: {exc}\n")
         return EXIT_CAP
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"cozero: {exc}\n")
         return EXIT_ERROR
 

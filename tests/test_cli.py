@@ -1,5 +1,10 @@
+import argparse
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +189,17 @@ class TestSpectrumCommand:
         assert out == ""
         assert target.read_text() == "n=15: 6^1 4^1 2^3 0^1\n"
 
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "x.csv"
+        for target, kind in ((missing, "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            code, out, err = run(capsys, "spectrum", "15", "--format", "csv",
+                                 "--out", str(target))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("cozero: ") and err.count("\n") == 1
+            assert kind in err and str(target) in err
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):
@@ -313,7 +329,7 @@ class TestScanCommand:
             def map(self, fn, tasks):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         assert run(capsys, "scan", "4", "9", "--jobs", "1000000")[0] == 0
         assert run(capsys, "scan", "4", "40", "--jobs", "1000000")[0] == 0
@@ -422,3 +438,94 @@ class TestUsageErrors:
     def test_n_below_two(self, capsys):
         code, _, err = run(capsys, "spectrum", "1")
         assert code == 1
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def fresh_process(argv, env):
+    """stdout, stderr and exit code of `python -m cozero.cli` in a new interpreter."""
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "cozero.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.stdout, done.stderr, done.returncode
+
+
+def in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+class TestParserReuse:
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch, tmp_path):
+        assert run(capsys, "spectrum", "15")[0] == 0
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "verify", "30", "--format", "json")[0] == 0
+        assert run(capsys, "structure", "12", "--format", "csv")[0] == 0
+        assert run(capsys, "integrality", "12")[0] == 0
+        assert run(capsys, "scan", "4", "9", "--jobs", "1")[0] == 0
+        assert run(capsys, "spectrum", "30", "--out", str(tmp_path / "s.txt"))[0] == 0
+        assert built == []
+
+    def test_in_process_sequence_matches_fresh_processes(
+            self, capsys, monkeypatch, tmp_path):
+        # each pair checks that nothing of one call leaks into the next
+        monkeypatch.delenv("COZERO_CAP", raising=False)
+        sequence = [
+            ({}, ["verify", "30", "--cap", "3"]),
+            ({}, ["verify", "30"]),
+            ({}, ["spectrum", "30", "--frobnicate"]),
+            ({}, ["structure", "30", "--format", "dot", "--full"]),
+            ({}, ["structure", "30", "--format", "dot"]),
+            ({}, ["spectrum", "30", "--format", "json", "--no-timestamp",
+                  "--out", "{out}"]),
+            ({"COZERO_CAP": "3"}, ["verify", "30", "--format", "json",
+                                   "--no-timestamp"]),
+            ({}, ["verify", "30", "--format", "json", "--no-timestamp"]),
+        ]
+        results = []
+        for i, (extra, argv) in enumerate(sequence):
+            out_file = tmp_path / f"in{i}.json"
+            for key, value in extra.items():
+                monkeypatch.setenv(key, value)
+            results.append(in_process(
+                capsys, [a.format(out=out_file) for a in argv]))
+            for key in extra:
+                monkeypatch.delenv(key)
+        assert [r[2] for r in results] == [3, 0, 64, 0, 0, 0, 3, 0]
+
+        for i, (extra, argv) in enumerate(sequence):
+            out_file = tmp_path / f"fresh{i}.json"
+            expected = fresh_process([a.format(out=out_file) for a in argv],
+                                     dict(os.environ, **extra))
+            assert results[i] == expected, argv
+            if "{out}" in argv:
+                assert (tmp_path / f"in{i}.json").read_text() == out_file.read_text()
+
+
+def test_import_leaves_multiprocessing_out():
+    # scan with more than one job is the only user of multiprocessing
+    code = (
+        "import sys\n"
+        "from cozero import cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "cli.main(['scan', '4', '9', '--jobs', '1', '--out', sys.argv[1]])\n"
+        "cli.main(['spectrum', '30', '--out', sys.argv[1]])\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code, os.devnull],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["False", "False"]
