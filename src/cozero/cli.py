@@ -314,6 +314,9 @@ def _cmd_structure(args) -> int:
         _emit(f"n={n}: degenerate (prime, no proper divisors)\n", args)
         return EXIT_DEGENERATE
     q = build_quotient(f)
+    if args.format == "csv":
+        _emit(laplacian_csv(build_weighted_laplacian(q)), args)
+        return EXIT_OK
     degrees = weighted_degrees(q)
     boundary = n == 4
 
@@ -322,8 +325,6 @@ def _cmd_structure(args) -> int:
             _emit(full_graph_dot(build_full_graph(f, cap=args.cap)), args)
         else:
             _emit(quotient_dot(q, degrees), args)
-    elif args.format == "csv":
-        _emit(laplacian_csv(build_weighted_laplacian(q)), args)
     elif args.format == "json":
         payload = {
             "n": n,

@@ -2,9 +2,12 @@
 
 The solver is written here rather than borrowed, and one path serves
 every size: blocked Householder tridiagonalization, then root-free QL
-with shifts (Pal-Walker-Kahan, as LAPACK's DSTERF). QL deflates with one
-threshold scaled by |T|, the largest entry of the tridiagonal T: e_i**2
-<= (eps |T|)**2. It is the only route to eigenvalues. A known null vector,
+with shifts (Pal-Walker-Kahan, as LAPACK's DSTERF). Each panel of the
+reduction keeps its reflectors and update vectors in one array, so every
+update it makes is a single matrix product. QL runs on the tridiagonal
+T in reverse order, so it deflates from the bottom of T, with one
+threshold scaled by |T|, the largest entry of T: e_i**2 <= (eps |T|)**2.
+It is the only route to eigenvalues. A known null vector,
 such as the square-root weights of a weighted Laplacian, is deflated, so
 its zero eigenvalue comes out exact. The characteristic polynomial is
 exact (Faddeev-LeVerrier over Python integers); it finds no roots and
@@ -43,6 +46,8 @@ PANEL_WIDTH = 32
 # rows per strip of a rank-k update, so its temporary is STRIP_HEIGHT x m,
 # never m x m
 STRIP_HEIGHT = 64
+# exchanges columns 2j and 2j + 1 of a Householder panel: v_j with w_j
+_PAIR_SWAP = np.arange(2 * PANEL_WIDTH) ^ 1
 
 
 # ---------------------------------------------------------------------------
@@ -190,50 +195,52 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Blocked as LAPACK's DSYTRD/DLATRD (Dongarra, Hammarling & Sorensen
     1989). Step k applies the reflector I - beta v v^T as the rank-2
-    update A - v w^T - w v^T. Within a panel of PANEL_WIDTH steps the v
-    and w are collected in V and W, and only the column about to be
-    reduced is brought up to date; the trailing block then takes the
-    whole panel at once, A -= V W^T and A -= W V^T, STRIP_HEIGHT rows at
-    a time.
+    update A - v w^T - w v^T. Within a panel of PANEL_WIDTH steps the
+    pairs are collected in one array U, v_j in column 2j and w_j in
+    column 2j + 1, and only the column about to be reduced is brought up
+    to date. With P the permutation _PAIR_SWAP, which exchanges the two
+    columns of each pair, the sum of v_j w_j^T + w_j v_j^T is U (U P)^T,
+    so each update is one product: the next column takes U times a row
+    of U P, and the trailing block takes A -= (U P) U^T, STRIP_HEIGHT
+    rows at a time, with the columns of one strip permuted at a time.
     """
     m = a.shape[0]
     diag = np.diagonal(a).copy()
     sub = np.diagonal(a, -1).copy()
     for start in range(0, m - 2, PANEL_WIDTH):
         width = min(PANEL_WIDTH, m - 2 - start)
-        # row r of V and W is row start + r of a
-        V = np.zeros((m - start, width))
-        W = np.zeros((m - start, width))
+        swap = _PAIR_SWAP[:2 * width]
+        # row r of U is row start + r of a
+        U = np.zeros((m - start, 2 * width))
         for i in range(width):
             k = start + i
             col = a[k, k:]  # column k by symmetry, stored contiguously
             if i:
-                col -= V[i:, :i] @ W[i, :i] + W[i:, :i] @ V[i, :i]
+                col -= U[i:, :2 * i] @ U[i, swap[:2 * i]]
             diag[k] = col[0]
             x = col[1:]
             xnorm = math.sqrt(float(x @ x))
             if xnorm == 0.0:
-                sub[k] = 0.0
+                sub[k] = 0.0  # v and w stay zero: the step is the identity
                 continue
             alpha = -math.copysign(xnorm, x[0])
             sub[k] = alpha
-            v = V[i + 1:, i]
+            v = U[i + 1:, 2 * i]
             v[:] = x
             v[0] -= alpha
             beta = 2.0 / float(v @ v)
             p = a[k + 1:, k + 1:] @ v
             if i:
-                vp, wp = V[i + 1:, :i], W[i + 1:, :i]
-                p -= vp @ (wp.T @ v) + wp @ (vp.T @ v)
+                up = U[i + 1:, :2 * i]
+                p -= up @ (up.T @ v)[swap[:2 * i]]
             p *= beta
             p -= (0.5 * beta * float(v @ p)) * v
-            W[i + 1:, i] = p
+            U[i + 1:, 2 * i + 1] = p
         rest = a[start + width:, start + width:]
-        V, W = V[width:], W[width:]  # rows of the trailing block
+        U = U[width:]  # rows of the trailing block
         for lo in range(0, len(rest), STRIP_HEIGHT):
             rows = slice(lo, lo + STRIP_HEIGHT)
-            rest[rows] -= V[rows] @ W.T
-            rest[rows] -= W[rows] @ V.T
+            rest[rows] -= U[rows][:, swap] @ U.T
     if m > 2:
         diag[-2:] = np.diagonal(a)[-2:]
         sub[-1] = a[-1, -2]
@@ -306,11 +313,17 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     """Unsorted eigenvalues of symmetric a (destroyed)."""
     if a.shape[0] == 0:
         return np.zeros(0)
-    return _tridiagonal_eigenvalues(*_householder_tridiagonalize(a))
+    diag, sub = _householder_tridiagonalize(a)
+    # QL deflates from the top of its input; given J T J, T reversed, it
+    # deflates from the bottom of the T that the top-down reduction leaves,
+    # which takes about a third fewer QL steps on the oracle's Laplacians
+    return _tridiagonal_eigenvalues(diag[::-1], sub[::-1])
 
 
 def _symmetrized_copy(matrix) -> np.ndarray:
     """float64 copy of a square matrix, checked and symmetrised in place.
+
+    A non-finite entry or an asymmetry above SYMMETRY_TOL is refused.
 
     Works on strips of PANEL_WIDTH rows and the matching columns, so
     besides the copy each temporary holds one strip.
@@ -323,7 +336,11 @@ def _symmetrized_copy(matrix) -> np.ndarray:
         hi = min(lo + PANEL_WIDTH, m)
         rows = a[lo:hi, lo:]
         cols = a[lo:, lo:hi].T
-        asym = float(np.max(np.abs(rows - cols)))
+        with np.errstate(invalid="ignore"):  # inf - inf, refused below
+            asym = float(np.max(np.abs(rows - cols)))
+        # every entry is in rows or cols; an inf or a nan leaves asym non-finite
+        if not math.isfinite(asym):
+            raise ValueError("matrix has a non-finite entry")
         if asym > SYMMETRY_TOL:
             raise ValueError(
                 f"matrix is asymmetric by {asym:.3e} (limit {SYMMETRY_TOL})"
@@ -342,6 +359,8 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     the spectrum, so the zero is never computed and cannot drift.
     """
     norm = math.sqrt(float(null @ null))
+    if not math.isfinite(norm):  # an inf or a nan entry makes it non-finite
+        raise ValueError("null vector has a non-finite norm")
     residual = math.sqrt(float(np.sum((a @ null) ** 2)))
     scale = math.sqrt(float(np.vdot(a, a))) * norm
     if norm == 0.0 or residual > NULL_VECTOR_TOL * scale:
@@ -367,7 +386,8 @@ def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     of its nonzero off-diagonal pattern) at a time. Each block must have
     null_vector's restriction in its kernel, as the square-root weights do
     for the symmetric form of a weighted Laplacian, and contributes one
-    exact zero.
+    exact zero. A matrix or null vector with an inf or a nan is refused
+    with a ValueError.
     """
     a = _symmetrized_copy(matrix)
     if null_vector is None:

@@ -29,7 +29,6 @@ from .quotient import (
     build_quotient,
     build_weighted_laplacian,
     factorize_for_quotient,
-    weighted_degrees,
 )
 
 
@@ -100,12 +99,12 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
         empty = eigen.SpectrumMultiset(())
         return AssembledSpectrum(f.n, (), empty, empty, "empty")
     q = build_quotient(f)
-    degrees = weighted_degrees(q)
+    wl = build_weighted_laplacian(q)
+    degrees = np.diagonal(wl.entries).tolist()  # weighted degrees, Python ints
     integer_part = tuple(
         ClassEigenvalue(deg, w - 1, d)
         for deg, w, d in zip(degrees, q.weights, q.divisors)
     )
-    wl = build_weighted_laplacian(q)
     quotient_part = eigen.eigenvalues_symmetric(
         wl.symmetric_form, np.sqrt(np.array(q.weights, dtype=np.float64))
     )

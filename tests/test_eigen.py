@@ -81,6 +81,15 @@ class TestEigenvaluesSymmetric:
         with pytest.raises(ValueError, match="asymmetric"):
             eigenvalues_symmetric([[0.0, 1.0], [0.5, 0.0]])
 
+    def test_rejects_an_infinite_entry(self):
+        # inf - inf is nan, which no asymmetry bound catches
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues_symmetric([[1.0, math.inf], [math.inf, 2.0]])
+
+    def test_rejects_a_nan_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues_symmetric([[1.0, 0.0], [0.0, math.nan]])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigenvalues_symmetric(np.zeros((2, 3)))
@@ -168,6 +177,67 @@ class TestEigenvaluesSymmetric:
 
 def tridiagonal(diag, sub):
     return np.diag(diag) + np.diag(sub, 1) + np.diag(sub, -1)
+
+
+def row_sum_norm(a):
+    return float(np.max(np.abs(a).sum(axis=1)))
+
+
+def assert_matches_eigvalsh(a, factor=4):
+    """eigenvalues_symmetric against eigvalsh merged the same way: equal
+    multiplicities, values within factor * m * eps * |A|."""
+    ours = eigenvalues_symmetric(a).entries
+    reference = merge_spectrum((v, 1, False) for v in np.linalg.eigvalsh(a)).entries
+    assert [e.multiplicity for e in ours] == [e.multiplicity for e in reference]
+    error = max(abs(x.value - y.value) for x, y in zip(ours, reference))
+    assert error <= factor * len(a) * np.finfo(np.float64).eps * row_sum_norm(a)
+
+
+class TestHouseholderPanels:
+    @pytest.mark.parametrize(
+        "m",
+        [PANEL_WIDTH - 1, PANEL_WIDTH, PANEL_WIDTH + 1,
+         2 * PANEL_WIDTH - 1, 2 * PANEL_WIDTH, 2 * PANEL_WIDTH + 1, 2 * PANEL_WIDTH + 3],
+    )
+    def test_zero_reflector_column_inside_a_panel(self, m):
+        # a direct sum of random blocks that end in the middle of the first
+        # and second panels: the last row of each block has a zero reflector
+        # column, and the step leaves its pair of panel columns zero, so the
+        # blocks stay uncoupled through the panel and trailing updates
+        nb = PANEL_WIDTH
+        splits = [s for s in (nb // 2, nb + nb // 2) if s <= m - 2]
+        rng = np.random.default_rng(m)
+        a = np.zeros((m, m))
+        edges = [0, *splits, m]
+        for lo, hi in zip(edges, edges[1:]):
+            b = rng.standard_normal((hi - lo, hi - lo))
+            a[lo:hi, lo:hi] = b + b.T
+        diag, sub = _householder_tridiagonalize(a.copy())
+        assert [sub[s - 1] for s in splits] == [0.0] * len(splits)
+        # eigvalsh of T itself, so that only the reduction is tested
+        error = np.max(np.abs(np.linalg.eigvalsh(tridiagonal(diag, sub)) - np.linalg.eigvalsh(a)))
+        assert error <= 4 * m * np.finfo(np.float64).eps * row_sum_norm(a)
+
+
+class TestGradedAndClustered:
+    @pytest.mark.parametrize("m", [40, 2 * PANEL_WIDTH + 3, 150])
+    def test_graded_matrix(self, m):
+        # entries from 1 to 1e6 in magnitude, graded along the diagonal
+        rng = np.random.default_rng(m)
+        b = rng.standard_normal((m, m))
+        g = np.logspace(0, 3, m)
+        a = np.triu(g[:, None] * b * g[None, :])
+        assert_matches_eigvalsh(a + np.triu(a, 1).T)
+
+    @pytest.mark.parametrize("m", [40, 2 * PANEL_WIDTH + 3, 150])
+    def test_clustered_spectrum(self, m):
+        # four clusters, each 1e-9 wide, well inside MERGE_TOL and well away
+        # from integers, so both sides merge them into the same four groups
+        rng = np.random.default_rng(m)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        values = np.resize([-2.5, 0.25, 1.75, 4.5], m) + 1e-9 * rng.random(m)
+        a = np.triu((q * values) @ q.T)
+        assert_matches_eigvalsh(a + np.triu(a, 1).T)
 
 
 def assert_ql_matches_eigvalsh(diag, sub, factor=4):
@@ -277,6 +347,10 @@ class TestNullVectorDeflation:
     def test_rejects_a_vector_outside_the_kernel(self):
         with pytest.raises(ValueError, match="null vector"):
             eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]], null_vector=[1.0, 2.0])
+
+    def test_rejects_a_non_finite_vector(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]], null_vector=[1.0, math.nan])
 
     def test_rejects_a_vector_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="shape"):
