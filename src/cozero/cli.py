@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from itertools import chain
 
 from . import spectrum as sp
 from .errors import EmptyGraphError, VertexCapError
@@ -130,12 +131,90 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_string_text = json.encoder.encode_basestring_ascii
+
+# the text json writes for each scalar type, looked up by exact type
+_SCALAR_TEXT = {
+    str: _string_text,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_SCALARS = frozenset(_SCALAR_TEXT)
+_CONTAINERS = (dict, list, tuple)
+
+# Writes a flat container (a dict or list whose members are all scalars),
+# or a list of flat containers of one kind, in one C-encoder call, with a
+# NUL after each item separator. json writes a NUL inside a string as
+# \u0000, so a raw NUL only ever marks a separator, and one between two
+# containers follows a closing bracket, which no scalar's text ends with.
+_encode_flat = json.JSONEncoder(separators=(",\0", ": "), check_circular=False).encode
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, with value's first line at indent.
+
+    Takes exactly these types: dicts with str keys, lists, tuples, str,
+    int, float, bool and None. The C encoder writes every flat container;
+    on CPython before 3.13, json.dumps with an indent runs the pure-Python
+    encoder instead.
+    """
+    kind = type(value)
+    if kind not in _CONTAINERS:
+        write = _SCALAR_TEXT.get(kind)
+        if write is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return write(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if _SCALARS.issuperset(map(type, value.values() if kind is dict else value)):
+        text = _encode_flat(value)
+        body = text[1:-1].replace(",\0", ",\n" + inner)
+        return f"{text[0]}\n{inner}{body}\n{indent}{text[-1]}"
+    first = type(value[0]) if kind is not dict else None
+    if (first in _CONTAINERS and {first}.issuperset(map(type, value)) and all(value)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(
+                map(dict.values, value) if first is dict else value)))):
+        # "[{...},\0{...}]": the outer brackets come off, and a separator
+        # that follows a closing bracket is one between two members
+        text = _encode_flat(value)
+        opening, closing = text[1], text[-2]
+        member = inner + "  "
+        body = text[2:-2].replace(
+            f"{closing},\0{opening}", f"\n{inner}{closing},\n{inner}{opening}\n{member}"
+        ).replace(",\0", ",\n" + member)
+        return f"[\n{inner}{opening}\n{member}{body}\n{inner}{closing}\n{indent}]"
+    sep = ",\n" + inner
+    if kind is dict:
+        body = sep.join([
+            f"{_string_text(k)}: {_json_text(v, inner)}" for k, v in value.items()
+        ])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    body = sep.join([_json_text(v, inner) for v in value])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _json_envelope(payload: dict, args) -> str:
     doc = {"schema": SCHEMA_VERSION}
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def _format_value(value: float, exact: bool) -> str:

@@ -38,6 +38,7 @@ MATCH_TOL = 1e-6
 # a value within ZERO_TOL of 0 counts as a zero eigenvalue
 ZERO_TOL = 1e-8
 CHARPOLY_MAX_DIM = 64
+# a matrix may be asymmetric by SYMMETRY_TOL * max(1, |A|), |A| its largest entry
 SYMMETRY_TOL = 1e-12
 # |A u| <= NULL_VECTOR_TOL * |A| |u| for a null vector u to be deflated
 NULL_VECTOR_TOL = 1e-12
@@ -323,7 +324,8 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
 def _symmetrized_copy(matrix) -> np.ndarray:
     """float64 copy of a square matrix, checked and symmetrised in place.
 
-    A non-finite entry or an asymmetry above SYMMETRY_TOL is refused.
+    A non-finite entry, or an asymmetry above SYMMETRY_TOL * max(1, |A|)
+    with |A| the largest absolute entry, is refused.
 
     Works on strips of PANEL_WIDTH rows and the matching columns, so
     besides the copy each temporary holds one strip.
@@ -332,22 +334,24 @@ def _symmetrized_copy(matrix) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
+    asym = scale = 0.0
     for lo in range(0, m, PANEL_WIDTH):
         hi = min(lo + PANEL_WIDTH, m)
         rows = a[lo:hi, lo:]
         cols = a[lo:, lo:hi].T
         with np.errstate(invalid="ignore"):  # inf - inf, refused below
-            asym = float(np.max(np.abs(rows - cols)))
-        # every entry is in rows or cols; an inf or a nan leaves asym non-finite
-        if not math.isfinite(asym):
+            strip_asym = float(np.max(np.abs(rows - cols)))
+        # every entry is in rows or cols; an inf or a nan leaves strip_asym non-finite
+        if not math.isfinite(strip_asym):
             raise ValueError("matrix has a non-finite entry")
-        if asym > SYMMETRY_TOL:
-            raise ValueError(
-                f"matrix is asymmetric by {asym:.3e} (limit {SYMMETRY_TOL})"
-            )
+        asym = max(asym, strip_asym)
+        scale = max(scale, float(np.max(np.abs(rows))), float(np.max(np.abs(cols))))
         mean = 0.5 * (rows + cols)
         a[lo:hi, lo:] = mean
         a[lo:, lo:hi] = mean.T
+    limit = SYMMETRY_TOL * max(1.0, scale)
+    if asym > limit:
+        raise ValueError(f"matrix is asymmetric by {asym:.3e} (limit {limit:.3e})")
     return a
 
 

@@ -1,7 +1,9 @@
 import argparse
 import json
+import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -414,6 +416,80 @@ class TestIntegralityCommand:
     def test_prime_degenerate(self, capsys):
         code, out, _ = run(capsys, "integrality", "13")
         assert code == 2
+
+
+# strings that look like the emitter's separators or brackets, or need escapes
+AWKWARD_STRINGS = ["", "a", "\0", "x\0y", '"', "\\", "},", "],", ",\0", "},\0{",
+                   "{", "[", ": ", "\n\t", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600"]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1]
+
+
+def random_scalar(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice(SPECIAL_FLOATS + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)])
+    if kind == 1:
+        return rng.choice([0, -1, 2**64 + 1, -(2**70), rng.randint(-10**6, 10**6)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    return rng.choice(AWKWARD_STRINGS) + rng.choice(AWKWARD_STRINGS)
+
+
+def random_tree(rng, depth=0):
+    """A random JSON tree; flat containers and lists of them come up often."""
+    kind = rng.randrange(10)
+    if depth > 3 or kind < 3:
+        return random_scalar(rng)
+    size = rng.randrange(5)
+    if kind < 5:
+        return {rng.choice(AWKWARD_STRINGS) + str(i): random_tree(rng, depth + 1)
+                for i in range(size)}
+    if kind < 7:
+        return [random_tree(rng, depth + 1) for _ in range(size)]
+    if kind == 7:
+        return tuple(random_tree(rng, depth + 1) for _ in range(size))
+    if kind == 8:
+        return [{rng.choice(AWKWARD_STRINGS) + str(i): random_scalar(rng)
+                 for i in range(rng.randrange(3))} for _ in range(size)]
+    return [[random_scalar(rng) for _ in range(rng.randrange(3))] for _ in range(size)]
+
+
+class TestJsonEmitter:
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}}, [[]], [[], []], [{}, {"a": 1}], [{"a": 1}, {}],
+        [[1], (2, 3)], [{"a": 1}, [1]], [[1, [2]], [3]], {"a": [[1, 2], [3, 4]]},
+        [{"a": 1, "b": [2]}], {"x": float("nan"), "y": [math.inf, -math.inf, -0.0]},
+        [2**64 + 1, -(2**70), True, False, None], {s: s for s in AWKWARD_STRINGS},
+        [{s: [s]} for s in AWKWARD_STRINGS], [[s, s] for s in AWKWARD_STRINGS],
+        [[{"a": [1, {"b": ()}]}]], "},\0{", 7, None,
+    ])
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_matches_json_dumps_on_random_trees(self):
+        for seed in range(3000):
+            tree = random_tree(random.Random(seed))
+            assert cli._json_text(tree) == json.dumps(tree, indent=2), seed
+
+    @pytest.mark.parametrize("value", [{"a": {1, 2}}, [b"x"], {"a": [1.5, 2j]}])
+    def test_refuses_other_types(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "30"], ["verify", "30"], ["structure", "30"],
+        ["integrality", "30"], ["scan", "4", "20", "--jobs", "1"],
+    ])
+    def test_commands_never_run_the_python_encoder(self, capsys, monkeypatch, argv):
+        # json.dumps with an indent builds its pure-Python encoder here
+        # (before CPython 3.13); the emitter must not reach it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["schema"] == 1
 
 
 class TestUsageErrors:

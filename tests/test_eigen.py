@@ -21,6 +21,7 @@ from cozero.eigen import (
     MERGE_TOL,
     PANEL_WIDTH,
     STRIP_HEIGHT,
+    SYMMETRY_TOL,
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
     poly_eval_int,
@@ -228,6 +229,25 @@ class TestGradedAndClustered:
         g = np.logspace(0, 3, m)
         a = np.triu(g[:, None] * b * g[None, :])
         assert_matches_eigvalsh(a + np.triu(a, 1).T)
+
+    def test_graded_matrix_from_the_full_product(self):
+        # g_i * b_ij * g_j and g_j * b_ji * g_i round apart: the asymmetry
+        # is above SYMMETRY_TOL in absolute terms, far below it relative to
+        # the entries, which reach 1e6
+        m = 40
+        b = np.random.default_rng(m).standard_normal((m, m))
+        g = np.logspace(0, 3, m)
+        a = g[:, None] * (b + b.T) * g[None, :]
+        assert float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL
+        assert_matches_eigvalsh(a)
+
+    def test_rejects_relative_asymmetry(self):
+        # 1e-9 of the largest entry is far above rounding
+        a = np.diag([1e6, 2e6, 3e6])
+        a[0, 1] = 1e6
+        a[1, 0] = 1e6 * (1 + 1e-9)
+        with pytest.raises(ValueError, match="asymmetric"):
+            eigenvalues_symmetric(a)
 
     @pytest.mark.parametrize("m", [40, 2 * PANEL_WIDTH + 3, 150])
     def test_clustered_spectrum(self, m):
