@@ -12,13 +12,9 @@ graph. All public functions are pure and thread-safe.
 from .errors import ConvergenceError, EmptyGraphError, VertexCapError
 from .numbers import (
     Factorization,
-    all_divisors,
     divisor_exponents,
     factorize,
-    gcd_class_count,
     is_prime,
-    proper_divisors,
-    totient,
 )
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
@@ -26,10 +22,6 @@ from .fullgraph import (
     build_full_graph,
     connected_component_count,
     full_graph_connected_predicate,
-    is_adjacent_by_definition,
-    is_adjacent_by_divisor,
-    is_adjacent_exhaustive,
-    is_connected_full,
     laplacian_matrix,
 )
 from .quotient import (
@@ -37,10 +29,6 @@ from .quotient import (
     WeightedLaplacian,
     build_quotient,
     build_weighted_laplacian,
-    is_connected_quotient,
-    laplacian_in_order,
-    quotient_component_count,
-    quotient_connected_predicate,
     quotient_connectivity_state,
     weighted_degrees,
 )
@@ -58,7 +46,6 @@ from .spectrum import (
     OracleReport,
     assemble_spectrum,
     charpoly_p2q,
-    closed_form_general,
     closed_form_pq,
     compare_multisets,
     is_laplacian_integral,
@@ -83,14 +70,12 @@ __all__ = [
     "SpectrumMultiset",
     "VertexCapError",
     "WeightedLaplacian",
-    "all_divisors",
     "assemble_spectrum",
     "build_full_graph",
     "build_quotient",
     "build_weighted_laplacian",
     "characteristic_polynomial",
     "charpoly_p2q",
-    "closed_form_general",
     "closed_form_pq",
     "compare_multisets",
     "connected_component_count",
@@ -98,23 +83,12 @@ __all__ = [
     "eigenvalues_symmetric",
     "factorize",
     "full_graph_connected_predicate",
-    "gcd_class_count",
-    "is_adjacent_by_definition",
-    "is_adjacent_by_divisor",
-    "is_adjacent_exhaustive",
-    "is_connected_full",
-    "is_connected_quotient",
     "is_laplacian_integral",
     "is_prime",
-    "laplacian_in_order",
     "laplacian_matrix",
     "merge_spectrum",
-    "proper_divisors",
-    "quotient_component_count",
-    "quotient_connected_predicate",
     "quotient_connectivity_state",
     "spectrum_report",
-    "totient",
     "verify_against_oracle",
     "weighted_degrees",
 ]

@@ -254,7 +254,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     n = args.n
     report = sp.verify_against_oracle(n, cap=args.cap)
-    if report.degenerate == "empty":
+    prime = report.degenerate == "empty"
+    if prime and args.format != "json":
         _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
         return EXIT_DEGENERATE
     if args.format == "json":
@@ -282,7 +283,7 @@ def _cmd_verify(args) -> int:
         for value, mult_a, mult_b in report.multiplicity_mismatches:
             lines.append(f"  mismatch at {value:.6f}: assembled {mult_a}, oracle {mult_b}")
         _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK if report.matched else EXIT_ERROR
+    return EXIT_DEGENERATE if prime else EXIT_OK if report.matched else EXIT_ERROR
 
 
 def _matches_filter(f: Factorization, family: str) -> bool:
@@ -294,7 +295,7 @@ def _matches_filter(f: Factorization, family: str) -> bool:
     if family == "pq":
         return exponents == [1, 1]
     if family == "p2q":
-        return sorted(exponents) == [1, 2]
+        return exponents == [1, 2]
     if family == "png-q":
         return len(exponents) == 2 and min(exponents) == 1
     if family == "general2prime":
@@ -302,9 +303,9 @@ def _matches_filter(f: Factorization, family: str) -> bool:
     raise ValueError(f"unknown filter {family!r}")
 
 
-def _scan_one(task: tuple[Factorization, int]) -> dict:
+def _scan_one(task: tuple[int | Factorization, int]) -> dict:
     f, cap = task
-    n = f.n
+    n = f if isinstance(f, int) else f.n
     try:
         report = sp.verify_against_oracle(f, cap=cap)
     except VertexCapError as exc:
@@ -324,11 +325,12 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.lo <= args.hi:
         sys.stderr.write(f"cozero: need 2 <= lo <= hi, got {args.lo}, {args.hi}\n")
         return EXIT_USAGE
-    eligible = [
-        f for f in map(factorize, range(args.lo, args.hi + 1))
-        if _matches_filter(f, args.filter)
-    ]
-    tasks = [(f, args.cap) for f in eligible]
+    # an n refused by the vertex bound is left unfactored; its family is
+    # unknown, so under every filter it is verified, to a CAP row
+    candidates = (n if sp.exceeds_vertex_bound(n, args.cap) else factorize(n)
+                  for n in range(args.lo, args.hi + 1))
+    tasks = [(f, args.cap) for f in candidates
+             if isinstance(f, int) or _matches_filter(f, args.filter)]
     cores = os.cpu_count() or 1
     jobs = min(args.jobs or cores, len(tasks), cores)
     started = time.perf_counter()
@@ -389,7 +391,7 @@ def _cmd_scan(args) -> int:
 def _cmd_structure(args) -> int:
     n = args.n
     f = factorize_for_quotient(n)
-    if f.is_prime:
+    if f.is_prime and args.format != "json":
         _emit(f"n={n}: degenerate (prime, no proper divisors)\n", args)
         return EXIT_DEGENERATE
     q = build_quotient(f)
@@ -431,13 +433,13 @@ def _cmd_structure(args) -> int:
         if q.edge_count:
             lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in q.edges()))
         _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK
+    return EXIT_DEGENERATE if f.is_prime else EXIT_OK
 
 
 def _cmd_integrality(args) -> int:
     n = args.n
     assembled = sp.assemble_spectrum(n)
-    if assembled.degenerate == "empty":
+    if assembled.degenerate == "empty" and args.format != "json":
         _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
         return EXIT_DEGENERATE
     integral = sp.is_laplacian_integral(assembled)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class SpectrumMultiset:
             np.array([e.value for e in self.entries], dtype=np.float64),
             [e.multiplicity for e in self.entries],
         )
-
-    def min_value(self) -> float:
-        return self.entries[-1].value if self.entries else math.nan
 
     def zero_multiplicity(self) -> int:
         return sum(e.multiplicity for e in self.entries if abs(e.value) <= ZERO_TOL)
@@ -469,11 +466,3 @@ def characteristic_polynomial(matrix) -> list[int]:
             )
         coeffs.append(-(trace // k))
     return coeffs
-
-
-def poly_eval_int(coeffs: Sequence[int], x: int) -> int:
-    """Exact Horner evaluation of an integer polynomial at an integer."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc

@@ -1,15 +1,15 @@
 """Vertex-level cozero-divisor graph of the integers mod n.
 
 This is the brute-force side of every spectral check. Adjacency is filled
-from the divisor criterion (mutual non-divisibility of gcd classes); in
-verification mode every pair is re-checked against the ring definition,
-and for small n the ideal memberships can be enumerated outright.
+from the divisor criterion: x and y are adjacent when neither gcd class
+divides the other, which is the ring definition (x outside the ideal of
+y and y outside the ideal of x) since y and gcd(y, n) generate the same
+ideal of Z_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -24,45 +24,6 @@ _PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3", "#a6d854",
     "#ffd92f", "#e5c494", "#b3b3b3", "#1f78b4", "#33a02c",
 )
-
-
-def _check_vertex(x: int, n: int) -> None:
-    if not 0 < x < n:
-        raise ValueError(f"{x} is not a canonical non-zero element of Z_{n}")
-    if gcd(x, n) == 1:
-        raise ValueError(f"{x} is a unit of Z_{n}")
-
-
-def is_adjacent_by_definition(x: int, y: int, n: int) -> bool:
-    """Ring definition: adjacent iff x lies outside the ideal of y and vice versa.
-
-    Membership of x in the ideal of y reduces to divisibility of x by
-    gcd(y, n), because y and gcd(y, n) generate the same ideal of Z_n.
-    """
-    _check_vertex(x, n)
-    _check_vertex(y, n)
-    return x % gcd(y, n) != 0 and y % gcd(x, n) != 0
-
-
-def ideal_of(y: int, n: int) -> frozenset[int]:
-    """The principal ideal {r*y mod n}, literally enumerated."""
-    return frozenset(r * y % n for r in range(n))
-
-
-def is_adjacent_exhaustive(x: int, y: int, n: int) -> bool:
-    """Ring definition with enumerated ideals. O(n) per call; verification only."""
-    _check_vertex(x, n)
-    _check_vertex(y, n)
-    return x not in ideal_of(y, n) and y not in ideal_of(x, n)
-
-
-def is_adjacent_by_divisor(x: int, y: int, n: int) -> bool:
-    """Class criterion: adjacent iff the gcd classes do not divide one another."""
-    _check_vertex(x, n)
-    _check_vertex(y, n)
-    k1 = gcd(x, n)
-    k2 = gcd(y, n)
-    return k1 % k2 != 0 and k2 % k1 != 0
 
 
 @dataclass(frozen=True)
@@ -91,9 +52,7 @@ class FullGraph:
         return self.adjacency.sum(axis=1, dtype=np.int64)
 
 
-def build_full_graph(
-    n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP, verify: bool = False
-) -> FullGraph:
+def build_full_graph(n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
     """Build the graph for composite n, given as n or its factorization.
 
     Prime n raises EmptyGraphError (no vertices at all, distinct from the
@@ -119,16 +78,6 @@ def build_full_graph(
         strip = g[lo:lo + STRIP_HEIGHT, None]
         adjacency[lo:lo + STRIP_HEIGHT] = (strip % g != 0) & (g % strip != 0)
 
-    if verify:
-        for i in range(m):
-            for j in range(i + 1, m):
-                by_def = is_adjacent_by_definition(int(vertices[i]), int(vertices[j]), n)
-                if by_def != bool(adjacency[i, j]):
-                    raise AssertionError(
-                        f"adjacency mismatch at n={n}, pair "
-                        f"({vertices[i]}, {vertices[j]}): definition gives {by_def}"
-                    )
-
     adjacency.setflags(write=False)
     return FullGraph(n, tuple(int(v) for v in vertices), tuple(int(c) for c in g), adjacency)
 
@@ -147,13 +96,6 @@ def laplacian_matrix(graph: FullGraph) -> np.ndarray:
 
 def connected_component_count(graph: FullGraph) -> int:
     return len(connected_components(graph.adjacency))
-
-
-def is_connected_full(graph: FullGraph) -> bool:
-    """BFS reachability; a single vertex counts as connected, no vertices do not."""
-    if graph.vertex_count == 0:
-        return False
-    return connected_component_count(graph) == 1
 
 
 def full_graph_connected_predicate(n: int | Factorization) -> bool | None:

@@ -182,13 +182,6 @@ def _pollard_brent(m: int) -> int:
             return g
 
 
-def totient(n: int) -> int:
-    """Count of integers in [1, n] coprime to n, by the product formula."""
-    if n < 1:
-        raise ValueError(f"totient requires n >= 1, got {n}")
-    return 1 if n == 1 else factorize(n).totient
-
-
 def totient_prime_power(p: int, e: int) -> int:
     """phi(p^e) for prime p and e >= 0."""
     if e == 0:
@@ -202,23 +195,3 @@ def divisor_exponents(f: Factorization) -> list[tuple[int, tuple[int, ...]]]:
     for p, e in f.factors:
         divs = [(d * p**a, vec + (a,)) for d, vec in divs for a in range(e + 1)]
     return sorted(divs)
-
-
-def all_divisors(n: int) -> list[int]:
-    """Every divisor of n including 1 and n, ascending."""
-    if n < 1:
-        raise ValueError(f"all_divisors requires n >= 1, got {n}")
-    f = factorize(n) if n > 1 else Factorization(1, ())
-    return [d for d, _ in divisor_exponents(f)]
-
-
-def proper_divisors(n: int) -> list[int]:
-    """Divisors d with 1 < d < n, ascending; empty when n is prime."""
-    if n < 2:
-        raise ValueError(f"proper_divisors requires n >= 2, got {n}")
-    return all_divisors(n)[1:-1]
-
-
-def gcd_class_count(n: int, d: int) -> int:
-    """|{x in [1, n-1] : gcd(x, n) == d}| by direct scan (verification oracle)."""
-    return sum(1 for x in range(1, n) if gcd(x, n) == d)

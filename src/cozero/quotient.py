@@ -75,11 +75,13 @@ def factorize_for_quotient(n: int) -> Factorization:
 def build_quotient(n: int | Factorization) -> QuotientGraph:
     """Quotient graph on the proper divisors, ascending. Empty for prime n.
 
-    Takes n or its factorization. n must lie below 2**63: weighted
-    degrees are int64 sums of weights, which add up to n - phi(n) - 1.
+    Takes n or its factorization. A composite n must lie below 2**63:
+    weighted degrees are int64 sums of weights, which add up to
+    n - phi(n) - 1.
     """
     f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
-    _require_below_int64(f.n)
+    if not f.is_prime:
+        _require_below_int64(f.n)
     proper = divisor_exponents(f)[1:-1]
     phis = [[totient_prime_power(p, e - a) for a in range(e + 1)] for p, e in f.factors]
     weights = tuple(math.prod(phi[a] for phi, a in zip(phis, vec)) for _, vec in proper)
@@ -95,33 +97,14 @@ def build_quotient(n: int | Factorization) -> QuotientGraph:
     return QuotientGraph(f.n, tuple(d for d, _ in proper), weights, adjacency)
 
 
-def quotient_component_count(q: QuotientGraph) -> int:
-    return len(connected_components(q.adjacency))
-
-
-def is_connected_quotient(q: QuotientGraph) -> bool:
-    """BFS reachability; a single vertex is connected, an empty quotient is not."""
-    if q.size == 0:
-        return False
-    return quotient_component_count(q) == 1
-
-
 def quotient_connectivity_state(q: QuotientGraph) -> str:
+    """"empty" for prime n, else "connected" or "disconnected" by BFS.
+
+    A single vertex counts as connected.
+    """
     if q.is_empty:
         return "empty"
-    return "connected" if is_connected_quotient(q) else "disconnected"
-
-
-def quotient_connected_predicate(n: int) -> bool | None:
-    """Closed form: None for prime n (empty quotient); otherwise the
-    quotient is connected unless n is a prime power p**t with t >= 3,
-    whose divisors form a divisibility chain with no edges."""
-    if n < 2:
-        raise ValueError(f"predicate requires n >= 2, got {n}")
-    f = factorize(n)
-    if f.is_prime:
-        return None
-    return not (f.is_prime_power and f.factors[0][1] >= 3)
+    return "connected" if len(connected_components(q.adjacency)) == 1 else "disconnected"
 
 
 def weighted_degrees(q: QuotientGraph) -> list[int]:
@@ -149,7 +132,7 @@ class WeightedLaplacian:
     symmetric_form: np.ndarray
 
 
-def build_weighted_laplacian(q: QuotientGraph, verify: bool = False) -> WeightedLaplacian:
+def build_weighted_laplacian(q: QuotientGraph) -> WeightedLaplacian:
     if q.is_empty:
         raise ValueError(f"n = {q.n} is prime; the quotient has no Laplacian")
     degrees = weighted_degrees(q)
@@ -159,34 +142,9 @@ def build_weighted_laplacian(q: QuotientGraph, verify: bool = False) -> Weighted
     np.fill_diagonal(entries, degrees)
     symmetric = np.where(q.adjacency, -np.outer(root_w, root_w), 0.0)
     np.fill_diagonal(symmetric, degrees)
-
-    if verify:
-        row_sums = entries.sum(axis=1)
-        if np.any(row_sums != 0):
-            raise AssertionError(f"nonzero row sums at n = {q.n}: {row_sums}")
-        # the similarity is explicit: conjugating by diag(sqrt(w)) must
-        # reproduce the symmetric form entry for entry
-        conj = (root_w[:, None] * entries.astype(np.float64)) / root_w[None, :]
-        if float(np.max(np.abs(conj - symmetric))) > 1e-12 * max(1.0, float(np.max(np.abs(symmetric)))):
-            raise AssertionError(f"symmetric form is not the conjugate at n = {q.n}")
-
     entries.setflags(write=False)
     symmetric.setflags(write=False)
     return WeightedLaplacian(q.size, entries, symmetric)
-
-
-def laplacian_in_order(
-    q: QuotientGraph, wl: WeightedLaplacian, order: Sequence[int]
-) -> np.ndarray:
-    """The integer Laplacian permuted to a caller-chosen divisor order.
-
-    Display helper: internal order is always ascending, but worked
-    examples often index rows differently.
-    """
-    if sorted(order) != sorted(q.divisors):
-        raise ValueError(f"{order} is not a permutation of the divisors {q.divisors}")
-    idx = [q.divisors.index(d) for d in order]
-    return wl.entries[np.ix_(idx, idx)].copy()
 
 
 def to_dot(q: QuotientGraph, degrees: Sequence[int] | None = None) -> str:

@@ -62,13 +62,6 @@ class AssembledSpectrum:
     def vertex_count(self) -> int:
         return self.combined.total_multiplicity
 
-    @property
-    def integer_multiplicity_total(self) -> int:
-        return sum(e.multiplicity for e in self.integer_part)
-
-    def is_empty(self) -> bool:
-        return self.degenerate == "empty"
-
 
 def _combine(
     integer_part: tuple[ClassEigenvalue, ...], quotient_part: eigen.SpectrumMultiset
@@ -174,22 +167,6 @@ def charpoly_p2q(p: int, q: int) -> list[int]:
     return [1, -c3, c2, -c1, 0]
 
 
-def closed_form_general(p: int, n1: int, q: int, n2: int) -> AssembledSpectrum:
-    """Spectrum for n = p**n1 * q**n2 from the two-prime divisor lattice.
-
-    The factorization is known, so n is never factored: it goes to the
-    same lattice and assembly as assemble_spectrum. Divisors are
-    p**a * q**b over the exponent grid, adjacent exactly when one has
-    more of p and less of q than the other, and the (n1+1)(n2+1)-2
-    quotient eigenvalues are solved numerically.
-    """
-    _require_distinct_primes(p, q)
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"exponents must be >= 1, got {n1}, {n2}")
-    factors = tuple(sorted(((p, n1), (q, n2))))
-    return assemble_spectrum(Factorization(p**n1 * q**n2, factors))
-
-
 def is_laplacian_integral(spectrum: AssembledSpectrum | eigen.SpectrumMultiset) -> bool:
     """True iff every eigenvalue sits within eigen.INTEGER_TOL of an integer."""
     multiset = spectrum.combined if isinstance(spectrum, AssembledSpectrum) else spectrum
@@ -260,6 +237,15 @@ class OracleReport:
     component_count: int
 
 
+def exceeds_vertex_bound(n: int, cap: int) -> bool:
+    """Whether n is known to have more than cap vertices before it is factored.
+
+    A composite n has at least isqrt(n) - 1 vertices (the multiples of its
+    least prime). A prime n has none.
+    """
+    return math.isqrt(n) - 1 > cap and not is_prime(n)
+
+
 def verify_against_oracle(
     n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP
 ) -> OracleReport:
@@ -268,19 +254,14 @@ def verify_against_oracle(
     Takes n or its factorization; n is factored once, here, and both
     sides read that factorization. The oracle builds the explicit
     vertex-level Laplacian and solves it with no knowledge of the join
-    structure. Raises VertexCapError when the graph would exceed cap;
-    a composite n has at least isqrt(n) - 1 vertices (the multiples of
-    its least prime), so when that already exceeds cap, n is refused
-    before it is factored. Prime n verifies trivially (both sides empty)
-    and is flagged degenerate.
+    structure. Raises VertexCapError when the graph would exceed cap, and
+    before n is factored when exceeds_vertex_bound already says so.
+    Prime n verifies trivially (both sides empty) and is flagged
+    degenerate.
     """
-    if isinstance(n, Factorization):
-        f = n
-    else:
-        bound = math.isqrt(n) - 1
-        if bound > cap and not is_prime(n):
-            raise VertexBoundError(n, bound, cap)
-        f = factorize(n)
+    if not isinstance(n, Factorization) and exceeds_vertex_bound(n, cap):
+        raise VertexBoundError(n, math.isqrt(n) - 1, cap)
+    f = n if isinstance(n, Factorization) else factorize(n)
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f, cap=cap)

@@ -17,25 +17,23 @@ from cozero import (
     build_full_graph,
     build_quotient,
     build_weighted_laplacian,
+    Factorization,
     characteristic_polynomial,
     charpoly_p2q,
-    closed_form_general,
     closed_form_pq,
     compare_multisets,
     connected_component_count,
     eigenvalues_symmetric,
+    factorize,
     full_graph_connected_predicate,
-    is_connected_full,
-    is_connected_quotient,
     is_laplacian_integral,
     is_prime,
     laplacian_matrix,
-    quotient_component_count,
-    quotient_connected_predicate,
-    totient,
+    quotient_connectivity_state,
     verify_against_oracle,
 )
-from cozero.eigen import SpectrumMultiset, merge_spectrum
+from cozero.eigen import SpectrumMultiset, connected_components, merge_spectrum
+from reference import quotient_connected_predicate
 
 TOL = 1e-6
 
@@ -126,7 +124,7 @@ def sweep(oracle_spectrum):
             quotient=quotient_spec,
             quotient_trace=float(np.trace(wl.symmetric_form)),
             quotient_norm=float(np.linalg.norm(wl.symmetric_form)),
-            quotient_components=quotient_component_count(q),
+            quotient_components=len(connected_components(q.adjacency)),
         )
     return Sweep(records, time.perf_counter() - started)
 
@@ -218,16 +216,16 @@ def test_criterion_4_oracle_equivalence(sweep):
 
 
 def test_criterion_5_two_prime_power_family(oracle_spectrum):
-    """The two-prime-power generator agrees with assembly, quotient size included.
+    """The two-prime-power family from its factorization agrees with
+    assembly from n, quotient size included.
 
-    closed_form_general runs the same lattice and assembly as
-    assemble_spectrum, so each case is also checked against the
-    brute-force oracle, which shares no code with either.
+    Both run the same lattice and assembly, so each case is also checked
+    against the brute-force oracle, which shares no code with either.
     """
     violations = []
     for p, n1, q, n2 in GENERAL_CASES:
         n = p**n1 * q**n2
-        general = closed_form_general(p, n1, q, n2)
+        general = assemble_spectrum(Factorization(n, tuple(sorted(((p, n1), (q, n2))))))
         assembled = assemble_spectrum(n)
         if integer_part_map(general) != integer_part_map(assembled):
             violations.append((n, "integer parts differ"))
@@ -269,7 +267,7 @@ def test_criterion_6_structural_suite():
             violations.append((n, "definition and divisor adjacency differ"))
         class_sizes = Counter(graph.classes)
         for d, size in class_sizes.items():
-            if size != totient(n // d):
+            if size != factorize(n // d).totient:
                 violations.append((n, f"class {d} has size {size}"))
         classes = np.array(graph.classes)
         divisors = sorted(class_sizes)
@@ -282,10 +280,11 @@ def test_criterion_6_structural_suite():
                 between = int(graph.adjacency[np.ix_(idx_i, idx_j)].sum())
                 if between not in (0, len(idx_i) * len(idx_j)):
                     violations.append((n, f"partial join {di}-{dj}"))
-        if is_connected_full(graph) != full_graph_connected_predicate(n):
+        if (connected_component_count(graph) == 1) != full_graph_connected_predicate(n):
             violations.append((n, "full connectivity disagrees with the predicate"))
         q = build_quotient(n)
-        if is_connected_quotient(q) != quotient_connected_predicate(n):
+        connected = quotient_connectivity_state(q) == "connected"
+        if connected != quotient_connected_predicate(n):
             violations.append((n, "quotient connectivity disagrees with the predicate"))
     elapsed = time.perf_counter() - started
     conclude(6, "structural suite over all n <= 300", violations, elapsed)
@@ -298,8 +297,9 @@ def test_criterion_7_numerical_hygiene(sweep):
         full_sum = float(np.sum(r.oracle.values()))
         if abs(full_sum - r.full_trace) > 1e-8 * max(r.full_norm, 1.0):
             violations.append((n, "full-graph trace identity"))
-        if r.oracle.min_value() < -1e-8:
-            violations.append((n, f"negative eigenvalue {r.oracle.min_value():.2e}"))
+        smallest = r.oracle.entries[-1].value
+        if smallest < -1e-8:
+            violations.append((n, f"negative eigenvalue {smallest:.2e}"))
         if r.oracle.zero_multiplicity() != r.components:
             violations.append(
                 (n, f"zero multiplicity {r.oracle.zero_multiplicity()} != "
@@ -308,7 +308,7 @@ def test_criterion_7_numerical_hygiene(sweep):
         quotient_sum = float(np.sum(r.quotient.values()))
         if abs(quotient_sum - r.quotient_trace) > 1e-8 * max(r.quotient_norm, 1.0):
             violations.append((n, "quotient trace identity"))
-        if r.quotient.entries and r.quotient.min_value() < -1e-8:
+        if r.quotient.entries and r.quotient.entries[-1].value < -1e-8:
             violations.append((n, "negative quotient eigenvalue"))
         if r.quotient.zero_multiplicity() != r.quotient_components:
             violations.append((n, "quotient zero multiplicity"))

@@ -268,11 +268,11 @@ class TestVerifyCommand:
 
     def test_factors_once(self, capsys, monkeypatch):
         calls = {name: count_calls(monkeypatch, name)
-                 for name in ("factorize", "is_prime", "totient")}
+                 for name in ("factorize", "is_prime")}
         code, out, _ = run(capsys, "verify", "998")
         assert code == 0
         assert out.startswith("n=998: PASS")
-        assert calls == {"factorize": [998], "is_prime": [], "totient": []}
+        assert calls == {"factorize": [998], "is_prime": []}
 
 
 class TestScanCommand:
@@ -352,6 +352,24 @@ class TestScanCommand:
         assert code == 64
         assert "lo" in err
 
+    @pytest.mark.parametrize("family", cli.FILTERS)
+    def test_refused_n_is_a_cap_row_under_every_filter(self, capsys, monkeypatch, family):
+        # factoring 10**30 + 1 reaches a cofactor above the Miller-Rabin
+        # bound; its vertex bound refuses it before that, as verify does
+        no_rho(monkeypatch)
+        calls = count_calls(monkeypatch, "factorize")
+        n = 10**30 + 1
+        code, out, err = run(capsys, "scan", str(n), str(n + 1), "--filter", family,
+                             "--jobs", "1", "--format", "json", "--no-timestamp")
+        assert code == 1
+        assert err == ""
+        rows = json.loads(out)["rows"]
+        assert [(r["n"], r["status"]) for r in rows] == [(n, "CAP"), (n + 1, "CAP")]
+        assert "at least 999999999999999 vertices" in rows[0]["error"]
+        assert calls == []
+        code, out, _ = run(capsys, "verify", str(n))
+        assert code == 3
+
 
 class TestStructureCommand:
     def test_dot_quotient(self, capsys):
@@ -400,6 +418,40 @@ class TestStructureCommand:
         assert code == 0
         assert json.loads(out)["full_graph_connected"] is True
         assert calls == [n]
+
+
+class TestPrimeJson:
+    """Prime n has an empty graph: JSON still carries each command's payload."""
+
+    @pytest.mark.parametrize("n", [7, 9223372036854775837])
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "structure", "integrality"])
+    def test_is_json_with_schema(self, capsys, command, n):
+        code, out, _ = run(capsys, command, str(n), "--format", "json", "--no-timestamp")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["schema"] == 1
+        assert doc["n"] == n
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_payloads(self, capsys):
+        docs = {}
+        for command in ("verify", "structure", "integrality"):
+            _, out, _ = run(capsys, command, "7", "--format", "json", "--no-timestamp")
+            docs[command] = json.loads(out)
+        assert docs["verify"]["matched"] is True
+        assert docs["verify"]["vertex_count"] == 0
+        assert docs["structure"]["divisor_classes"] == docs["structure"]["edges"] == []
+        assert docs["structure"]["quotient_connectivity"] == "empty"
+        assert docs["structure"]["full_graph_connected"] is None
+        assert docs["integrality"]["degenerate"] == "empty"
+
+    def test_payload_keys_match_composite_n(self, capsys):
+        for command in ("verify", "structure", "integrality"):
+            keys = []
+            for n in ("7", "15"):
+                _, out, _ = run(capsys, command, n, "--format", "json", "--no-timestamp")
+                keys.append(list(json.loads(out)))
+            assert keys[0] == keys[1], command
 
 
 class TestIntegralityCommand:

@@ -24,8 +24,8 @@ from cozero.eigen import (
     SYMMETRY_TOL,
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
-    poly_eval_int,
 )
+from reference import poly_eval_int
 
 
 def bareiss_determinant(matrix):
@@ -382,7 +382,7 @@ class TestLaplacianHygiene:
     def test_psd_and_zero_multiplicity(self, n, components):
         graph = build_full_graph(n)
         s = eigenvalues_symmetric(laplacian_matrix(graph))
-        assert s.min_value() >= -1e-8
+        assert s.entries[-1].value >= -1e-8
         assert s.zero_multiplicity() == components
         assert connected_component_count(graph) == components
 

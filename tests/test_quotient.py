@@ -6,16 +6,13 @@ from cozero import (
     build_quotient,
     build_weighted_laplacian,
     factorize,
-    is_connected_quotient,
     is_prime,
-    laplacian_in_order,
-    quotient_connected_predicate,
     quotient_connectivity_state,
-    totient,
     weighted_degrees,
 )
 from cozero.eigen import eigenvalues_symmetric
 from cozero.quotient import laplacian_csv, to_dot
+from reference import quotient_connected_predicate
 
 
 def prime_pairs(limit):
@@ -74,7 +71,7 @@ class TestBuildQuotient:
     def test_weight_sum_identity(self):
         for n in range(2, 1001):
             q = build_quotient(n)
-            assert sum(q.weights) == n - totient(n) - 1
+            assert sum(q.weights) == n - factorize(n).totient - 1
 
 
 class TestWeightedDegrees:
@@ -160,15 +157,22 @@ class TestWeightedLaplacian:
         # zero row sums, and the symmetric form equals the integer form
         # conjugated by diag(sqrt(w)), entry for entry
         for n in range(4, 400):
-            if not is_prime(n):
-                build_weighted_laplacian(build_quotient(n), verify=True)
+            if is_prime(n):
+                continue
+            q = build_quotient(n)
+            wl = build_weighted_laplacian(q)
+            assert not wl.entries.sum(axis=1).any()
+            root_w = np.sqrt(np.array(q.weights, dtype=np.float64))
+            conj = root_w[:, None] * wl.entries / root_w[None, :]
+            scale = max(1.0, float(np.max(np.abs(wl.symmetric_form))))
+            assert float(np.max(np.abs(conj - wl.symmetric_form))) <= 1e-12 * scale
 
 
 class TestConnectivity:
     def test_examples(self):
-        assert not is_connected_quotient(build_quotient(27))
-        assert is_connected_quotient(build_quotient(4))  # single vertex
-        assert is_connected_quotient(build_quotient(30))
+        assert quotient_connectivity_state(build_quotient(27)) == "disconnected"
+        assert quotient_connectivity_state(build_quotient(4)) == "connected"  # single vertex
+        assert quotient_connectivity_state(build_quotient(30)) == "connected"
 
     def test_state_strings(self):
         assert quotient_connectivity_state(build_quotient(11)) == "empty"
@@ -181,28 +185,11 @@ class TestConnectivity:
             if is_prime(n):
                 assert predicted is None
                 continue
-            assert is_connected_quotient(build_quotient(n)) == predicted
+            state = quotient_connectivity_state(build_quotient(n))
+            assert state == ("connected" if predicted else "disconnected")
 
 
 class TestDisplayHelpers:
-    def test_reorder_identity(self):
-        q = build_quotient(12)
-        wl = build_weighted_laplacian(q)
-        same = laplacian_in_order(q, wl, (2, 3, 4, 6))
-        assert np.array_equal(same, wl.entries)
-
-    def test_reorder_permutes_rows_and_columns(self):
-        q = build_quotient(12)
-        wl = build_weighted_laplacian(q)
-        flipped = laplacian_in_order(q, wl, (6, 4, 3, 2))
-        assert np.array_equal(flipped[::-1, ::-1], wl.entries)
-
-    def test_reorder_rejects_non_permutation(self):
-        q = build_quotient(12)
-        wl = build_weighted_laplacian(q)
-        with pytest.raises(ValueError):
-            laplacian_in_order(q, wl, (2, 3, 4, 5))
-
     def test_dot_output(self):
         q = build_quotient(30)
         dot = to_dot(q, weighted_degrees(q))
