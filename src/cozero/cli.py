@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +21,7 @@ from datetime import datetime, timezone
 from itertools import chain
 
 from . import spectrum as sp
-from .errors import EmptyGraphError, VertexCapError
+from .errors import VertexBoundError, VertexCapError
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     build_full_graph,
@@ -70,57 +71,49 @@ def _build_parser() -> _Parser:
     # Namespace each time, and no argument has a mutable default or appends
     parser = _Parser(prog="cozero", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "dot", "text"), default="text"
-    )
-    common.add_argument("--cap", type=_positive_int, default=None,
-                        help="vertex cap for full-graph builds "
-                             "(default COZERO_CAP env or %d)" % DEFAULT_VERTEX_CAP)
     common.add_argument("--no-timestamp", action="store_true",
                         help="suppress timestamps/timing for byte-identical output")
     common.add_argument("--out", default=None, help="write output to a file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", parents=[common],
-                            help="assembled Laplacian spectrum of one n")
+    def command(name: str, formats: tuple[str, ...], cap: bool, summary: str) -> _Parser:
+        # each command takes only the formats it renders, and --cap only
+        # when it builds the full graph
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--format", choices=formats, default="text")
+        if cap:
+            p.add_argument("--cap", type=_positive_int, default=DEFAULT_VERTEX_CAP,
+                           help="vertex cap for full-graph builds (default %(default)s)")
+        return p
+
+    p_spec = command("spectrum", ("text", "json", "csv"), False,
+                     "assembled Laplacian spectrum of one n")
     p_spec.add_argument("n", type=int)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="check the assembly against the brute-force oracle")
+    p_verify = command("verify", ("text", "json"), True,
+                       "check the assembly against the brute-force oracle")
     p_verify.add_argument("n", type=int)
 
-    p_scan = sub.add_parser("scan", parents=[common],
-                            help="verify every eligible n in a range")
+    p_scan = command("scan", ("text", "json", "csv"), True,
+                     "verify every eligible n in a range")
     p_scan.add_argument("lo", type=int)
     p_scan.add_argument("hi", type=int)
     p_scan.add_argument("--filter", choices=FILTERS, default="all")
     p_scan.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes (default: available cores)")
 
-    p_struct = sub.add_parser("structure", parents=[common],
-                              help="divisor quotient graph and class table")
+    p_struct = command("structure", ("text", "json", "csv", "dot"), True,
+                       "divisor quotient graph and class table")
     p_struct.add_argument("n", type=int)
     p_struct.add_argument("--full", action="store_true",
                           help="with --format dot, emit the full graph instead")
 
-    p_int = sub.add_parser("integrality", parents=[common],
-                           help="report whether the spectrum is all-integer")
+    p_int = command("integrality", ("text", "json"), False,
+                    "report whether the spectrum is all-integer")
     p_int.add_argument("n", type=int)
 
     return parser
-
-
-def _resolve_cap(args, parser: _Parser) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("COZERO_CAP")
-    if env is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"COZERO_CAP {exc}")
 
 
 def _emit(text: str, args) -> None:
@@ -232,10 +225,6 @@ def _spectrum_text(assembled: sp.AssembledSpectrum) -> str:
 
 def _cmd_spectrum(args) -> int:
     n = args.n
-    if args.format == "dot":
-        sys.stderr.write("cozero: spectrum has no dot rendering; "
-                         "use the structure command\n")
-        return EXIT_USAGE
     assembled = sp.assemble_spectrum(n)
     if args.format == "text":
         lines = [f"n={n}: {_spectrum_text(assembled)}"]
@@ -303,10 +292,20 @@ def _matches_filter(f: Factorization, family: str) -> bool:
     raise ValueError(f"unknown filter {family!r}")
 
 
-def _scan_one(task: tuple[int | Factorization, int]) -> dict:
-    f, cap = task
-    n = f if isinstance(f, int) else f.n
+def _scan_one(task: tuple[int, int, str]) -> dict | None:
+    """The scan row of n, or None when n is not of the filter's family.
+
+    An n that the vertex bound refuses is left unfactored, and an n whose
+    factoring fails has no factors either; their family is unknown, so
+    under every filter they become CAP and ERROR rows.
+    """
+    n, cap, family = task
     try:
+        if sp.exceeds_vertex_bound(n, cap):
+            raise VertexBoundError(n, math.isqrt(n) - 1, cap)
+        f = factorize(n)
+        if not _matches_filter(f, family):
+            return None
         report = sp.verify_against_oracle(f, cap=cap)
     except VertexCapError as exc:
         return {"n": n, "status": "CAP", "error": str(exc)}
@@ -325,12 +324,7 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.lo <= args.hi:
         sys.stderr.write(f"cozero: need 2 <= lo <= hi, got {args.lo}, {args.hi}\n")
         return EXIT_USAGE
-    # an n refused by the vertex bound is left unfactored; its family is
-    # unknown, so under every filter it is verified, to a CAP row
-    candidates = (n if sp.exceeds_vertex_bound(n, args.cap) else factorize(n)
-                  for n in range(args.lo, args.hi + 1))
-    tasks = [(f, args.cap) for f in candidates
-             if isinstance(f, int) or _matches_filter(f, args.filter)]
+    tasks = [(n, args.cap, args.filter) for n in range(args.lo, args.hi + 1)]
     cores = os.cpu_count() or 1
     jobs = min(args.jobs or cores, len(tasks), cores)
     started = time.perf_counter()
@@ -341,6 +335,7 @@ def _cmd_scan(args) -> int:
             rows = pool.map(_scan_one, tasks)
     else:
         rows = [_scan_one(t) for t in tasks]
+    rows = [r for r in rows if r is not None]
     elapsed = time.perf_counter() - started
 
     failures = [r for r in rows if r["status"] not in ("PASS",)]
@@ -470,7 +465,6 @@ def main(argv=None) -> int:
     if getattr(args, "n", 2) < 2:
         sys.stderr.write(f"cozero: n must be >= 2, got {args.n}\n")
         return EXIT_ERROR
-    args.cap = _resolve_cap(args, parser)
     handlers = {
         "spectrum": _cmd_spectrum,
         "verify": _cmd_verify,
@@ -480,9 +474,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except EmptyGraphError as exc:
-        sys.stderr.write(f"cozero: {exc}\n")
-        return EXIT_DEGENERATE
     except VertexCapError as exc:
         sys.stderr.write(f"cozero: {exc}\n")
         return EXIT_CAP

@@ -8,8 +8,9 @@ update it makes is a single matrix product. QL runs on the tridiagonal
 T in reverse order, so it deflates from the bottom of T, with one
 threshold scaled by |T|, the largest entry of T: e_i**2 <= (eps |T|)**2.
 It is the only route to eigenvalues. A known null vector,
-such as the square-root weights of a weighted Laplacian, is deflated, so
-its zero eigenvalue comes out exact. The characteristic polynomial is
+such as the square-root weights of a weighted Laplacian, is deflated from
+the whole matrix, so its zero eigenvalue comes out exact; any other zero
+eigenvalue is computed like the rest. The characteristic polynomial is
 exact (Faddeev-LeVerrier over Python integers); it finds no roots and
 serves as an independent reference for small integer matrices, such as
 the paper's p**2 * q quartic.
@@ -94,7 +95,8 @@ class SpectrumMultiset:
         return sum(e.multiplicity for e in self.entries if abs(e.value) <= ZERO_TOL)
 
     def is_integral(self) -> bool:
-        return all(abs(e.value - round(e.value)) <= INTEGER_TOL for e in self.entries)
+        """Whether every value is exact; merge_spectrum decides that once."""
+        return all(e.exact for e in self.entries)
 
 
 def merge_spectrum(triples: Iterable[tuple[float, int, bool]]) -> SpectrumMultiset:
@@ -152,9 +154,7 @@ def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
     """Vertex index arrays of the components of a symmetric boolean adjacency.
 
     Breadth-first by whole frontiers, whose rows are read STRIP_HEIGHT at
-    a time; components come in order of their smallest vertex. For a
-    symmetric matrix these are its irreducible blocks under the pattern
-    of nonzero off-diagonal entries.
+    a time; components come in order of their smallest vertex.
     """
     m = adjacency.shape[0]
     seen = np.zeros(m, dtype=bool)
@@ -383,10 +383,11 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
 def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     """All eigenvalues of a real symmetric matrix, merged by multiplicity.
 
-    With null_vector, the matrix is solved one irreducible block (component
-    of its nonzero off-diagonal pattern) at a time. Each block must have
-    null_vector's restriction in its kernel, as the square-root weights do
-    for the symmetric form of a weighted Laplacian, and contributes one
+    With null_vector, which must lie in the kernel of the matrix, as the
+    square-root weights do for the symmetric form of a weighted Laplacian,
+    that vector is deflated from the whole matrix and gives one exact zero.
+    Any other zero eigenvalue, such as one per further component of a
+    disconnected graph, is computed like the rest and merges into that
     exact zero. A matrix or null vector with an inf or a nan is refused
     with a ValueError.
     """
@@ -396,14 +397,10 @@ def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     null = np.asarray(null_vector, dtype=np.float64)
     if null.shape != (len(a),):
         raise ValueError(f"null vector of shape {null.shape} for a {a.shape} matrix")
-    pattern = a != 0.0
-    np.fill_diagonal(pattern, False)
-    blocks = connected_components(pattern)
-    triples = [(0, len(blocks), True)]
-    for block in blocks:
-        part = a if len(block) == len(a) else a[np.ix_(block, block)]
-        values = _deflated_eigenvalues(part, null[block])
-        triples.extend((v, 1, False) for v in values)
+    if len(a) == 0:
+        return SpectrumMultiset(())
+    triples = [(0, 1, True)]
+    triples.extend((v, 1, False) for v in _deflated_eigenvalues(a, null))
     return merge_spectrum(triples)
 
 

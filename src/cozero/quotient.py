@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -147,14 +146,11 @@ def build_weighted_laplacian(q: QuotientGraph) -> WeightedLaplacian:
     return WeightedLaplacian(q.size, entries, symmetric)
 
 
-def to_dot(q: QuotientGraph, degrees: Sequence[int] | None = None) -> str:
-    """DOT rendering with weight (and optionally weighted-degree) labels."""
+def to_dot(q: QuotientGraph, degrees: list[int]) -> str:
+    """DOT rendering with weight and weighted-degree labels."""
     lines = [f"graph divisor_quotient_{q.n} {{"]
-    for i, (d, w) in enumerate(zip(q.divisors, q.weights)):
-        label = f"{d}\\nw={w}"
-        if degrees is not None:
-            label += f" D={degrees[i]}"
-        lines.append(f'  d{d} [label="{label}"];')
+    for d, w, deg in zip(q.divisors, q.weights, degrees):
+        lines.append(f'  d{d} [label="{d}\\nw={w} D={deg}"];')
     for a, b in q.edges():
         lines.append(f"  d{a} -- d{b};")
     lines.append("}")

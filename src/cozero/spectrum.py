@@ -83,9 +83,8 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     Takes n or its factorization; n is factored once, here, and a
     composite n >= 2**63 is refused before that. Prime n yields the empty
     spectrum (marked degenerate "empty"); prime powers yield the all-zero
-    spectrum of a null graph ("null"). The quotient's zero eigenvalues,
-    one per component, are exact: the square-root weights are deflated
-    as known null vectors.
+    spectrum of a null graph ("null"). The quotient's zero eigenvalue is
+    exact: the square-root weights are deflated as a known null vector.
     """
     f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
     if f.is_prime:
@@ -168,7 +167,7 @@ def charpoly_p2q(p: int, q: int) -> list[int]:
 
 
 def is_laplacian_integral(spectrum: AssembledSpectrum | eigen.SpectrumMultiset) -> bool:
-    """True iff every eigenvalue sits within eigen.INTEGER_TOL of an integer."""
+    """True iff every eigenvalue is exact, an integer as merge_spectrum decided."""
     multiset = spectrum.combined if isinstance(spectrum, AssembledSpectrum) else spectrum
     return multiset.is_integral()
 

@@ -94,9 +94,10 @@ class TestSpectrumCommand:
             raise AssertionError("the refusal comes before the assembly")
 
         monkeypatch.setattr(spectrum, "assemble_spectrum", assemble)
-        code, _, err = run(capsys, "spectrum", "15", "--format", "dot")
-        assert code == 64
-        assert "structure" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "15", "--format", "dot"])
+        assert exc.value.code == 64
+        assert "--format" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "spectrum", "30", "--format", "json",
@@ -238,19 +239,6 @@ class TestVerifyCommand:
         assert code == 2
         assert "degenerate" in out
 
-    def test_cap_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("COZERO_CAP", "5")
-        code, _, err = run(capsys, "verify", "30")
-        assert code == 3
-
-    @pytest.mark.parametrize("value", ["many", "2.5", "0", "-1"])
-    def test_bad_cap_in_environment_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("COZERO_CAP", value)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "30"])
-        assert exc.value.code == 64
-        assert "COZERO_CAP" in capsys.readouterr().err
-
     @pytest.mark.parametrize("value", ["0", "-5", "x"])
     def test_bad_cap_option_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
@@ -337,8 +325,9 @@ class TestScanCommand:
         assert run(capsys, "scan", "4", "40", "--jobs", "1000000")[0] == 0
         assert run(capsys, "scan", "4", "40", "--jobs", "3")[0] == 0
         assert run(capsys, "scan", "6", "6", "--jobs", "1000000")[0] == 0
-        # 4, 6, 8, 9 are four tasks; 4..40 has 28; a single task runs inline
-        assert pools == [4, 8, 3]
+        # 4..9 is six tasks, factored in the workers; 4..40 has 37; a
+        # single task runs inline
+        assert pools == [6, 8, 3]
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
@@ -369,6 +358,21 @@ class TestScanCommand:
         assert calls == []
         code, out, _ = run(capsys, "verify", str(n))
         assert code == 3
+
+    @pytest.mark.parametrize("family", cli.FILTERS)
+    def test_failed_factoring_is_an_error_row_under_every_filter(self, capsys, family):
+        # with the cap above their vertex bound, 10**30 + 1 and 10**30 + 2
+        # are factored, and each reaches a cofactor that Miller-Rabin cannot
+        # decide; the scan still reports both
+        n = 10**30 + 1
+        code, out, err = run(capsys, "scan", str(n), str(n + 1), "--filter", family,
+                             "--cap", str(10**16), "--jobs", "1", "--format", "json",
+                             "--no-timestamp")
+        assert code == 1
+        assert err == ""
+        rows = json.loads(out)["rows"]
+        assert [(r["n"], r["status"]) for r in rows] == [(n, "ERROR"), (n + 1, "ERROR")]
+        assert all("cannot decide whether" in r["error"] for r in rows)
 
 
 class TestStructureCommand:
@@ -558,6 +562,25 @@ class TestUsageErrors:
                 main(argv)
             assert exc.value.code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "30", "--format", "csv"],
+        ["verify", "30", "--format", "dot"],
+        ["integrality", "12", "--format", "csv"],
+        ["integrality", "12", "--format", "dot"],
+        ["scan", "4", "8", "--format", "dot"],
+        ["spectrum", "30", "--cap", "5"],
+        ["integrality", "12", "--cap", "1"],
+    ])
+    def test_options_a_command_does_not_use_are_refused(self, capsys, argv):
+        # each command takes only the formats it renders, and --cap only
+        # when it builds the full graph
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert argv[-2] in err
+
     def test_missing_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum"])
@@ -607,37 +630,28 @@ class TestParserReuse:
         assert run(capsys, "spectrum", "30", "--out", str(tmp_path / "s.txt"))[0] == 0
         assert built == []
 
-    def test_in_process_sequence_matches_fresh_processes(
-            self, capsys, monkeypatch, tmp_path):
+    def test_in_process_sequence_matches_fresh_processes(self, capsys, tmp_path):
         # each pair checks that nothing of one call leaks into the next
-        monkeypatch.delenv("COZERO_CAP", raising=False)
         sequence = [
-            ({}, ["verify", "30", "--cap", "3"]),
-            ({}, ["verify", "30"]),
-            ({}, ["spectrum", "30", "--frobnicate"]),
-            ({}, ["structure", "30", "--format", "dot", "--full"]),
-            ({}, ["structure", "30", "--format", "dot"]),
-            ({}, ["spectrum", "30", "--format", "json", "--no-timestamp",
-                  "--out", "{out}"]),
-            ({"COZERO_CAP": "3"}, ["verify", "30", "--format", "json",
-                                   "--no-timestamp"]),
-            ({}, ["verify", "30", "--format", "json", "--no-timestamp"]),
+            ["verify", "30", "--cap", "3"],
+            ["verify", "30"],
+            ["spectrum", "30", "--frobnicate"],
+            ["structure", "30", "--format", "dot", "--full"],
+            ["structure", "30", "--format", "dot"],
+            ["spectrum", "30", "--format", "json", "--no-timestamp", "--out", "{out}"],
+            ["verify", "30", "--format", "json", "--no-timestamp", "--cap", "3"],
+            ["verify", "30", "--format", "json", "--no-timestamp"],
         ]
         results = []
-        for i, (extra, argv) in enumerate(sequence):
+        for i, argv in enumerate(sequence):
             out_file = tmp_path / f"in{i}.json"
-            for key, value in extra.items():
-                monkeypatch.setenv(key, value)
             results.append(in_process(
                 capsys, [a.format(out=out_file) for a in argv]))
-            for key in extra:
-                monkeypatch.delenv(key)
         assert [r[2] for r in results] == [3, 0, 64, 0, 0, 0, 3, 0]
 
-        for i, (extra, argv) in enumerate(sequence):
+        for i, argv in enumerate(sequence):
             out_file = tmp_path / f"fresh{i}.json"
-            expected = fresh_process([a.format(out=out_file) for a in argv],
-                                     dict(os.environ, **extra))
+            expected = fresh_process([a.format(out=out_file) for a in argv], os.environ)
             assert results[i] == expected, argv
             if "{out}" in argv:
                 assert (tmp_path / f"in{i}.json").read_text() == out_file.read_text()

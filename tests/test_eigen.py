@@ -329,8 +329,10 @@ class TestTridiagonalQL:
 
 
 class TestNullVectorDeflation:
-    def test_one_exact_zero_per_block(self):
-        # two components, weights (1, 4) and (9, 1, 1), plus an isolated vertex
+    def test_zeros_of_other_components_merge_into_the_exact_zero(self):
+        # two components, weights (1, 4) and (9, 1, 1), plus an isolated
+        # vertex: the square-root weights are deflated from the whole
+        # matrix, and the zeros of the other components are computed
         w = np.array([1.0, 4.0, 9.0, 1.0, 1.0, 7.0])
         adjacency = np.zeros((6, 6), dtype=bool)
         for i, j in ((0, 1), (2, 3), (3, 4)):

@@ -69,6 +69,13 @@ class TestAssembleSpectrum:
         assert entry_pairs(s.combined) == [(0.0, 2)]
         assert s.degenerate == "null"
 
+    @pytest.mark.parametrize("p, t", [(3, 39), (2, 62)])
+    def test_edgeless_quotient_is_one_exact_zero(self, p, t):
+        # the t - 1 divisors of p**t form a chain, so the quotient has no
+        # edges: one zero is deflated and the other t - 2 are computed
+        s = assemble_spectrum(p**t)
+        assert s.quotient_part.entries == (SpectrumEntry(0, t - 1, True),)
+
     def test_prime_is_empty_marker(self):
         s = assemble_spectrum(13)
         assert s.combined.entries == ()
