@@ -35,7 +35,6 @@ from .quotient import (
 from .eigen import (
     SpectrumEntry,
     SpectrumMultiset,
-    characteristic_polynomial,
     eigenvalues_symmetric,
     merge_spectrum,
 )
@@ -45,11 +44,8 @@ from .spectrum import (
     MultisetComparison,
     OracleReport,
     assemble_spectrum,
-    charpoly_p2q,
-    closed_form_pq,
     compare_multisets,
     is_laplacian_integral,
-    spectrum_report,
     verify_against_oracle,
 )
 
@@ -74,9 +70,6 @@ __all__ = [
     "build_full_graph",
     "build_quotient",
     "build_weighted_laplacian",
-    "characteristic_polynomial",
-    "charpoly_p2q",
-    "closed_form_pq",
     "compare_multisets",
     "connected_component_count",
     "divisor_exponents",
@@ -88,7 +81,6 @@ __all__ = [
     "laplacian_matrix",
     "merge_spectrum",
     "quotient_connectivity_state",
-    "spectrum_report",
     "verify_against_oracle",
     "weighted_degrees",
 ]

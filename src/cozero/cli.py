@@ -5,7 +5,8 @@ the brute-force oracle), scan (verify over a range, in parallel),
 structure (quotient graph and class table), integrality (integer-spectrum
 check). Exit codes: 0 success, 1 error or failed verification,
 2 degenerate input (prime or prime power), 3 vertex cap exceeded,
-64 usage error.
+64 usage error. Every output format (text, JSON, CSV and DOT) is rendered
+here; the library modules only compute.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -21,21 +21,22 @@ from datetime import datetime, timezone
 from itertools import chain
 
 from . import spectrum as sp
-from .errors import VertexBoundError, VertexCapError
+from .eigen import upper_pairs
+from .errors import VertexCapError
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
+    FullGraph,
     build_full_graph,
     full_graph_connected_predicate,
-    to_dot as full_graph_dot,
 )
 from .numbers import Factorization, factorize
 from .quotient import (
+    QuotientGraph,
+    WeightedLaplacian,
     build_quotient,
     build_weighted_laplacian,
     factorize_for_quotient,
-    laplacian_csv,
     quotient_connectivity_state,
-    to_dot as quotient_dot,
     weighted_degrees,
 )
 
@@ -47,6 +48,12 @@ EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
 FILTERS = ("all", "pq", "p2q", "png-q", "general2prime")
+
+# qualitative palette cycled per divisor class in the full graph's DOT
+_PALETTE = (
+    "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3", "#a6d854",
+    "#ffd92f", "#e5c494", "#b3b3b3", "#1f78b4", "#33a02c",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +91,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="text")
         if cap:
             p.add_argument("--cap", type=_positive_int, default=DEFAULT_VERTEX_CAP,
-                           help="vertex cap for full-graph builds (default %(default)s)")
+                           help=f"vertex cap for full-graph builds (default {DEFAULT_VERTEX_CAP})")
         return p
 
     p_spec = command("spectrum", ("text", "json", "csv"), False,
@@ -108,6 +115,9 @@ def _build_parser() -> _Parser:
     p_struct.add_argument("n", type=int)
     p_struct.add_argument("--full", action="store_true",
                           help="with --format dot, emit the full graph instead")
+    # only --full builds the full graph, so an explicit --cap must come with
+    # it; _cmd_structure refuses the two options through this parser's usage
+    p_struct.set_defaults(cap=None, parser=p_struct)
 
     p_int = command("integrality", ("text", "json"), False,
                     "report whether the spectrum is all-integer")
@@ -116,7 +126,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, args) -> None:
+def _emit(lines: list[str], args) -> None:
+    """Write lines, each ending in a newline, to --out or stdout."""
+    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -202,41 +214,106 @@ def _json_text(value, indent: str = "") -> str:
     return f"[\n{inner}{body}\n{indent}]"
 
 
-def _json_envelope(payload: dict, args) -> str:
+def _emit_json(payload: dict, args) -> None:
     doc = {"schema": SCHEMA_VERSION}
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     doc.update(payload)
-    return _json_text(doc) + "\n"
+    _emit([_json_text(doc)], args)
 
 
-def _format_value(value: float, exact: bool) -> str:
-    return str(int(value)) if exact else f"{value:.6f}"
+def _emit_degenerate(n: int, args, what: str = "empty graph") -> int:
+    """The one text line of a prime n, which has no vertices and no table."""
+    _emit([f"n={n}: degenerate (prime, {what})"], args)
+    return EXIT_DEGENERATE
 
 
-def _spectrum_text(assembled: sp.AssembledSpectrum) -> str:
-    if not assembled.combined.entries:
-        return "(empty spectrum)"
-    return " ".join(
-        f"{_format_value(e.value, e.exact)}^{e.multiplicity}"
-        for e in assembled.combined.entries
+def _verdict_line(n: int, status: str, vertices: int, deviation: float, integral: bool) -> str:
+    return (
+        f"n={n}: {status} (vertices={vertices}, max_deviation={deviation:.3e}, "
+        f"integral={str(integral).lower()})"
     )
+
+
+def _spectrum_report(assembled: sp.AssembledSpectrum) -> dict:
+    """spectrum's JSON payload. It never runs the oracle (verify does), so
+    "oracle_checked" is always false and "max_deviation" always null."""
+    return {
+        "n": assembled.n,
+        "vertex_count": assembled.vertex_count,
+        "divisor_classes": [
+            {"d": e.divisor, "size": e.multiplicity + 1, "D": e.value}
+            for e in assembled.integer_part
+        ],
+        "spectrum": [
+            {"value": e.value, "multiplicity": e.multiplicity, "exact": e.exact}
+            for e in assembled.combined.entries
+        ],
+        "laplacian_integral": sp.is_laplacian_integral(assembled),
+        "oracle_checked": False,
+        "max_deviation": None,
+        "degenerate": assembled.degenerate,
+    }
+
+
+def _spectrum_csv(assembled: sp.AssembledSpectrum) -> list[str]:
+    # exact values are Python ints, the rest floats, written as repr writes them
+    return ["value,multiplicity,exact"] + [
+        f"{e.value},{e.multiplicity},{str(e.exact).lower()}"
+        for e in assembled.combined.entries
+    ]
+
+
+def _quotient_dot(q: QuotientGraph, degrees: list[int]) -> list[str]:
+    """The quotient graph, each divisor labelled with its weight and weighted degree."""
+    lines = [f"graph divisor_quotient_{q.n} {{"]
+    lines.extend(
+        f'  d{d} [label="{d}\\nw={w} D={deg}"];'
+        for d, w, deg in zip(q.divisors, q.weights, degrees)
+    )
+    lines.extend(f"  d{a} -- d{b};" for a, b in q.edges())
+    return lines + ["}"]
+
+
+def _full_graph_dot(graph: FullGraph) -> list[str]:
+    """The full graph: vertex label is the ring element, fill color marks the class."""
+    color_of = {
+        c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(sorted(set(graph.classes)))
+    }
+    lines = [f"graph cozero_divisor_{graph.n} {{", "  node [style=filled];"]
+    lines.extend(
+        f'  v{v} [label="{v}", fillcolor="{color_of[c]}", tooltip="class {c}"];'
+        for v, c in zip(graph.vertices, graph.classes)
+    )
+    i, j = upper_pairs(graph.adjacency)
+    vertices = graph.vertices
+    lines.extend(f"  v{vertices[a]} -- v{vertices[b]};" for a, b in zip(i.tolist(), j.tolist()))
+    return lines + ["}"]
+
+
+def _laplacian_csv(wl: WeightedLaplacian) -> list[str]:
+    """The integer quotient Laplacian as bare CSV rows."""
+    return [",".join(map(str, row)) for row in wl.entries.tolist()]
 
 
 def _cmd_spectrum(args) -> int:
     n = args.n
     assembled = sp.assemble_spectrum(n)
-    if args.format == "text":
-        lines = [f"n={n}: {_spectrum_text(assembled)}"]
-        if assembled.degenerate == "empty":
-            lines = [f"n={n}: degenerate (prime, empty graph)"]
-        elif assembled.degenerate == "null":
-            lines.append(f"n={n} is a prime power: null graph, all-zero spectrum")
-        _emit("\n".join(lines) + "\n", args)
-    elif args.format == "json":
-        _emit(_json_envelope(sp.spectrum_report(assembled), args), args)
+    if args.format == "json":
+        _emit_json(_spectrum_report(assembled), args)
+    elif args.format == "csv":
+        _emit(_spectrum_csv(assembled), args)
+    elif assembled.degenerate == "empty":
+        return _emit_degenerate(n, args)
     else:
-        _emit(sp.spectrum_csv(assembled), args)
+        values = " ".join(
+            f"{e.value if e.exact else f'{e.value:.6f}'}^{e.multiplicity}"
+            for e in assembled.combined.entries
+        )
+        lines = [f"n={n}: {values}"]
+        if assembled.degenerate == "null":
+            lines.append(f"n={n} is a prime power: null graph, all-zero spectrum")
+        _emit(lines, args)
     return EXIT_DEGENERATE if assembled.degenerate else EXIT_OK
 
 
@@ -244,11 +321,8 @@ def _cmd_verify(args) -> int:
     n = args.n
     report = sp.verify_against_oracle(n, cap=args.cap)
     prime = report.degenerate == "empty"
-    if prime and args.format != "json":
-        _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
-        return EXIT_DEGENERATE
     if args.format == "json":
-        payload = {
+        _emit_json({
             "n": n,
             "matched": report.matched,
             "vertex_count": report.vertex_count,
@@ -259,19 +333,17 @@ def _cmd_verify(args) -> int:
             "multiplicity_mismatches": [
                 list(row) for row in report.multiplicity_mismatches
             ],
-        }
-        _emit(_json_envelope(payload, args), args)
+        }, args)
+    elif prime:
+        return _emit_degenerate(n, args)
     else:
-        status = "PASS" if report.matched else "FAIL"
-        line = (
-            f"n={n}: {status} (vertices={report.vertex_count}, "
-            f"max_deviation={report.max_deviation:.3e}, "
-            f"integral={str(report.laplacian_integral).lower()})"
+        lines = [_verdict_line(n, "PASS" if report.matched else "FAIL", report.vertex_count,
+                               report.max_deviation, report.laplacian_integral)]
+        lines.extend(
+            f"  mismatch at {value:.6f}: assembled {mult_a}, oracle {mult_b}"
+            for value, mult_a, mult_b in report.multiplicity_mismatches
         )
-        lines = [line]
-        for value, mult_a, mult_b in report.multiplicity_mismatches:
-            lines.append(f"  mismatch at {value:.6f}: assembled {mult_a}, oracle {mult_b}")
-        _emit("\n".join(lines) + "\n", args)
+        _emit(lines, args)
     return EXIT_DEGENERATE if prime else EXIT_OK if report.matched else EXIT_ERROR
 
 
@@ -301,8 +373,7 @@ def _scan_one(task: tuple[int, int, str]) -> dict | None:
     """
     n, cap, family = task
     try:
-        if sp.exceeds_vertex_bound(n, cap):
-            raise VertexBoundError(n, math.isqrt(n) - 1, cap)
+        sp.check_vertex_bound(n, cap)
         f = factorize(n)
         if not _matches_filter(f, family):
             return None
@@ -352,7 +423,7 @@ def _cmd_scan(args) -> int:
         }
         if not args.no_timestamp:
             payload["elapsed_seconds"] = round(elapsed, 3)
-        _emit(_json_envelope(payload, args), args)
+        _emit_json(payload, args)
     elif args.format == "csv":
         lines = ["n,status,vertex_count,max_deviation,laplacian_integral"]
         for r in rows:
@@ -361,48 +432,48 @@ def _cmd_scan(args) -> int:
                 f"{r.get('max_deviation', '')},"
                 f"{str(r.get('laplacian_integral', '')).lower()}"
             )
-        _emit("\n".join(lines) + "\n", args)
+        _emit(lines, args)
     else:
-        lines = []
-        for r in rows:
-            if r["status"] == "PASS":
-                lines.append(
-                    f"n={r['n']}: PASS (vertices={r['vertex_count']}, "
-                    f"max_deviation={r['max_deviation']:.3e}, "
-                    f"integral={str(r['laplacian_integral']).lower()})"
-                )
-            else:
-                lines.append(f"n={r['n']}: {r['status']} {r.get('error', '')}".rstrip())
+        lines = [
+            _verdict_line(r["n"], "PASS", r["vertex_count"], r["max_deviation"],
+                          r["laplacian_integral"])
+            if r["status"] == "PASS"
+            else f"n={r['n']}: {r['status']} {r.get('error', '')}".rstrip()
+            for r in rows
+        ]
         lines.append(
             f"checked {len(rows)} values, {len(failures)} failures, "
             f"{integral_count} integral"
         )
         if not args.no_timestamp:
             lines.append(f"elapsed {elapsed:.2f}s")
-        _emit("\n".join(lines) + "\n", args)
+        _emit(lines, args)
     return EXIT_OK if not failures else EXIT_ERROR
 
 
 def _cmd_structure(args) -> int:
+    if args.full and args.format != "dot":
+        args.parser.error("argument --full: only with --format dot")
+    if args.cap is not None and not args.full:
+        args.parser.error("argument --cap: only with --full")
     n = args.n
     f = factorize_for_quotient(n)
     if f.is_prime and args.format != "json":
-        _emit(f"n={n}: degenerate (prime, no proper divisors)\n", args)
-        return EXIT_DEGENERATE
+        return _emit_degenerate(n, args, "no proper divisors")
     q = build_quotient(f)
     if args.format == "csv":
-        _emit(laplacian_csv(build_weighted_laplacian(q)), args)
+        _emit(_laplacian_csv(build_weighted_laplacian(q)), args)
+        return EXIT_OK
+    if args.full:
+        _emit(_full_graph_dot(build_full_graph(f, cap=args.cap or DEFAULT_VERTEX_CAP)), args)
         return EXIT_OK
     degrees = weighted_degrees(q)
     boundary = n == 4
 
     if args.format == "dot":
-        if args.full:
-            _emit(full_graph_dot(build_full_graph(f, cap=args.cap)), args)
-        else:
-            _emit(quotient_dot(q, degrees), args)
+        _emit(_quotient_dot(q, degrees), args)
     elif args.format == "json":
-        payload = {
+        _emit_json({
             "n": n,
             "divisor_classes": [
                 {"d": d, "size": w, "D": deg}
@@ -412,8 +483,7 @@ def _cmd_structure(args) -> int:
             "quotient_connectivity": quotient_connectivity_state(q),
             "full_graph_connected": full_graph_connected_predicate(f),
             "boundary_case": boundary,
-        }
-        _emit(_json_envelope(payload, args), args)
+        }, args)
     else:
         lines = [
             f"n={n}: {q.size} proper divisors, {q.edge_count} quotient edges",
@@ -427,7 +497,7 @@ def _cmd_structure(args) -> int:
             lines.append(f"{d:7d}  {w:4d}  {deg}")
         if q.edge_count:
             lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in q.edges()))
-        _emit("\n".join(lines) + "\n", args)
+        _emit(lines, args)
     return EXIT_DEGENERATE if f.is_prime else EXIT_OK
 
 
@@ -435,27 +505,24 @@ def _cmd_integrality(args) -> int:
     n = args.n
     assembled = sp.assemble_spectrum(n)
     if assembled.degenerate == "empty" and args.format != "json":
-        _emit(f"n={n}: degenerate (prime, empty graph)\n", args)
-        return EXIT_DEGENERATE
+        return _emit_degenerate(n, args)
     integral = sp.is_laplacian_integral(assembled)
     worst = float(max(
         (abs(e.value - round(e.value)) for e in assembled.combined.entries),
         default=0.0,
     ))
     if args.format == "json":
-        payload = {
+        _emit_json({
             "n": n,
             "laplacian_integral": integral,
             "worst_integer_distance": worst,
             "degenerate": assembled.degenerate,
-        }
-        _emit(_json_envelope(payload, args), args)
+        }, args)
     else:
-        _emit(
+        _emit([
             f"n={n}: laplacian_integral={str(integral).lower()} "
-            f"(worst integer distance {worst:.3e})\n",
-            args,
-        )
+            f"(worst integer distance {worst:.3e})"
+        ], args)
     return EXIT_DEGENERATE if assembled.degenerate else EXIT_OK
 
 

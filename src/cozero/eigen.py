@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolver and the exact characteristic polynomial.
+"""Dense symmetric eigensolver and spectrum multisets.
 
 The solver is written here rather than borrowed, and one path serves
 every size: blocked Householder tridiagonalization, then root-free QL
@@ -10,10 +10,7 @@ threshold scaled by |T|, the largest entry of T: e_i**2 <= (eps |T|)**2.
 It is the only route to eigenvalues. A known null vector,
 such as the square-root weights of a weighted Laplacian, is deflated from
 the whole matrix, so its zero eigenvalue comes out exact; any other zero
-eigenvalue is computed like the rest. The characteristic polynomial is
-exact (Faddeev-LeVerrier over Python integers); it finds no roots and
-serves as an independent reference for small integer matrices, such as
-the paper's p**2 * q quartic.
+eigenvalue is computed like the rest.
 
 All entry points are pure; concurrent calls on distinct matrices are safe.
 """
@@ -38,7 +35,6 @@ INTEGER_TOL = 1e-6
 MATCH_TOL = 1e-6
 # a value within ZERO_TOL of 0 counts as a zero eigenvalue
 ZERO_TOL = 1e-8
-CHARPOLY_MAX_DIM = 64
 # a matrix may be asymmetric by SYMMETRY_TOL * max(1, |A|), |A| its largest entry
 SYMMETRY_TOL = 1e-12
 # |A u| <= NULL_VECTOR_TOL * |A| |u| for a null vector u to be deflated
@@ -150,31 +146,29 @@ def _group_entry(pinned, mult: int, total: float) -> SpectrumEntry:
 # ---------------------------------------------------------------------------
 # symmetric eigensolver
 
-def connected_components(adjacency: np.ndarray) -> list[np.ndarray]:
-    """Vertex index arrays of the components of a symmetric boolean adjacency.
+def component_count(adjacency: np.ndarray) -> int:
+    """Number of components of a symmetric boolean adjacency.
 
     Breadth-first by whole frontiers, whose rows are read STRIP_HEIGHT at
-    a time; components come in order of their smallest vertex.
+    a time; every vertex a search reaches is marked in one seen array.
     """
     m = adjacency.shape[0]
     seen = np.zeros(m, dtype=bool)
-    components = []
+    count = 0
     for start in range(m):
         if seen[start]:
             continue
-        member = np.zeros(m, dtype=bool)
-        member[start] = True
-        frontier = member.copy()
-        while frontier.any():
-            rows = np.flatnonzero(frontier)
+        count += 1
+        seen[start] = True
+        rows = [start]
+        while len(rows):
             frontier = np.zeros(m, dtype=bool)
             for lo in range(0, len(rows), STRIP_HEIGHT):
                 frontier |= adjacency[rows[lo:lo + STRIP_HEIGHT]].any(axis=0)
-            frontier &= ~member
-            member |= frontier
-        seen |= member
-        components.append(np.flatnonzero(member))
-    return components
+            frontier &= ~seen
+            seen |= frontier
+            rows = np.flatnonzero(frontier)
+    return count
 
 
 def upper_pairs(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,64 +396,3 @@ def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     triples = [(0, 1, True)]
     triples.extend((v, 1, False) for v in _deflated_eigenvalues(a, null))
     return merge_spectrum(triples)
-
-
-# ---------------------------------------------------------------------------
-# exact characteristic polynomial
-
-def _as_int_matrix(matrix) -> list[list[int]]:
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    rows: list[list[int]] = []
-    for row in a.tolist():
-        out_row = []
-        for x in row:
-            if isinstance(x, bool):
-                raise ValueError("boolean entries are not integers")
-            if isinstance(x, int):
-                out_row.append(x)
-            elif isinstance(x, float) and x.is_integer():
-                out_row.append(int(x))
-            else:
-                raise ValueError(f"non-integer entry {x!r}")
-        rows.append(out_row)
-    return rows
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def characteristic_polynomial(matrix) -> list[int]:
-    """Coefficients of det(xI - M), descending powers, exact integers.
-
-    Faddeev-LeVerrier over Python integers: the k-th trace is divisible
-    by k for any integer matrix, so no rationals ever appear. Dimension
-    is capped at CHARPOLY_MAX_DIM; this is meant for the small quotient
-    matrices, not for full graphs.
-    """
-    rows = _as_int_matrix(matrix)
-    m = len(rows)
-    if m > CHARPOLY_MAX_DIM:
-        raise ValueError(
-            f"dimension {m} exceeds the exact-arithmetic cap of {CHARPOLY_MAX_DIM}"
-        )
-    if m == 0:
-        return [1]
-    coeffs = [1]
-    work = [row[:] for row in rows]
-    for k in range(1, m + 1):
-        if k > 1:
-            shifted = [row[:] for row in work]
-            for i in range(m):
-                shifted[i][i] += coeffs[-1]
-            work = _int_matmul(rows, shifted)
-        trace = sum(work[i][i] for i in range(m))
-        if trace % k != 0:
-            raise ArithmeticError(
-                f"trace {trace} not divisible by {k}; input was not an integer matrix"
-            )
-        coeffs.append(-(trace // k))
-    return coeffs

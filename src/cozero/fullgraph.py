@@ -13,17 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import STRIP_HEIGHT, connected_components, upper_pairs
+from .eigen import STRIP_HEIGHT, component_count
 from .errors import EmptyGraphError, VertexCapError
 from .numbers import Factorization, factorize
 
 DEFAULT_VERTEX_CAP = 20_000
-
-# qualitative palette cycled per divisor class in DOT output
-_PALETTE = (
-    "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3", "#a6d854",
-    "#ffd92f", "#e5c494", "#b3b3b3", "#1f78b4", "#33a02c",
-)
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ def laplacian_matrix(graph: FullGraph) -> np.ndarray:
 
 
 def connected_component_count(graph: FullGraph) -> int:
-    return len(connected_components(graph.adjacency))
+    return component_count(graph.adjacency)
 
 
 def full_graph_connected_predicate(n: int | Factorization) -> bool | None:
@@ -112,23 +106,3 @@ def full_graph_connected_predicate(n: int | Factorization) -> bool | None:
     if not f.is_prime_power:
         return True
     return f.n == 4
-
-
-def to_dot(graph: FullGraph) -> str:
-    """DOT rendering: vertex label is the ring element, fill color marks the class."""
-    class_order = sorted(set(graph.classes))
-    color_of = {
-        c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(class_order)
-    }
-    lines = [f"graph cozero_divisor_{graph.n} {{", "  node [style=filled];"]
-    for v, c in zip(graph.vertices, graph.classes):
-        lines.append(
-            f'  v{v} [label="{v}", fillcolor="{color_of[c]}", tooltip="class {c}"];'
-        )
-    i, j = upper_pairs(graph.adjacency)
-    vertices = np.array(graph.vertices)
-    lines.extend(
-        f"  v{a} -- v{b};" for a, b in zip(vertices[i].tolist(), vertices[j].tolist())
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import connected_components, upper_pairs
+from .eigen import component_count, upper_pairs
 from .numbers import (
     Factorization,
     divisor_exponents,
@@ -103,7 +103,7 @@ def quotient_connectivity_state(q: QuotientGraph) -> str:
     """
     if q.is_empty:
         return "empty"
-    return "connected" if len(connected_components(q.adjacency)) == 1 else "disconnected"
+    return "connected" if component_count(q.adjacency) == 1 else "disconnected"
 
 
 def weighted_degrees(q: QuotientGraph) -> list[int]:
@@ -144,19 +144,3 @@ def build_weighted_laplacian(q: QuotientGraph) -> WeightedLaplacian:
     entries.setflags(write=False)
     symmetric.setflags(write=False)
     return WeightedLaplacian(q.size, entries, symmetric)
-
-
-def to_dot(q: QuotientGraph, degrees: list[int]) -> str:
-    """DOT rendering with weight and weighted-degree labels."""
-    lines = [f"graph divisor_quotient_{q.n} {{"]
-    for d, w, deg in zip(q.divisors, q.weights, degrees):
-        lines.append(f'  d{d} [label="{d}\\nw={w} D={deg}"];')
-    for a, b in q.edges():
-        lines.append(f"  d{a} -- d{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def laplacian_csv(wl: WeightedLaplacian) -> str:
-    """The integer Laplacian as bare CSV rows."""
-    return "\n".join(",".join(str(int(x)) for x in row) for row in wl.entries) + "\n"

@@ -1,4 +1,4 @@
-"""Laplacian spectrum assembly and closed-form families.
+"""Laplacian spectrum assembly and the brute-force check.
 
 Every divisor class induces an edgeless subgraph, so the join reduction
 makes the class of divisor d contribute its weighted degree exactly
@@ -63,20 +63,6 @@ class AssembledSpectrum:
         return self.combined.total_multiplicity
 
 
-def _combine(
-    integer_part: tuple[ClassEigenvalue, ...], quotient_part: eigen.SpectrumMultiset
-) -> eigen.SpectrumMultiset:
-    triples = [
-        (e.value, e.multiplicity, True)
-        for e in integer_part
-        if e.multiplicity > 0
-    ]
-    triples.extend(
-        (e.value, e.multiplicity, e.exact) for e in quotient_part.entries
-    )
-    return eigen.merge_spectrum(triples)
-
-
 def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     """Spectrum via the divisor-class join reduction.
 
@@ -100,7 +86,9 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     quotient_part = eigen.eigenvalues_symmetric(
         wl.symmetric_form, np.sqrt(np.array(q.weights, dtype=np.float64))
     )
-    combined = _combine(integer_part, quotient_part)
+    triples = [(e.value, e.multiplicity, True) for e in integer_part]
+    triples.extend((e.value, e.multiplicity, e.exact) for e in quotient_part.entries)
+    combined = eigen.merge_spectrum(triples)
     expected = f.n - f.totient - 1
     if combined.total_multiplicity != expected:
         raise AssertionError(
@@ -109,61 +97,6 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
         )
     degenerate = "null" if f.is_prime_power else None
     return AssembledSpectrum(f.n, integer_part, quotient_part, combined, degenerate)
-
-
-# ---------------------------------------------------------------------------
-# closed-form families
-
-def _require_distinct_primes(p: int, q: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if p == q:
-        raise ValueError(f"primes must be distinct, got {p} twice")
-
-
-def closed_form_pq(p: int, q: int) -> AssembledSpectrum:
-    """Exact spectrum for n = p*q: {0, p+q-2, (p-1)^(q-2), (q-1)^(p-2)}.
-
-    No numerics anywhere; the quotient on two divisors is a single edge
-    whose Laplacian has eigenvalues p+q-2 and 0. The result is always
-    integral.
-    """
-    _require_distinct_primes(p, q)
-    n = p * q
-    lo, hi = min(p, q), max(p, q)
-    # divisor lo has weight phi(hi) and weighted degree lo - 1, and vice versa
-    integer_part = (
-        ClassEigenvalue(lo - 1, hi - 2, lo),
-        ClassEigenvalue(hi - 1, lo - 2, hi),
-    )
-    quotient_part = eigen.SpectrumMultiset(
-        (
-            eigen.SpectrumEntry(p + q - 2, 1, True),
-            eigen.SpectrumEntry(0, 1, True),
-        )
-    )
-    combined = _combine(integer_part, quotient_part)
-    return AssembledSpectrum(n, integer_part, quotient_part, combined, None)
-
-
-def charpoly_p2q(p: int, q: int) -> list[int]:
-    """Characteristic polynomial of the 4x4 quotient Laplacian of n = p*p*q.
-
-    Monic quartic with zero constant term, exact integer coefficients;
-    must match characteristic_polynomial of the constructed matrix.
-    """
-    _require_distinct_primes(p, q)
-    c3 = (p - 1) * (2 * p + 1) + (p + 1) * (q - 1)
-    c2 = (
-        p * (p - 1) ** 2 * (p + 1)
-        + (p - 1) * (p + 1) ** 2 * (q - 1)
-        + p * (q - 1) ** 2
-        + (p - 1) ** 2 * (q - 1)
-    )
-    c1 = p * (p - 1) * (q - 1) * ((p - 1) * (p + 1) + p * (q - 1))
-    return [1, -c3, c2, -c1, 0]
 
 
 def is_laplacian_integral(spectrum: AssembledSpectrum | eigen.SpectrumMultiset) -> bool:
@@ -236,13 +169,16 @@ class OracleReport:
     component_count: int
 
 
-def exceeds_vertex_bound(n: int, cap: int) -> bool:
-    """Whether n is known to have more than cap vertices before it is factored.
+def check_vertex_bound(n: int, cap: int) -> None:
+    """Raise VertexBoundError when n is known, before it is factored, to
+    have more than cap vertices.
 
     A composite n has at least isqrt(n) - 1 vertices (the multiples of its
     least prime). A prime n has none.
     """
-    return math.isqrt(n) - 1 > cap and not is_prime(n)
+    bound = math.isqrt(n) - 1
+    if bound > cap and not is_prime(n):
+        raise VertexBoundError(n, bound, cap)
 
 
 def verify_against_oracle(
@@ -254,12 +190,12 @@ def verify_against_oracle(
     sides read that factorization. The oracle builds the explicit
     vertex-level Laplacian and solves it with no knowledge of the join
     structure. Raises VertexCapError when the graph would exceed cap, and
-    before n is factored when exceeds_vertex_bound already says so.
+    before n is factored when check_vertex_bound already refuses n.
     Prime n verifies trivially (both sides empty) and is flagged
     degenerate.
     """
-    if not isinstance(n, Factorization) and exceeds_vertex_bound(n, cap):
-        raise VertexBoundError(n, math.isqrt(n) - 1, cap)
+    if not isinstance(n, Factorization):
+        check_vertex_bound(n, cap)
     f = n if isinstance(n, Factorization) else factorize(n)
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
@@ -278,43 +214,3 @@ def verify_against_oracle(
         zero_multiplicity=oracle.zero_multiplicity(),
         component_count=connected_component_count(graph),
     )
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def spectrum_report(assembled: AssembledSpectrum) -> dict:
-    """JSON-ready result object for an assembled spectrum.
-
-    The report never runs the oracle (that is verify_against_oracle), so
-    "oracle_checked" is always false and "max_deviation" always null.
-    """
-    return {
-        "n": assembled.n,
-        "vertex_count": assembled.vertex_count,
-        "divisor_classes": [
-            {"d": e.divisor, "size": e.multiplicity + 1, "D": e.value}
-            for e in assembled.integer_part
-        ],
-        "spectrum": [
-            {
-                "value": int(e.value) if e.exact else e.value,
-                "multiplicity": e.multiplicity,
-                "exact": e.exact,
-            }
-            for e in assembled.combined.entries
-        ],
-        "laplacian_integral": is_laplacian_integral(assembled),
-        "oracle_checked": False,
-        "max_deviation": None,
-        "degenerate": assembled.degenerate,
-    }
-
-
-def spectrum_csv(spectrum: AssembledSpectrum) -> str:
-    """Flat CSV of the combined spectrum table."""
-    lines = ["value,multiplicity,exact"]
-    for e in spectrum.combined.entries:
-        value = int(e.value) if e.exact else repr(e.value)
-        lines.append(f"{value},{e.multiplicity},{str(e.exact).lower()}")
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
-"""Shared fixtures: a session-wide cache of brute-force oracle spectra."""
+"""Shared fixtures: a session-wide cache of brute-force oracle spectra, and
+the exit code and standard output of one CLI call."""
 
 import pytest
 
 from cozero import build_full_graph, laplacian_matrix
+from cozero.cli import main
 from cozero.eigen import eigenvalues_symmetric
 
 
@@ -18,3 +20,14 @@ def oracle_spectrum():
         return cache[n]
 
     return get
+
+
+@pytest.fixture
+def cli_output(capsys):
+    """Runs cozero.cli.main(argv); returns its exit code and what it printed."""
+
+    def run(*argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    return run

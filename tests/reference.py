@@ -1,13 +1,28 @@
 """Independent references the tests compare the library against.
 
 Each one computes its answer the slow, literal way: from the ring
-definition, by scanning residues, or by exact Horner evaluation. None is
-used by the library itself.
+definition, by scanning residues, by exact Horner evaluation, or in exact
+integer arithmetic. The paper's two exact results live here too: the
+closed-form spectrum of n = p*q and the quartic characteristic polynomial
+of the p**2 * q quotient, with Faddeev-LeVerrier as the exact polynomial
+of any small integer matrix. None is used by the library itself.
 """
 
 from math import gcd
 
-from cozero import factorize
+import numpy as np
+
+from cozero import (
+    AssembledSpectrum,
+    ClassEigenvalue,
+    SpectrumEntry,
+    SpectrumMultiset,
+    factorize,
+    is_prime,
+    merge_spectrum,
+)
+
+CHARPOLY_MAX_DIM = 64
 
 
 def _check_vertex(x: int, n: int) -> None:
@@ -63,3 +78,112 @@ def poly_eval_int(coeffs, x: int) -> int:
     for c in coeffs:
         acc = acc * x + c
     return acc
+
+
+def _as_int_matrix(matrix) -> list[list[int]]:
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    rows: list[list[int]] = []
+    for row in a.tolist():
+        out_row = []
+        for x in row:
+            if isinstance(x, bool):
+                raise ValueError("boolean entries are not integers")
+            if isinstance(x, int):
+                out_row.append(x)
+            elif isinstance(x, float) and x.is_integer():
+                out_row.append(int(x))
+            else:
+                raise ValueError(f"non-integer entry {x!r}")
+        rows.append(out_row)
+    return rows
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def characteristic_polynomial(matrix) -> list[int]:
+    """Coefficients of det(xI - M), descending powers, exact integers.
+
+    Faddeev-LeVerrier over Python integers: the k-th trace is divisible
+    by k for any integer matrix, so no rationals ever appear. Dimension
+    is capped at CHARPOLY_MAX_DIM; this is meant for the small quotient
+    matrices, not for full graphs.
+    """
+    rows = _as_int_matrix(matrix)
+    m = len(rows)
+    if m > CHARPOLY_MAX_DIM:
+        raise ValueError(
+            f"dimension {m} exceeds the exact-arithmetic cap of {CHARPOLY_MAX_DIM}"
+        )
+    if m == 0:
+        return [1]
+    coeffs = [1]
+    work = [row[:] for row in rows]
+    for k in range(1, m + 1):
+        if k > 1:
+            shifted = [row[:] for row in work]
+            for i in range(m):
+                shifted[i][i] += coeffs[-1]
+            work = _int_matmul(rows, shifted)
+        trace = sum(work[i][i] for i in range(m))
+        if trace % k != 0:
+            raise ArithmeticError(
+                f"trace {trace} not divisible by {k}; input was not an integer matrix"
+            )
+        coeffs.append(-(trace // k))
+    return coeffs
+
+
+def _require_distinct_primes(p: int, q: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    if p == q:
+        raise ValueError(f"primes must be distinct, got {p} twice")
+
+
+def closed_form_pq(p: int, q: int) -> AssembledSpectrum:
+    """Exact spectrum for n = p*q: {0, p+q-2, (p-1)^(q-2), (q-1)^(p-2)}.
+
+    No numerics anywhere; the quotient on two divisors is a single edge
+    whose Laplacian has eigenvalues p+q-2 and 0. The result is always
+    integral.
+    """
+    _require_distinct_primes(p, q)
+    lo, hi = min(p, q), max(p, q)
+    # divisor lo has weight phi(hi) and weighted degree lo - 1, and vice versa
+    integer_part = (
+        ClassEigenvalue(lo - 1, hi - 2, lo),
+        ClassEigenvalue(hi - 1, lo - 2, hi),
+    )
+    quotient_part = SpectrumMultiset(
+        (SpectrumEntry(p + q - 2, 1, True), SpectrumEntry(0, 1, True))
+    )
+    combined = merge_spectrum(
+        [(e.value, e.multiplicity, True) for e in integer_part]
+        + [(e.value, e.multiplicity, e.exact) for e in quotient_part.entries]
+    )
+    return AssembledSpectrum(p * q, integer_part, quotient_part, combined, None)
+
+
+def charpoly_p2q(p: int, q: int) -> list[int]:
+    """Characteristic polynomial of the 4x4 quotient Laplacian of n = p*p*q.
+
+    Monic quartic with zero constant term, exact integer coefficients;
+    must match characteristic_polynomial of the constructed matrix.
+    """
+    _require_distinct_primes(p, q)
+    c3 = (p - 1) * (2 * p + 1) + (p + 1) * (q - 1)
+    c2 = (
+        p * (p - 1) ** 2 * (p + 1)
+        + (p - 1) * (p + 1) ** 2 * (q - 1)
+        + p * (q - 1) ** 2
+        + (p - 1) ** 2 * (q - 1)
+    )
+    c1 = p * (p - 1) * (q - 1) * ((p - 1) * (p + 1) + p * (q - 1))
+    return [1, -c3, c2, -c1, 0]

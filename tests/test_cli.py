@@ -570,10 +570,14 @@ class TestUsageErrors:
         ["scan", "4", "8", "--format", "dot"],
         ["spectrum", "30", "--cap", "5"],
         ["integrality", "12", "--cap", "1"],
+        ["structure", "30", "--full", "--format", "json"],
+        ["structure", "30", "--cap", "1"],
+        ["structure", "30", "--format", "dot", "--cap", "1"],
     ])
     def test_options_a_command_does_not_use_are_refused(self, capsys, argv):
         # each command takes only the formats it renders, and --cap only
-        # when it builds the full graph
+        # when it builds the full graph; structure builds it only with
+        # --format dot --full
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64

@@ -9,7 +9,6 @@ from cozero import (
     build_full_graph,
     build_quotient,
     build_weighted_laplacian,
-    characteristic_polynomial,
     connected_component_count,
     eigenvalues_symmetric,
     is_prime,
@@ -25,7 +24,7 @@ from cozero.eigen import (
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
 )
-from reference import poly_eval_int
+from reference import characteristic_polynomial, poly_eval_int
 
 
 def bareiss_determinant(matrix):

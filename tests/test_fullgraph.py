@@ -15,7 +15,6 @@ from cozero import (
     laplacian_matrix,
 )
 from cozero import fullgraph
-from cozero.fullgraph import to_dot
 from reference import is_adjacent_by_definition, is_adjacent_exhaustive
 
 
@@ -193,10 +192,10 @@ class TestExports:
         np.fill_diagonal(off_diagonal, 0)
         assert np.array_equal(off_diagonal, graph.adjacency)
 
-    def test_dot_output(self):
+    def test_dot_output(self, cli_output):
+        code, out = cli_output("structure", "12", "--format", "dot", "--full")
+        assert code == 0
         graph = build_full_graph(12)
-        dot = to_dot(graph)
-        assert dot.startswith("graph cozero_divisor_12 {")
         for v in graph.vertices:
-            assert f'v{v} [label="{v}"' in dot
-        assert dot.count(" -- ") == graph.edge_count
+            assert f'v{v} [label="{v}"' in out
+        assert out.count(" -- ") == graph.edge_count

@@ -11,7 +11,6 @@ from cozero import (
     weighted_degrees,
 )
 from cozero.eigen import eigenvalues_symmetric
-from cozero.quotient import laplacian_csv, to_dot
 from reference import quotient_connected_predicate
 
 
@@ -190,16 +189,17 @@ class TestConnectivity:
 
 
 class TestDisplayHelpers:
-    def test_dot_output(self):
-        q = build_quotient(30)
-        dot = to_dot(q, weighted_degrees(q))
-        assert dot.startswith("graph divisor_quotient_30 {")
-        assert 'd2 [label="2\\nw=8 D=7"];' in dot
-        assert dot.count(" -- ") == 9
+    """structure's DOT and CSV renderings of the quotient, through the CLI."""
 
-    def test_csv_dump(self):
-        wl = build_weighted_laplacian(build_quotient(12))
-        assert laplacian_csv(wl).splitlines() == [
+    def test_dot_output(self, cli_output):
+        code, out = cli_output("structure", "30", "--format", "dot")
+        assert code == 0
+        assert '  d2 [label="2\\nw=8 D=7"];' in out.splitlines()
+
+    def test_csv_dump(self, cli_output):
+        code, out = cli_output("structure", "12", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
             "2,-2,0,0",
             "-2,4,-2,0",
             "0,-2,3,-1",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,13 @@ from cozero import (
     build_full_graph,
     build_quotient,
     build_weighted_laplacian,
-    characteristic_polynomial,
-    charpoly_p2q,
-    closed_form_pq,
     compare_multisets,
     factorize,
     is_laplacian_integral,
     is_prime,
-    spectrum_report,
     verify_against_oracle,
 )
-from cozero.spectrum import spectrum_csv
+from reference import characteristic_polynomial, charpoly_p2q, closed_form_pq
 
 
 def entry_pairs(multiset):
@@ -353,26 +351,30 @@ class TestExactQuotientZero:
 
 
 class TestReports:
-    def test_json_report_shape(self):
-        report = spectrum_report(assemble_spectrum(30))
-        assert report["n"] == 30
+    """spectrum's JSON and CSV renderings, through the CLI."""
+
+    def test_json_report_shape(self, cli_output):
+        code, out = cli_output("spectrum", "30", "--format", "json", "--no-timestamp")
+        assert code == 0
+        report = json.loads(out)
         assert report["vertex_count"] == 21
-        assert report["divisor_classes"][0] == {"d": 2, "size": 8, "D": 7}
-        assert sum(row["multiplicity"] for row in report["spectrum"]) == 21
         # the report never runs the oracle; these two keys are constants
         assert report["oracle_checked"] is False
         assert report["max_deviation"] is None
         assert report["laplacian_integral"] is False
 
-    def test_degenerate_report(self):
-        report = spectrum_report(assemble_spectrum(13))
+    def test_degenerate_report(self, cli_output):
+        code, out = cli_output("spectrum", "13", "--format", "json", "--no-timestamp")
+        assert code == 2
+        report = json.loads(out)
         assert report["degenerate"] == "empty"
         assert report["spectrum"] == []
         assert report["divisor_classes"] == []
 
-    def test_csv_export(self):
-        text = spectrum_csv(assemble_spectrum(15))
-        assert text.splitlines() == [
+    def test_csv_export(self, cli_output):
+        code, out = cli_output("spectrum", "15", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
             "value,multiplicity,exact",
             "6,1,true",
             "4,1,true",
