@@ -62,14 +62,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type for integers of at least low; what names them."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+# Z_n has no non-zero non-unit below n = 2, so n < 2 is a usage error
+_modulus = _int_at_least(2, "an integer >= 2")
 
 
 @functools.cache
@@ -96,11 +104,11 @@ def _build_parser() -> _Parser:
 
     p_spec = command("spectrum", ("text", "json", "csv"), False,
                      "assembled Laplacian spectrum of one n")
-    p_spec.add_argument("n", type=int)
+    p_spec.add_argument("n", type=_modulus)
 
     p_verify = command("verify", ("text", "json"), True,
                        "check the assembly against the brute-force oracle")
-    p_verify.add_argument("n", type=int)
+    p_verify.add_argument("n", type=_modulus)
 
     p_scan = command("scan", ("text", "json", "csv"), True,
                      "verify every eligible n in a range")
@@ -112,7 +120,7 @@ def _build_parser() -> _Parser:
 
     p_struct = command("structure", ("text", "json", "csv", "dot"), True,
                        "divisor quotient graph and class table")
-    p_struct.add_argument("n", type=int)
+    p_struct.add_argument("n", type=_modulus)
     p_struct.add_argument("--full", action="store_true",
                           help="with --format dot, emit the full graph instead")
     # only --full builds the full graph, so an explicit --cap must come with
@@ -121,7 +129,7 @@ def _build_parser() -> _Parser:
 
     p_int = command("integrality", ("text", "json"), False,
                     "report whether the spectrum is all-integer")
-    p_int.add_argument("n", type=int)
+    p_int.add_argument("n", type=_modulus)
 
     return parser
 
@@ -529,9 +537,6 @@ def _cmd_integrality(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", 2) < 2:
-        sys.stderr.write(f"cozero: n must be >= 2, got {args.n}\n")
-        return EXIT_ERROR
     handlers = {
         "spectrum": _cmd_spectrum,
         "verify": _cmd_verify,

@@ -7,18 +7,23 @@ reduction keeps its reflectors and update vectors in one array, so every
 update it makes is a single matrix product. QL runs on the tridiagonal
 T in reverse order, so it deflates from the bottom of T, with one
 threshold scaled by |T|, the largest entry of T: e_i**2 <= (eps |T|)**2.
-It is the only route to eigenvalues. A known null vector,
-such as the square-root weights of a weighted Laplacian, is deflated from
-the whole matrix, so its zero eigenvalue comes out exact; any other zero
-eigenvalue is computed like the rest.
+It is the only route to eigenvalues. A block-diagonal matrix, such as
+the oracle's Laplacian in its negation basis, is solved block by block
+and merged once. A known null vector, such as the square-root weights of
+a weighted Laplacian, is deflated from the whole matrix, so its zero
+eigenvalue comes out exact; any other zero eigenvalue is computed like
+the rest.
 
-All entry points are pure; concurrent calls on distinct matrices are safe.
+All entry points are pure, except that eigenvalues_block_diagonal uses
+float64 blocks as its working arrays; concurrent calls on distinct
+matrices are safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -312,16 +317,15 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     return _tridiagonal_eigenvalues(diag[::-1], sub[::-1])
 
 
-def _symmetrized_copy(matrix) -> np.ndarray:
-    """float64 copy of a square matrix, checked and symmetrised in place.
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """a, a float64 square matrix, checked and symmetrised in place.
 
     A non-finite entry, or an asymmetry above SYMMETRY_TOL * max(1, |A|)
     with |A| the largest absolute entry, is refused.
 
     Works on strips of PANEL_WIDTH rows and the matching columns, so
-    besides the copy each temporary holds one strip.
+    each temporary holds one strip.
     """
-    a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
@@ -374,6 +378,23 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     return _eigenvalues(a[1:, 1:])
 
 
+def eigenvalues_block_diagonal(blocks: Iterable) -> SpectrumMultiset:
+    """All eigenvalues of the block-diagonal matrix with these diagonal
+    blocks, each a real symmetric matrix, merged by multiplicity once.
+
+    A block that is a writable C-ordered float64 array is the solver's
+    working array and is destroyed; any other block is copied first. The
+    blocks are taken one at a time, and each is released before the next
+    is asked for, so a generator that builds them on demand keeps one
+    block alive at a time.
+    """
+    values = []
+    for block in blocks:
+        values.append(_eigenvalues(_symmetrized(np.require(block, np.float64, "CW"))))
+        del block  # before the next block is built
+    return merge_spectrum((v, 1, False) for v in chain.from_iterable(values))
+
+
 def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     """All eigenvalues of a real symmetric matrix, merged by multiplicity.
 
@@ -385,9 +406,10 @@ def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     exact zero. A matrix or null vector with an inf or a nan is refused
     with a ValueError.
     """
-    a = _symmetrized_copy(matrix)
+    a = np.array(matrix, dtype=np.float64)
     if null_vector is None:
-        return merge_spectrum((v, 1, False) for v in _eigenvalues(a))
+        return eigenvalues_block_diagonal([a])
+    _symmetrized(a)
     null = np.asarray(null_vector, dtype=np.float64)
     if null.shape != (len(a),):
         raise ValueError(f"null vector of shape {null.shape} for a {a.shape} matrix")

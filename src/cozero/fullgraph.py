@@ -4,12 +4,15 @@ This is the brute-force side of every spectral check. Adjacency is filled
 from the divisor criterion: x and y are adjacent when neither gcd class
 divides the other, which is the ring definition (x outside the ideal of
 y and y outside the ideal of x) since y and gcd(y, n) generate the same
-ideal of Z_n.
+ideal of Z_n. negation_blocks splits the Laplacian by the automorphism
+x -> n - x for the oracle's eigensolve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -86,6 +89,40 @@ def laplacian_matrix(graph: FullGraph) -> np.ndarray:
     np.negative(lap, out=lap)
     np.fill_diagonal(lap, graph.degrees())
     return lap
+
+
+def negation_blocks(lap: np.ndarray) -> Iterator[np.ndarray]:
+    """The two diagonal blocks of lap in the basis (e_i -+ e_{m-1-i}) / sqrt 2.
+
+    x and n - x generate the same ideal, so x -> n - x is an automorphism
+    of the graph, and on the ascending vertex list it is the reversal:
+    the Laplacian L satisfies L == L[::-1, ::-1]. That is checked
+    exactly, before the first block is built, and an AssertionError
+    refuses an L that fails it; nothing else about the graph is assumed.
+    In that basis L splits into two blocks of about m / 2. With
+    h = m // 2 and R = L[:h, ::-1][:, :h]:
+
+    - the odd block, on (e_i - e_{m-1-i}) / sqrt 2, is L[:h, :h] - R;
+    - the even block, on (e_i + e_{m-1-i}) / sqrt 2, is L[:h, :h] + R,
+      bordered for odd m by the middle vertex e_h: the row and column
+      sqrt 2 * L[h, :h] and the corner L[h, h].
+
+    The blocks are float64 and built one at a time, as they are asked
+    for; a caller that drops each block before asking for the next, as
+    eigen.eigenvalues_block_diagonal does, holds one at a time.
+    """
+    m = len(lap)
+    if not np.array_equal(lap, lap[::-1, ::-1]):
+        raise AssertionError(f"reversing the {m} vertices is not an automorphism")
+    h = m // 2
+    top, mirror = lap[:h, :h], lap[:h, ::-1][:, :h]
+    yield np.subtract(top, mirror, dtype=np.float64)
+    even = np.empty((m - h, m - h))
+    np.add(top, mirror, out=even[:h, :h], dtype=np.float64)
+    if m > 2 * h:
+        even[h, :h] = even[:h, h] = math.sqrt(2.0) * lap[h, :h]
+        even[h, h] = lap[h, h]
+    yield even
 
 
 def connected_component_count(graph: FullGraph) -> int:

@@ -6,7 +6,8 @@ makes the class of divisor d contribute its weighted degree exactly
 kept that way. The remaining d eigenvalues come from the small quotient
 Laplacian, solved numerically. verify_against_oracle compares the whole
 assembly against a brute-force eigensolve of the explicit vertex-level
-Laplacian.
+Laplacian, split into two half-size blocks by the negation x -> n - x,
+an automorphism of every cozero-divisor graph that it checks exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .fullgraph import (
     build_full_graph,
     connected_component_count,
     laplacian_matrix,
+    negation_blocks,
 )
 from .numbers import Factorization, factorize, is_prime
 from .quotient import (
@@ -188,11 +190,15 @@ def verify_against_oracle(
 
     Takes n or its factorization; n is factored once, here, and both
     sides read that factorization. The oracle builds the explicit
-    vertex-level Laplacian and solves it with no knowledge of the join
-    structure. Raises VertexCapError when the graph would exceed cap, and
-    before n is factored when check_vertex_bound already refuses n.
-    Prime n verifies trivially (both sides empty) and is flagged
-    degenerate.
+    vertex-level Laplacian L and solves it with no knowledge of the join
+    structure. It uses one generic symmetry: Rx = R(-x) in any ring, so
+    x -> n - x is an automorphism, and it reverses the vertex list.
+    negation_blocks checks L == L[::-1, ::-1] exactly (an AssertionError
+    refuses an L that fails) and splits L into two blocks of about
+    m / 2, which are solved one at a time and merged once. Raises
+    VertexCapError when the graph would exceed cap, and before n is
+    factored when check_vertex_bound already refuses n. Prime n verifies
+    trivially (both sides empty) and is flagged degenerate.
     """
     if not isinstance(n, Factorization):
         check_vertex_bound(n, cap)
@@ -200,7 +206,7 @@ def verify_against_oracle(
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f, cap=cap)
-    oracle = eigen.eigenvalues_symmetric(laplacian_matrix(graph))
+    oracle = eigen.eigenvalues_block_diagonal(negation_blocks(laplacian_matrix(graph)))
     assembled = assemble_spectrum(f)
     comparison = compare_multisets(assembled.combined, oracle)
     return OracleReport(

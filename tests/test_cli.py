@@ -591,8 +591,24 @@ class TestUsageErrors:
         assert exc.value.code == 64
 
     def test_n_below_two(self, capsys):
-        code, _, err = run(capsys, "spectrum", "1")
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "1"])
+        assert exc.value.code == 64
+        assert "argument n: must be an integer >= 2, got '1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "1"], ["verify", "-5"], ["spectrum", "0"], ["structure", "1"],
+        ["integrality", "1"], ["verify", "1", "--format", "json"], ["scan", "1", "4"],
+    ])
+    def test_n_below_two_is_a_usage_error_on_every_command(self, capsys, argv):
+        # scan's range check and the parser's type give the same exit code
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 64
+        assert out == "" and err
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cozero import (
     laplacian_matrix,
     merge_spectrum,
 )
+from cozero import eigen
 from cozero.eigen import (
     INTEGER_TOL,
     MERGE_TOL,
@@ -23,6 +25,7 @@ from cozero.eigen import (
     SYMMETRY_TOL,
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
+    eigenvalues_block_diagonal,
 )
 from reference import characteristic_polynomial, poly_eval_int
 
@@ -175,6 +178,64 @@ class TestEigenvaluesSymmetric:
         assert s.entries == ()
 
 
+class TestBlockDiagonal:
+    @staticmethod
+    def random_symmetric(rng, m):
+        a = rng.standard_normal((m, m))
+        return a + a.T
+
+    def test_matches_eigvalsh_of_the_assembled_matrix(self):
+        rng = np.random.default_rng(31)
+        blocks = [self.random_symmetric(rng, m) for m in (0, 1, 5, 40, 33)]
+        whole = np.zeros((79, 79))
+        at = 0
+        for block in blocks:
+            whole[at:at + len(block), at:at + len(block)] = block
+            at += len(block)
+        assert_matches_eigvalsh(whole, blocks=[b.copy() for b in blocks])
+
+    def test_one_block_is_eigenvalues_symmetric(self):
+        a = self.random_symmetric(np.random.default_rng(3), 50)
+        assert eigenvalues_block_diagonal([a.copy()]) == eigenvalues_symmetric(a)
+
+    def test_no_blocks(self):
+        assert eigenvalues_block_diagonal([]).entries == ()
+
+    def test_copies_a_block_that_is_not_float64(self):
+        lap = laplacian_matrix(build_full_graph(30))
+        before = lap.copy()
+        eigenvalues_block_diagonal([lap])
+        assert np.array_equal(lap, before)
+
+    def test_merges_once(self, monkeypatch):
+        calls = []
+        merge = eigen.merge_spectrum
+        monkeypatch.setattr(eigen, "merge_spectrum", lambda t: calls.append(1) or merge(t))
+        rng = np.random.default_rng(4)
+        eigenvalues_block_diagonal(self.random_symmetric(rng, m) for m in (6, 7))
+        assert calls == [1]
+
+    def test_releases_each_block_before_the_next_is_built(self):
+        rng = np.random.default_rng(8)
+        built = []
+
+        def fresh(m):
+            block = self.random_symmetric(rng, m)
+            built.append(weakref.ref(block))
+            return block
+
+        def blocks():
+            for m in (30, 20, 10):
+                assert all(ref() is None for ref in built)
+                yield fresh(m)
+
+        assert eigenvalues_block_diagonal(blocks()).total_multiplicity == 60
+
+    def test_refuses_an_asymmetric_block(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            eigenvalues_block_diagonal([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
+
+
 def tridiagonal(diag, sub):
     return np.diag(diag) + np.diag(sub, 1) + np.diag(sub, -1)
 
@@ -183,10 +244,12 @@ def row_sum_norm(a):
     return float(np.max(np.abs(a).sum(axis=1)))
 
 
-def assert_matches_eigvalsh(a, factor=4):
-    """eigenvalues_symmetric against eigvalsh merged the same way: equal
-    multiplicities, values within factor * m * eps * |A|."""
-    ours = eigenvalues_symmetric(a).entries
+def assert_matches_eigvalsh(a, factor=4, blocks=None):
+    """eigenvalues_symmetric, or eigenvalues_block_diagonal of blocks that
+    make up a, against eigvalsh merged the same way: equal multiplicities,
+    values within factor * m * eps * |A|."""
+    ours = (eigenvalues_symmetric(a) if blocks is None
+            else eigenvalues_block_diagonal(blocks)).entries
     reference = merge_spectrum((v, 1, False) for v in np.linalg.eigvalsh(a)).entries
     assert [e.multiplicity for e in ours] == [e.multiplicity for e in reference]
     error = max(abs(x.value - y.value) for x, y in zip(ours, reference))

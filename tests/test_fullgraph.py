@@ -6,15 +6,20 @@ import pytest
 
 from cozero import (
     EmptyGraphError,
+    FullGraph,
     VertexCapError,
     build_full_graph,
     build_quotient,
     connected_component_count,
     full_graph_connected_predicate,
     is_prime,
+    eigenvalues_symmetric,
     laplacian_matrix,
+    merge_spectrum,
 )
 from cozero import fullgraph
+from cozero.eigen import MATCH_TOL, eigenvalues_block_diagonal
+from cozero.fullgraph import negation_blocks
 from reference import is_adjacent_by_definition, is_adjacent_exhaustive
 
 
@@ -199,3 +204,100 @@ class TestExports:
         for v in graph.vertices:
             assert f'v{v} [label="{v}"' in out
         assert out.count(" -- ") == graph.edge_count
+
+
+def split_spectrum(lap):
+    return eigenvalues_block_diagonal(negation_blocks(lap))
+
+
+def assert_same_multiset(ours, reference):
+    """Equal multiplicities, group by group, and values within MATCH_TOL."""
+    assert [e.multiplicity for e in ours.entries] == [
+        e.multiplicity for e in reference.entries
+    ]
+    assert max(
+        (abs(x.value - y.value) for x, y in zip(ours.entries, reference.entries)),
+        default=0.0,
+    ) <= MATCH_TOL
+
+
+def eigvalsh_spectrum(lap):
+    """numpy's LAPACK eigenvalues of the whole matrix, merged like ours."""
+    return merge_spectrum((v, 1, False) for v in np.linalg.eigvalsh(lap))
+
+
+def negation_basis(m):
+    """Columns (e_i - e_{m-1-i}) / sqrt 2, then (e_i + e_{m-1-i}) / sqrt 2
+    for i < m // 2, then the middle e_{m // 2} when m is odd."""
+    h = m // 2
+    basis = np.zeros((m, m))
+    for i in range(h):
+        basis[i, i] = basis[i, h + i] = basis[m - 1 - i, h + i] = 1 / np.sqrt(2)
+        basis[m - 1 - i, i] = -1 / np.sqrt(2)
+    if m % 2:
+        basis[h, m - 1] = 1.0
+    return basis
+
+
+class TestNegationSplit:
+    def test_matches_eigvalsh_and_the_unsplit_solve_below_200(self):
+        for n in composite_range(199):
+            lap = laplacian_matrix(build_full_graph(n))
+            split = split_spectrum(lap)
+            assert_same_multiset(split, eigvalsh_spectrum(lap))
+            assert_same_multiset(split, eigenvalues_symmetric(lap))
+
+    @pytest.mark.parametrize("n", [720, 1155, 3010])
+    def test_matches_eigvalsh_at_size(self, n):
+        lap = laplacian_matrix(build_full_graph(n))
+        assert_same_multiset(split_spectrum(lap), eigvalsh_spectrum(lap))
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 15, 30, 49, 60, 81])
+    def test_blocks_are_the_laplacian_in_the_negation_basis(self, n):
+        lap = laplacian_matrix(build_full_graph(n))
+        m = len(lap)
+        basis = negation_basis(m)
+        rotated = basis.T @ lap @ basis
+        expected = np.zeros((m, m))
+        at = 0
+        for block in negation_blocks(lap):
+            k = len(block)
+            expected[at:at + k, at:at + k] = block
+            at += k
+        assert at == m
+        assert np.max(np.abs(rotated - expected)) <= 1e-12 * m
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(4, 1), (6, 3), (8, 3), (9, 2), (15, 6), (30, 21), (81, 26), (720, 527), (1155, 674)],
+    )
+    def test_block_sizes_for_either_parity(self, n, m):
+        # m is odd exactly when n is even: n / 2 is the middle vertex
+        lap = laplacian_matrix(build_full_graph(n))
+        assert len(lap) == m and m % 2 != n % 2
+        shapes = [block.shape for block in negation_blocks(lap)]
+        h = m // 2
+        assert shapes == [(h, h), (m - h, m - h)]
+
+    def test_single_vertex(self):
+        lap = laplacian_matrix(build_full_graph(4))
+        assert [e.multiplicity for e in split_spectrum(lap).entries] == [1]
+        assert split_spectrum(lap).entries[0].value == 0
+
+    @pytest.mark.parametrize("n", [8, 81])
+    def test_null_graph_blocks_are_zero(self, n):
+        lap = laplacian_matrix(build_full_graph(n))
+        assert not any(block.any() for block in negation_blocks(lap))
+        (zero,) = split_spectrum(lap).entries
+        assert (zero.value, zero.multiplicity) == (0, len(lap))
+
+    def test_refuses_a_graph_that_reversal_does_not_preserve(self):
+        graph = build_full_graph(30)
+        adjacency = graph.adjacency.copy()
+        # still a simple graph, but reversal maps the pair (0, 1) to (m-1, m-2)
+        adjacency[0, 1] = adjacency[1, 0] = not adjacency[0, 1]
+        broken = FullGraph(graph.n, graph.vertices, graph.classes, adjacency)
+        lap = laplacian_matrix(broken)
+        assert np.array_equal(lap, lap.T)
+        with pytest.raises(AssertionError, match="automorphism"):
+            next(negation_blocks(lap))

@@ -1,11 +1,15 @@
 """Peak memory of the oracle, traced with tracemalloc (numpy reports to it).
 
 Peaks are in units of one m x m float64 array, 8 m**2 bytes, at n = 720
-(527 vertices). The solver's working copy is one unit; no other temporary
-of the matrix's size may be formed, so the bounds leave room for strips
-of STRIP_HEIGHT rows but not for a second full array.
+(527 vertices). The oracle holds the boolean adjacency (an eighth of a
+unit) and the int16 Laplacian (a quarter). It solves the Laplacian as
+two blocks of about m / 2, split by the negation x -> n - x, built one
+at a time; each block, about a quarter unit, is its own working array.
+So no m x m float64 array is formed, and the bounds leave room for one
+block and strips of STRIP_HEIGHT rows. eigenvalues_symmetric on the
+whole Laplacian still forms one full working copy.
 
-Implicit QL works on two lists of m Python floats, after the Householder
+Implicit QL works on two lists of Python floats, after the Householder
 reduction has released its panels. tracemalloc hooks every float it
 creates, which makes QL some sixty times slower, so here it passes the
 diagonal through: the values are wrong, the arrays are the real ones.
@@ -52,7 +56,7 @@ def test_eigensolve_forms_one_working_copy(graph, unit):
 
 
 def test_oracle_holds_one_working_copy(unit):
-    assert traced_peak(verify_against_oracle, N) <= 1.8 * unit
+    assert traced_peak(verify_against_oracle, N) <= 1.0 * unit
 
 
 def test_full_graph_build_forms_no_full_size_temporary(unit):

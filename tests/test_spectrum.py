@@ -5,6 +5,7 @@ import pytest
 
 from cozero import (
     Factorization,
+    FullGraph,
     SpectrumEntry,
     VertexCapError,
     assemble_spectrum,
@@ -316,6 +317,20 @@ class TestOracleVerification:
         for n in (8, 9, 12, 27, 30, 64):
             report = verify_against_oracle(n)
             assert report.zero_multiplicity == report.component_count
+
+    def test_refuses_a_graph_that_reversal_does_not_preserve(self, monkeypatch):
+        # the oracle checks the negation symmetry it splits by on every call
+        from cozero import spectrum
+
+        def broken_graph(f, cap):
+            graph = build_full_graph(f, cap=cap)
+            adjacency = graph.adjacency.copy()
+            adjacency[0, 1] = adjacency[1, 0] = not adjacency[0, 1]
+            return FullGraph(graph.n, graph.vertices, graph.classes, adjacency)
+
+        monkeypatch.setattr(spectrum, "build_full_graph", broken_graph)
+        with pytest.raises(AssertionError, match="automorphism"):
+            verify_against_oracle(30)
 
     def test_five_hundred_vertex_graph(self):
         report = verify_against_oracle(720)
