@@ -22,7 +22,6 @@ from .fullgraph import (
     build_full_graph,
     connected_component_count,
     full_graph_connected_predicate,
-    laplacian_matrix,
 )
 from .quotient import (
     QuotientGraph,
@@ -78,7 +77,6 @@ __all__ = [
     "full_graph_connected_predicate",
     "is_laplacian_integral",
     "is_prime",
-    "laplacian_matrix",
     "merge_spectrum",
     "quotient_connectivity_state",
     "verify_against_oracle",

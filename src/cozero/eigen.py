@@ -7,23 +7,22 @@ reduction keeps its reflectors and update vectors in one array, so every
 update it makes is a single matrix product. QL runs on the tridiagonal
 T in reverse order, so it deflates from the bottom of T, with one
 threshold scaled by |T|, the largest entry of T: e_i**2 <= (eps |T|)**2.
-It is the only route to eigenvalues. A block-diagonal matrix, such as
-the oracle's Laplacian in its negation basis, is solved block by block
-and merged once. A known null vector, such as the square-root weights of
-a weighted Laplacian, is deflated from the whole matrix, so its zero
-eigenvalue comes out exact; any other zero eigenvalue is computed like
-the rest.
+It is the only route to eigenvalues: eigenvalues_in_place solves a
+float64 matrix that the caller hands over as the working array, such as
+the oracle's half-size negation block, and eigenvalues_symmetric solves
+a copy and merges by multiplicity. A known null vector, such as the
+square-root weights of a weighted Laplacian, is deflated from the whole
+matrix, so its zero eigenvalue comes out exact; any other zero
+eigenvalue is computed like the rest.
 
-All entry points are pure, except that eigenvalues_block_diagonal uses
-float64 blocks as its working arrays; concurrent calls on distinct
-matrices are safe.
+All entry points are pure, except that eigenvalues_in_place destroys its
+argument; concurrent calls on distinct matrices are safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -378,21 +377,13 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     return _eigenvalues(a[1:, 1:])
 
 
-def eigenvalues_block_diagonal(blocks: Iterable) -> SpectrumMultiset:
-    """All eigenvalues of the block-diagonal matrix with these diagonal
-    blocks, each a real symmetric matrix, merged by multiplicity once.
-
-    A block that is a writable C-ordered float64 array is the solver's
-    working array and is destroyed; any other block is copied first. The
-    blocks are taken one at a time, and each is released before the next
-    is asked for, so a generator that builds them on demand keeps one
-    block alive at a time.
-    """
-    values = []
-    for block in blocks:
-        values.append(_eigenvalues(_symmetrized(np.require(block, np.float64, "CW"))))
-        del block  # before the next block is built
-    return merge_spectrum((v, 1, False) for v in chain.from_iterable(values))
+def eigenvalues_in_place(a: np.ndarray) -> np.ndarray:
+    """Unsorted eigenvalues of a, a real symmetric float64 matrix that is
+    the solver's working array: it is checked and symmetrised as
+    eigenvalues_symmetric does, then destroyed."""
+    if a.dtype != np.float64:
+        raise ValueError(f"expected a float64 matrix, got {a.dtype}")
+    return _eigenvalues(_symmetrized(a))
 
 
 def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
@@ -408,7 +399,7 @@ def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
     """
     a = np.array(matrix, dtype=np.float64)
     if null_vector is None:
-        return eigenvalues_block_diagonal([a])
+        return merge_spectrum((v, 1, False) for v in eigenvalues_in_place(a))
     _symmetrized(a)
     null = np.asarray(null_vector, dtype=np.float64)
     if null.shape != (len(a),):

@@ -4,15 +4,15 @@ This is the brute-force side of every spectral check. Adjacency is filled
 from the divisor criterion: x and y are adjacent when neither gcd class
 divides the other, which is the ring definition (x outside the ideal of
 y and y outside the ideal of x) since y and gcd(y, n) generate the same
-ideal of Z_n. negation_blocks splits the Laplacian by the automorphism
-x -> n - x for the oracle's eigensolve.
+ideal of Z_n. negation_split uses the same fact once more for the
+oracle: x and n - x generate the same ideal, so they are twins, and the
+Laplacian splits into a diagonal of degrees and one block of half size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -79,50 +79,40 @@ def build_full_graph(n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP) -> F
     return FullGraph(n, tuple(int(v) for v in vertices), tuple(int(c) for c in g), adjacency)
 
 
-def laplacian_matrix(graph: FullGraph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix, exact, built in place.
+def negation_split(graph: FullGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The Laplacian L = D - A of graph in the basis (e_i -+ e_{m-1-i}) / sqrt 2.
 
-    The dtype is the smallest signed integer type that holds -m, so every
-    degree fits: int16 below 32768 vertices, a quarter of float64's bytes.
+    x and n - x generate the same ideal, so they have the same neighbours,
+    and on the ascending vertex list n - x is the mirror of x: row i of
+    the adjacency equals row m - 1 - i. That is checked exactly, STRIP_HEIGHT
+    rows at a time, and an AssertionError refuses a graph that fails it;
+    nothing else about the graph is assumed. With h = m // 2 it gives:
+
+    - on (e_i - e_{m-1-i}) / sqrt 2, the eigenvalue deg_i, for i < h;
+      these h degrees are the first array returned;
+    - on (e_i + e_{m-1-i}) / sqrt 2, the even block D_top - 2 A_top, with
+      D_top and A_top the leading h x h blocks of D and A, bordered for
+      odd m by the middle vertex e_h: the row and column -sqrt 2 A[h, :h]
+      and the corner deg_h. It is float64, of size m - h, and the second
+      array returned.
     """
-    lap = graph.adjacency.astype(np.min_scalar_type(-graph.vertex_count))
-    np.negative(lap, out=lap)
-    np.fill_diagonal(lap, graph.degrees())
-    return lap
-
-
-def negation_blocks(lap: np.ndarray) -> Iterator[np.ndarray]:
-    """The two diagonal blocks of lap in the basis (e_i -+ e_{m-1-i}) / sqrt 2.
-
-    x and n - x generate the same ideal, so x -> n - x is an automorphism
-    of the graph, and on the ascending vertex list it is the reversal:
-    the Laplacian L satisfies L == L[::-1, ::-1]. That is checked
-    exactly, before the first block is built, and an AssertionError
-    refuses an L that fails it; nothing else about the graph is assumed.
-    In that basis L splits into two blocks of about m / 2. With
-    h = m // 2 and R = L[:h, ::-1][:, :h]:
-
-    - the odd block, on (e_i - e_{m-1-i}) / sqrt 2, is L[:h, :h] - R;
-    - the even block, on (e_i + e_{m-1-i}) / sqrt 2, is L[:h, :h] + R,
-      bordered for odd m by the middle vertex e_h: the row and column
-      sqrt 2 * L[h, :h] and the corner L[h, h].
-
-    The blocks are float64 and built one at a time, as they are asked
-    for; a caller that drops each block before asking for the next, as
-    eigen.eigenvalues_block_diagonal does, holds one at a time.
-    """
-    m = len(lap)
-    if not np.array_equal(lap, lap[::-1, ::-1]):
-        raise AssertionError(f"reversing the {m} vertices is not an automorphism")
+    a = graph.adjacency
+    m = len(a)
     h = m // 2
-    top, mirror = lap[:h, :h], lap[:h, ::-1][:, :h]
-    yield np.subtract(top, mirror, dtype=np.float64)
-    even = np.empty((m - h, m - h))
-    np.add(top, mirror, out=even[:h, :h], dtype=np.float64)
+    for lo in range(0, h, STRIP_HEIGHT):
+        hi = min(lo + STRIP_HEIGHT, h)
+        if not np.array_equal(a[lo:hi], a[m - hi:m - lo][::-1]):
+            raise AssertionError(f"x and {graph.n} - x are not twins among the {m} vertices")
+    degrees = graph.degrees()
+    # zeros, then the edges: every non-edge is +0.0, as it is in L, where
+    # scaling A by -2.0 would give -0.0, whose sign Householder reads
+    even = np.zeros((m - h, m - h))
+    np.copyto(even[:h, :h], -2.0, where=a[:h, :h])
     if m > 2 * h:
-        even[h, :h] = even[:h, h] = math.sqrt(2.0) * lap[h, :h]
-        even[h, h] = lap[h, h]
-    yield even
+        np.copyto(even[h, :h], -math.sqrt(2.0), where=a[h, :h])
+        np.copyto(even[:h, h], -math.sqrt(2.0), where=a[h, :h])
+    np.fill_diagonal(even, degrees[:m - h])
+    return degrees[:h], even
 
 
 def connected_component_count(graph: FullGraph) -> int:

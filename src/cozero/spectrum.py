@@ -23,8 +23,7 @@ from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     build_full_graph,
     connected_component_count,
-    laplacian_matrix,
-    negation_blocks,
+    negation_split,
 )
 from .numbers import Factorization, factorize, is_prime
 from .quotient import (
@@ -190,15 +189,17 @@ def verify_against_oracle(
 
     Takes n or its factorization; n is factored once, here, and both
     sides read that factorization. The oracle builds the explicit
-    vertex-level Laplacian L and solves it with no knowledge of the join
-    structure. It uses one generic symmetry: Rx = R(-x) in any ring, so
-    x -> n - x is an automorphism, and it reverses the vertex list.
-    negation_blocks checks L == L[::-1, ::-1] exactly (an AssertionError
-    refuses an L that fails) and splits L into two blocks of about
-    m / 2, which are solved one at a time and merged once. Raises
-    VertexCapError when the graph would exceed cap, and before n is
-    factored when check_vertex_bound already refuses n. Prime n verifies
-    trivially (both sides empty) and is flagged degenerate.
+    vertex-level graph and solves its Laplacian L with no knowledge of the
+    join structure. It uses one generic symmetry: Rx = R(-x) in any ring,
+    so x and n - x have the same neighbours, and they are mirror images
+    in the vertex list. negation_split checks that exactly (an
+    AssertionError refuses a graph that fails) and splits L by it: the
+    first m // 2 degrees are eigenvalues, and the rest of the spectrum is
+    that of one float64 block of about m / 2, solved in place; the two
+    halves are merged once. Raises VertexCapError when the graph would
+    exceed cap, and before n is factored when check_vertex_bound already
+    refuses n. Prime n verifies trivially (both sides empty) and is
+    flagged degenerate.
     """
     if not isinstance(n, Factorization):
         check_vertex_bound(n, cap)
@@ -206,7 +207,10 @@ def verify_against_oracle(
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f, cap=cap)
-    oracle = eigen.eigenvalues_block_diagonal(negation_blocks(laplacian_matrix(graph)))
+    degrees, even = negation_split(graph)
+    oracle = eigen.merge_spectrum(
+        (v, 1, False) for v in np.concatenate((degrees, eigen.eigenvalues_in_place(even)))
+    )
     assembled = assemble_spectrum(f)
     comparison = compare_multisets(assembled.combined, oracle)
     return OracleReport(

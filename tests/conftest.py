@@ -3,9 +3,10 @@ the exit code and standard output of one CLI call."""
 
 import pytest
 
-from cozero import build_full_graph, laplacian_matrix
+from cozero import build_full_graph
 from cozero.cli import main
 from cozero.eigen import eigenvalues_symmetric
+from reference import laplacian
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +17,7 @@ def oracle_spectrum():
     def get(n):
         if n not in cache:
             graph = build_full_graph(n)
-            cache[n] = eigenvalues_symmetric(laplacian_matrix(graph))
+            cache[n] = eigenvalues_symmetric(laplacian(graph))
         return cache[n]
 
     return get

@@ -55,6 +55,11 @@ def is_adjacent_exhaustive(x: int, y: int, n: int) -> bool:
     return x not in ideal_of(y, n) and y not in ideal_of(x, n)
 
 
+def laplacian(graph) -> np.ndarray:
+    """Degree matrix minus adjacency matrix of a built graph, in int64."""
+    return np.diag(graph.degrees()) - graph.adjacency
+
+
 def gcd_class_count(n: int, d: int) -> int:
     """|{x in [1, n-1] : gcd(x, n) == d}| by direct scan."""
     return sum(1 for x in range(1, n) if gcd(x, n) == d)

@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -13,10 +12,8 @@ from cozero import (
     connected_component_count,
     eigenvalues_symmetric,
     is_prime,
-    laplacian_matrix,
     merge_spectrum,
 )
-from cozero import eigen
 from cozero.eigen import (
     INTEGER_TOL,
     MERGE_TOL,
@@ -25,9 +22,9 @@ from cozero.eigen import (
     SYMMETRY_TOL,
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
-    eigenvalues_block_diagonal,
+    eigenvalues_in_place,
 )
-from reference import characteristic_polynomial, poly_eval_int
+from reference import characteristic_polynomial, laplacian, poly_eval_int
 
 
 def bareiss_determinant(matrix):
@@ -156,7 +153,7 @@ class TestEigenvaluesSymmetric:
             ), f"m={m}"
 
     def test_paths_agree_on_graph_laplacian(self):
-        lap = laplacian_matrix(build_full_graph(60))
+        lap = laplacian(build_full_graph(60))
         ours = eigenvalues_symmetric(lap).values()
         reference = np.linalg.eigvalsh(lap)[::-1]
         assert float(np.max(np.abs(ours - reference))) < 1e-8
@@ -178,62 +175,42 @@ class TestEigenvaluesSymmetric:
         assert s.entries == ()
 
 
-class TestBlockDiagonal:
+class TestEigenvaluesInPlace:
     @staticmethod
     def random_symmetric(rng, m):
         a = rng.standard_normal((m, m))
         return a + a.T
 
-    def test_matches_eigvalsh_of_the_assembled_matrix(self):
+    def test_matches_eigvalsh_of_a_block_diagonal_matrix(self):
         rng = np.random.default_rng(31)
-        blocks = [self.random_symmetric(rng, m) for m in (0, 1, 5, 40, 33)]
         whole = np.zeros((79, 79))
         at = 0
-        for block in blocks:
-            whole[at:at + len(block), at:at + len(block)] = block
-            at += len(block)
-        assert_matches_eigvalsh(whole, blocks=[b.copy() for b in blocks])
+        for m in (0, 1, 5, 40, 33):
+            whole[at:at + m, at:at + m] = self.random_symmetric(rng, m)
+            at += m
+        ours = np.sort(eigenvalues_in_place(whole.copy()))
+        error = float(np.max(np.abs(ours - np.linalg.eigvalsh(whole))))
+        assert error <= 4 * len(whole) * np.finfo(np.float64).eps * row_sum_norm(whole)
 
-    def test_one_block_is_eigenvalues_symmetric(self):
+    def test_is_eigenvalues_symmetric_before_the_merge(self):
         a = self.random_symmetric(np.random.default_rng(3), 50)
-        assert eigenvalues_block_diagonal([a.copy()]) == eigenvalues_symmetric(a)
+        values = eigenvalues_in_place(a.copy())
+        assert merge_spectrum((v, 1, False) for v in values) == eigenvalues_symmetric(a)
 
-    def test_no_blocks(self):
-        assert eigenvalues_block_diagonal([]).entries == ()
+    def test_empty_matrix(self):
+        assert eigenvalues_in_place(np.zeros((0, 0))).shape == (0,)
 
-    def test_copies_a_block_that_is_not_float64(self):
-        lap = laplacian_matrix(build_full_graph(30))
-        before = lap.copy()
-        eigenvalues_block_diagonal([lap])
-        assert np.array_equal(lap, before)
+    def test_refuses_a_matrix_that_is_not_float64(self):
+        with pytest.raises(ValueError, match="float64"):
+            eigenvalues_in_place(laplacian(build_full_graph(30)))
 
-    def test_merges_once(self, monkeypatch):
-        calls = []
-        merge = eigen.merge_spectrum
-        monkeypatch.setattr(eigen, "merge_spectrum", lambda t: calls.append(1) or merge(t))
-        rng = np.random.default_rng(4)
-        eigenvalues_block_diagonal(self.random_symmetric(rng, m) for m in (6, 7))
-        assert calls == [1]
-
-    def test_releases_each_block_before_the_next_is_built(self):
-        rng = np.random.default_rng(8)
-        built = []
-
-        def fresh(m):
-            block = self.random_symmetric(rng, m)
-            built.append(weakref.ref(block))
-            return block
-
-        def blocks():
-            for m in (30, 20, 10):
-                assert all(ref() is None for ref in built)
-                yield fresh(m)
-
-        assert eigenvalues_block_diagonal(blocks()).total_multiplicity == 60
-
-    def test_refuses_an_asymmetric_block(self):
+    def test_refuses_an_asymmetric_matrix(self):
         with pytest.raises(ValueError, match="asymmetric"):
-            eigenvalues_block_diagonal([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
+            eigenvalues_in_place(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_refuses_a_non_finite_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues_in_place(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
 
 def tridiagonal(diag, sub):
@@ -244,12 +221,10 @@ def row_sum_norm(a):
     return float(np.max(np.abs(a).sum(axis=1)))
 
 
-def assert_matches_eigvalsh(a, factor=4, blocks=None):
-    """eigenvalues_symmetric, or eigenvalues_block_diagonal of blocks that
-    make up a, against eigvalsh merged the same way: equal multiplicities,
-    values within factor * m * eps * |A|."""
-    ours = (eigenvalues_symmetric(a) if blocks is None
-            else eigenvalues_block_diagonal(blocks)).entries
+def assert_matches_eigvalsh(a, factor=4):
+    """eigenvalues_symmetric against eigvalsh merged the same way: equal
+    multiplicities, values within factor * m * eps * |A|."""
+    ours = eigenvalues_symmetric(a).entries
     reference = merge_spectrum((v, 1, False) for v in np.linalg.eigvalsh(a)).entries
     assert [e.multiplicity for e in ours] == [e.multiplicity for e in reference]
     error = max(abs(x.value - y.value) for x, y in zip(ours, reference))
@@ -445,7 +420,7 @@ class TestLaplacianHygiene:
     @pytest.mark.parametrize("n,components", [(8, 3), (12, 1), (30, 1), (9, 2)])
     def test_psd_and_zero_multiplicity(self, n, components):
         graph = build_full_graph(n)
-        s = eigenvalues_symmetric(laplacian_matrix(graph))
+        s = eigenvalues_symmetric(laplacian(graph))
         assert s.entries[-1].value >= -1e-8
         assert s.zero_multiplicity() == components
         assert connected_component_count(graph) == components

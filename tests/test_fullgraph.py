@@ -14,13 +14,12 @@ from cozero import (
     full_graph_connected_predicate,
     is_prime,
     eigenvalues_symmetric,
-    laplacian_matrix,
     merge_spectrum,
 )
 from cozero import fullgraph
-from cozero.eigen import MATCH_TOL, eigenvalues_block_diagonal
-from cozero.fullgraph import negation_blocks
-from reference import is_adjacent_by_definition, is_adjacent_exhaustive
+from cozero.eigen import MATCH_TOL, eigenvalues_in_place
+from cozero.fullgraph import negation_split
+from reference import is_adjacent_by_definition, is_adjacent_exhaustive, laplacian
 
 
 def composite_range(hi):
@@ -183,19 +182,9 @@ class TestConnectivity:
 
 class TestExports:
     def test_laplacian_rows_sum_to_zero(self):
-        lap = laplacian_matrix(build_full_graph(30))
+        lap = laplacian(build_full_graph(30))
         assert np.array_equal(lap.sum(axis=1), np.zeros(21))
         assert np.array_equal(lap, lap.T)
-
-    @pytest.mark.parametrize("n,dtype", [(30, np.int8), (720, np.int16)])
-    def test_laplacian_is_exact_in_the_least_signed_type(self, n, dtype):
-        graph = build_full_graph(n)
-        lap = laplacian_matrix(graph)
-        assert lap.dtype == dtype
-        assert np.array_equal(np.diagonal(lap), graph.degrees())
-        off_diagonal = -lap.astype(np.int64)
-        np.fill_diagonal(off_diagonal, 0)
-        assert np.array_equal(off_diagonal, graph.adjacency)
 
     def test_dot_output(self, cli_output):
         code, out = cli_output("structure", "12", "--format", "dot", "--full")
@@ -206,8 +195,12 @@ class TestExports:
         assert out.count(" -- ") == graph.edge_count
 
 
-def split_spectrum(lap):
-    return eigenvalues_block_diagonal(negation_blocks(lap))
+def split_spectrum(graph):
+    """The oracle's spectrum: the split's degrees and its even block's values."""
+    degrees, even = negation_split(graph)
+    return merge_spectrum(
+        (v, 1, False) for v in np.concatenate((degrees, eigenvalues_in_place(even)))
+    )
 
 
 def assert_same_multiset(ours, reference):
@@ -239,33 +232,47 @@ def negation_basis(m):
     return basis
 
 
+def without_twins(graph, *pairs):
+    """graph with the adjacency of each pair (i, j) flipped, both ways."""
+    adjacency = graph.adjacency.copy()
+    for i, j in pairs:
+        adjacency[i, j] = adjacency[j, i] = not adjacency[i, j]
+    return FullGraph(graph.n, graph.vertices, graph.classes, adjacency)
+
+
 class TestNegationSplit:
     def test_matches_eigvalsh_and_the_unsplit_solve_below_200(self):
         for n in composite_range(199):
-            lap = laplacian_matrix(build_full_graph(n))
-            split = split_spectrum(lap)
+            graph = build_full_graph(n)
+            lap = laplacian(graph)
+            split = split_spectrum(graph)
             assert_same_multiset(split, eigvalsh_spectrum(lap))
             assert_same_multiset(split, eigenvalues_symmetric(lap))
 
     @pytest.mark.parametrize("n", [720, 1155, 3010])
     def test_matches_eigvalsh_at_size(self, n):
-        lap = laplacian_matrix(build_full_graph(n))
-        assert_same_multiset(split_spectrum(lap), eigvalsh_spectrum(lap))
+        graph = build_full_graph(n)
+        assert_same_multiset(split_spectrum(graph), eigvalsh_spectrum(laplacian(graph)))
 
     @pytest.mark.parametrize("n", [4, 8, 12, 15, 30, 49, 60, 81])
     def test_blocks_are_the_laplacian_in_the_negation_basis(self, n):
-        lap = laplacian_matrix(build_full_graph(n))
+        graph = build_full_graph(n)
+        lap = laplacian(graph)
         m = len(lap)
+        h = m // 2
         basis = negation_basis(m)
         rotated = basis.T @ lap @ basis
+        degrees, even = negation_split(graph)
+        # twin rows cancel exactly, so the odd part is exactly diagonal; the
+        # rest agrees up to the rounding of 1 / sqrt 2
+        odd = rotated[:h, :h]
+        assert np.array_equal(odd, np.diag(np.diagonal(odd)))
         expected = np.zeros((m, m))
-        at = 0
-        for block in negation_blocks(lap):
-            k = len(block)
-            expected[at:at + k, at:at + k] = block
-            at += k
-        assert at == m
+        expected[:h, :h] = np.diag(degrees)
+        expected[h:, h:] = even
         assert np.max(np.abs(rotated - expected)) <= 1e-12 * m
+        # the Householder reduction reads the sign of a zero: none is -0.0
+        assert not np.signbit(even[even == 0]).any()
 
     @pytest.mark.parametrize(
         "n, m",
@@ -273,31 +280,40 @@ class TestNegationSplit:
     )
     def test_block_sizes_for_either_parity(self, n, m):
         # m is odd exactly when n is even: n / 2 is the middle vertex
-        lap = laplacian_matrix(build_full_graph(n))
-        assert len(lap) == m and m % 2 != n % 2
-        shapes = [block.shape for block in negation_blocks(lap)]
+        graph = build_full_graph(n)
+        assert graph.vertex_count == m and m % 2 != n % 2
+        degrees, even = negation_split(graph)
         h = m // 2
-        assert shapes == [(h, h), (m - h, m - h)]
+        assert (degrees.shape, even.shape) == ((h,), (m - h, m - h))
+        assert even.dtype == np.float64
 
     def test_single_vertex(self):
-        lap = laplacian_matrix(build_full_graph(4))
-        assert [e.multiplicity for e in split_spectrum(lap).entries] == [1]
-        assert split_spectrum(lap).entries[0].value == 0
+        graph = build_full_graph(4)
+        assert [e.multiplicity for e in split_spectrum(graph).entries] == [1]
+        assert split_spectrum(graph).entries[0].value == 0
 
     @pytest.mark.parametrize("n", [8, 81])
     def test_null_graph_blocks_are_zero(self, n):
-        lap = laplacian_matrix(build_full_graph(n))
-        assert not any(block.any() for block in negation_blocks(lap))
-        (zero,) = split_spectrum(lap).entries
-        assert (zero.value, zero.multiplicity) == (0, len(lap))
+        graph = build_full_graph(n)
+        degrees, even = negation_split(graph)
+        assert not degrees.any() and not even.any()
+        (zero,) = split_spectrum(graph).entries
+        assert (zero.value, zero.multiplicity) == (0, graph.vertex_count)
 
     def test_refuses_a_graph_that_reversal_does_not_preserve(self):
-        graph = build_full_graph(30)
-        adjacency = graph.adjacency.copy()
         # still a simple graph, but reversal maps the pair (0, 1) to (m-1, m-2)
-        adjacency[0, 1] = adjacency[1, 0] = not adjacency[0, 1]
-        broken = FullGraph(graph.n, graph.vertices, graph.classes, adjacency)
-        lap = laplacian_matrix(broken)
-        assert np.array_equal(lap, lap.T)
-        with pytest.raises(AssertionError, match="automorphism"):
-            next(negation_blocks(lap))
+        broken = without_twins(build_full_graph(30), (0, 1))
+        assert np.array_equal(broken.adjacency, broken.adjacency.T)
+        with pytest.raises(AssertionError, match="twins"):
+            negation_split(broken)
+
+    def test_refuses_a_reversible_graph_without_twins(self):
+        # flipping (0, 1) and its mirror (m-2, m-1) keeps L == L[::-1, ::-1],
+        # but row 0 no longer equals row m-1: 0 and m-1 are not twins
+        graph = build_full_graph(30)
+        m = graph.vertex_count
+        broken = without_twins(graph, (0, 1), (m - 2, m - 1))
+        lap = laplacian(broken)
+        assert np.array_equal(lap, lap[::-1, ::-1])
+        with pytest.raises(AssertionError, match="twins"):
+            negation_split(broken)

@@ -2,12 +2,13 @@
 
 Peaks are in units of one m x m float64 array, 8 m**2 bytes, at n = 720
 (527 vertices). The oracle holds the boolean adjacency (an eighth of a
-unit) and the int16 Laplacian (a quarter). It solves the Laplacian as
-two blocks of about m / 2, split by the negation x -> n - x, built one
-at a time; each block, about a quarter unit, is its own working array.
-So no m x m float64 array is formed, and the bounds leave room for one
-block and strips of STRIP_HEIGHT rows. eigenvalues_symmetric on the
-whole Laplacian still forms one full working copy.
+unit) and, split by the negation x -> n - x, one float64 block of about
+m / 2 (a quarter), built straight from the adjacency and solved in
+place; the other half of the spectrum is the degree list. So the
+oracle's bound leaves room for that block and strips of STRIP_HEIGHT
+rows, but not for a second block or an m x m int16 Laplacian (a
+quarter unit each). eigenvalues_symmetric on the whole Laplacian still
+forms one full working copy.
 
 Implicit QL works on two lists of Python floats, after the Householder
 reduction has released its panels. tracemalloc hooks every float it
@@ -19,8 +20,9 @@ import tracemalloc
 
 import pytest
 
-from cozero import build_full_graph, eigen, eigenvalues_symmetric, laplacian_matrix
+from cozero import build_full_graph, eigen, eigenvalues_symmetric
 from cozero.spectrum import verify_against_oracle
+from reference import laplacian
 
 N = 720
 
@@ -51,12 +53,12 @@ def unit(graph):
 
 
 def test_eigensolve_forms_one_working_copy(graph, unit):
-    lap = laplacian_matrix(graph)
+    lap = laplacian(graph)
     assert traced_peak(eigenvalues_symmetric, lap) <= 1.4 * unit
 
 
 def test_oracle_holds_one_working_copy(unit):
-    assert traced_peak(verify_against_oracle, N) <= 1.0 * unit
+    assert traced_peak(verify_against_oracle, N) <= 0.7 * unit
 
 
 def test_full_graph_build_forms_no_full_size_temporary(unit):

@@ -318,18 +318,32 @@ class TestOracleVerification:
             report = verify_against_oracle(n)
             assert report.zero_multiplicity == report.component_count
 
-    def test_refuses_a_graph_that_reversal_does_not_preserve(self, monkeypatch):
-        # the oracle checks the negation symmetry it splits by on every call
+    @staticmethod
+    def flipped(monkeypatch, pairs):
+        """Make the oracle build graphs with the adjacency of each (i, j)
+        in pairs(m) flipped, m the vertex count."""
         from cozero import spectrum
 
         def broken_graph(f, cap):
             graph = build_full_graph(f, cap=cap)
             adjacency = graph.adjacency.copy()
-            adjacency[0, 1] = adjacency[1, 0] = not adjacency[0, 1]
+            for i, j in pairs(graph.vertex_count):
+                adjacency[i, j] = adjacency[j, i] = not adjacency[i, j]
             return FullGraph(graph.n, graph.vertices, graph.classes, adjacency)
 
         monkeypatch.setattr(spectrum, "build_full_graph", broken_graph)
-        with pytest.raises(AssertionError, match="automorphism"):
+
+    def test_refuses_a_graph_that_reversal_does_not_preserve(self, monkeypatch):
+        # the oracle checks the twins it splits by on every call
+        self.flipped(monkeypatch, lambda m: [(0, 1)])
+        with pytest.raises(AssertionError, match="twins"):
+            verify_against_oracle(30)
+
+    def test_refuses_a_reversible_graph_without_twins(self, monkeypatch):
+        # reversal maps (0, 1) to (m - 2, m - 1), so it still preserves the
+        # graph, but vertices 0 and m - 1 are no longer twins
+        self.flipped(monkeypatch, lambda m: [(0, 1), (m - 2, m - 1)])
+        with pytest.raises(AssertionError, match="twins"):
             verify_against_oracle(30)
 
     def test_five_hundred_vertex_graph(self):
