@@ -25,16 +25,12 @@ from .fullgraph import (
 )
 from .quotient import (
     QuotientGraph,
-    WeightedLaplacian,
     build_quotient,
-    build_weighted_laplacian,
     quotient_connectivity_state,
-    weighted_degrees,
 )
 from .eigen import (
     SpectrumEntry,
     SpectrumMultiset,
-    eigenvalues_symmetric,
     merge_spectrum,
 )
 from .spectrum import (
@@ -64,15 +60,12 @@ __all__ = [
     "SpectrumEntry",
     "SpectrumMultiset",
     "VertexCapError",
-    "WeightedLaplacian",
     "assemble_spectrum",
     "build_full_graph",
     "build_quotient",
-    "build_weighted_laplacian",
     "compare_multisets",
     "connected_component_count",
     "divisor_exponents",
-    "eigenvalues_symmetric",
     "factorize",
     "full_graph_connected_predicate",
     "is_laplacian_integral",
@@ -80,5 +73,4 @@ __all__ = [
     "merge_spectrum",
     "quotient_connectivity_state",
     "verify_against_oracle",
-    "weighted_degrees",
 ]

@@ -32,12 +32,10 @@ from .fullgraph import (
 from .numbers import Factorization, factorize
 from .quotient import (
     QuotientGraph,
-    WeightedLaplacian,
     build_quotient,
-    build_weighted_laplacian,
     factorize_for_quotient,
+    integer_laplacian,
     quotient_connectivity_state,
-    weighted_degrees,
 )
 
 EXIT_OK = 0
@@ -272,12 +270,12 @@ def _spectrum_csv(assembled: sp.AssembledSpectrum) -> list[str]:
     ]
 
 
-def _quotient_dot(q: QuotientGraph, degrees: list[int]) -> list[str]:
+def _quotient_dot(q: QuotientGraph) -> list[str]:
     """The quotient graph, each divisor labelled with its weight and weighted degree."""
     lines = [f"graph divisor_quotient_{q.n} {{"]
     lines.extend(
         f'  d{d} [label="{d}\\nw={w} D={deg}"];'
-        for d, w, deg in zip(q.divisors, q.weights, degrees)
+        for d, w, deg in zip(q.divisors, q.weights, q.degrees)
     )
     lines.extend(f"  d{a} -- d{b};" for a, b in q.edges())
     return lines + ["}"]
@@ -299,9 +297,9 @@ def _full_graph_dot(graph: FullGraph) -> list[str]:
     return lines + ["}"]
 
 
-def _laplacian_csv(wl: WeightedLaplacian) -> list[str]:
+def _laplacian_csv(q: QuotientGraph) -> list[str]:
     """The integer quotient Laplacian as bare CSV rows."""
-    return [",".join(map(str, row)) for row in wl.entries.tolist()]
+    return [",".join(map(str, row)) for row in integer_laplacian(q).tolist()]
 
 
 def _cmd_spectrum(args) -> int:
@@ -468,24 +466,24 @@ def _cmd_structure(args) -> int:
     f = factorize_for_quotient(n)
     if f.is_prime and args.format != "json":
         return _emit_degenerate(n, args, "no proper divisors")
-    q = build_quotient(f)
-    if args.format == "csv":
-        _emit(_laplacian_csv(build_weighted_laplacian(q)), args)
-        return EXIT_OK
     if args.full:
+        # the full graph alone: the vertex cap refuses n before any quotient is built
         _emit(_full_graph_dot(build_full_graph(f, cap=args.cap or DEFAULT_VERTEX_CAP)), args)
         return EXIT_OK
-    degrees = weighted_degrees(q)
+    q = build_quotient(f)
+    if args.format == "csv":
+        _emit(_laplacian_csv(q), args)
+        return EXIT_OK
     boundary = n == 4
 
     if args.format == "dot":
-        _emit(_quotient_dot(q, degrees), args)
+        _emit(_quotient_dot(q), args)
     elif args.format == "json":
         _emit_json({
             "n": n,
             "divisor_classes": [
                 {"d": d, "size": w, "D": deg}
-                for d, w, deg in zip(q.divisors, q.weights, degrees)
+                for d, w, deg in zip(q.divisors, q.weights, q.degrees)
             ],
             "edges": [list(e) for e in q.edges()],
             "quotient_connectivity": quotient_connectivity_state(q),
@@ -501,7 +499,7 @@ def _cmd_structure(args) -> int:
         if boundary:
             lines.append("note: n=4 is the single-vertex boundary case (even prime squared)")
         lines.append("divisor  size  D")
-        for d, w, deg in zip(q.divisors, q.weights, degrees):
+        for d, w, deg in zip(q.divisors, q.weights, q.degrees):
             lines.append(f"{d:7d}  {w:4d}  {deg}")
         if q.edge_count:
             lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in q.edges()))

@@ -7,15 +7,15 @@ reduction keeps its reflectors and update vectors in one array, so every
 update it makes is a single matrix product. QL runs on the tridiagonal
 T in reverse order, so it deflates from the bottom of T, with one
 threshold scaled by |T|, the largest entry of T: e_i**2 <= (eps |T|)**2.
-It is the only route to eigenvalues: eigenvalues_in_place solves a
-float64 matrix that the caller hands over as the working array, such as
-the oracle's half-size negation block, and eigenvalues_symmetric solves
-a copy and merges by multiplicity. A known null vector, such as the
-square-root weights of a weighted Laplacian, is deflated from the whole
-matrix, so its zero eigenvalue comes out exact; any other zero
+eigenvalues_in_place is the one entry point: it solves a float64 matrix
+that the caller hands over as the working array, such as the oracle's
+half-size negation block or the quotient's symmetric Laplacian, and
+returns raw values for the caller to merge. A known null vector, such as
+the square-root weights of a weighted Laplacian, is deflated from the
+whole matrix, so its zero eigenvalue is never computed; any other zero
 eigenvalue is computed like the rest.
 
-All entry points are pure, except that eigenvalues_in_place destroys its
+Every function is pure, except that eigenvalues_in_place destroys its
 argument; concurrent calls on distinct matrices are safe.
 """
 
@@ -356,6 +356,8 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     row and column of H a H vanish; the trailing block holds the rest of
     the spectrum, so the zero is never computed and cannot drift.
     """
+    if null.shape != (len(a),) or len(a) == 0:
+        raise ValueError(f"null vector of shape {null.shape} for a {a.shape} matrix")
     norm = math.sqrt(float(null @ null))
     if not math.isfinite(norm):  # an inf or a nan entry makes it non-finite
         raise ValueError("null vector has a non-finite norm")
@@ -377,35 +379,23 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     return _eigenvalues(a[1:, 1:])
 
 
-def eigenvalues_in_place(a: np.ndarray) -> np.ndarray:
+def eigenvalues_in_place(a: np.ndarray, null_vector=None) -> np.ndarray:
     """Unsorted eigenvalues of a, a real symmetric float64 matrix that is
-    the solver's working array: it is checked and symmetrised as
-    eigenvalues_symmetric does, then destroyed."""
+    the solver's working array: it is checked and symmetrised, then
+    destroyed. A matrix with an inf or a nan is refused with a ValueError.
+
+    With null_vector, which must lie in the kernel of a, as the
+    square-root weights do for the symmetric form of a weighted Laplacian,
+    that vector is deflated and the other m - 1 values are returned; the
+    caller adds its zero. Any other zero eigenvalue, such as one per
+    further component of a disconnected graph, is computed like the rest.
+    A null vector of the wrong shape, with an inf or a nan, or that a
+    does not annihilate is refused with a ValueError, as is any null
+    vector of an empty matrix.
+    """
     if a.dtype != np.float64:
         raise ValueError(f"expected a float64 matrix, got {a.dtype}")
-    return _eigenvalues(_symmetrized(a))
-
-
-def eigenvalues_symmetric(matrix, null_vector=None) -> SpectrumMultiset:
-    """All eigenvalues of a real symmetric matrix, merged by multiplicity.
-
-    With null_vector, which must lie in the kernel of the matrix, as the
-    square-root weights do for the symmetric form of a weighted Laplacian,
-    that vector is deflated from the whole matrix and gives one exact zero.
-    Any other zero eigenvalue, such as one per further component of a
-    disconnected graph, is computed like the rest and merges into that
-    exact zero. A matrix or null vector with an inf or a nan is refused
-    with a ValueError.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if null_vector is None:
-        return merge_spectrum((v, 1, False) for v in eigenvalues_in_place(a))
     _symmetrized(a)
-    null = np.asarray(null_vector, dtype=np.float64)
-    if null.shape != (len(a),):
-        raise ValueError(f"null vector of shape {null.shape} for a {a.shape} matrix")
-    if len(a) == 0:
-        return SpectrumMultiset(())
-    triples = [(0, 1, True)]
-    triples.extend((v, 1, False) for v in _deflated_eigenvalues(a, null))
-    return merge_spectrum(triples)
+    if null_vector is None:
+        return _eigenvalues(a)
+    return _deflated_eigenvalues(a, np.asarray(null_vector, dtype=np.float64))

@@ -6,9 +6,10 @@ the other, that is when their exponent vectors are incomparable. Vertex
 d carries weight phi(n/d) = prod phi(p^(e - a)), the size of its divisor
 class. The weighted degree of d sums the weights of its neighbours and
 equals the full-graph degree of every vertex in the class of d (the
-partition is equitable). Two Laplacian reductions live here: the integer
+partition is equitable); build_quotient computes the degrees once. Two
+Laplacian reductions are built from them on demand: the integer
 zero-row-sum form and its symmetric conjugate, which share one spectrum.
-Both are int64 and float64 arrays, so n must lie below 2**63.
+They are int64 and float64 arrays, so n must lie below 2**63.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class QuotientGraph:
     divisors: tuple[int, ...]
     weights: tuple[int, ...]
     adjacency: np.ndarray
+    # weighted degrees, Python ints; 0 for isolated vertices
+    degrees: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -76,7 +79,7 @@ def build_quotient(n: int | Factorization) -> QuotientGraph:
 
     Takes n or its factorization. A composite n must lie below 2**63:
     weighted degrees are int64 sums of weights, which add up to
-    n - phi(n) - 1.
+    n - phi(n) - 1, so no sum overflows.
     """
     f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
     if not f.is_prime:
@@ -93,7 +96,9 @@ def build_quotient(n: int | Factorization) -> QuotientGraph:
         divides &= col[:, None] <= col[None, :]
     adjacency = ~(divides | divides.T)
     adjacency.setflags(write=False)
-    return QuotientGraph(f.n, tuple(d for d, _ in proper), weights, adjacency)
+    degrees = adjacency.astype(np.int64) @ np.array(weights, dtype=np.int64)
+    degrees = tuple(degrees.tolist())
+    return QuotientGraph(f.n, tuple(d for d, _ in proper), weights, adjacency, degrees)
 
 
 def quotient_connectivity_state(q: QuotientGraph) -> str:
@@ -106,41 +111,22 @@ def quotient_connectivity_state(q: QuotientGraph) -> str:
     return "connected" if component_count(q.adjacency) == 1 else "disconnected"
 
 
-def weighted_degrees(q: QuotientGraph) -> list[int]:
-    """Sum of neighbour weights per divisor; 0 for isolated vertices.
+def integer_laplacian(q: QuotientGraph) -> np.ndarray:
+    """The integer zero-row-sum Laplacian, int64: the weighted degrees on
+    the diagonal and -weight(j) at each edge (i, j). 0 x 0 for prime n."""
+    entries = np.where(q.adjacency, -np.array(q.weights, dtype=np.int64), 0)
+    np.fill_diagonal(entries, q.degrees)
+    return entries
 
-    int64 cannot overflow: all weights together sum to n - phi(n) - 1.
+
+def symmetric_laplacian(q: QuotientGraph) -> np.ndarray:
+    """The symmetric conjugate of integer_laplacian by the square-root
+    weight diagonal, a fresh writable float64 array on every call: the
+    weighted degrees on the diagonal, -sqrt(weight(i) * weight(j)) on
+    edges and +0.0 elsewhere. Both forms share one eigenvalue multiset,
+    and the square-root weights are a null vector of this one.
     """
-    weights = np.array(q.weights, dtype=np.int64)
-    return [int(x) for x in q.adjacency.astype(np.int64) @ weights]
-
-
-@dataclass(frozen=True)
-class WeightedLaplacian:
-    """Both Laplacian reductions of a weighted quotient graph.
-
-    entries is the integer zero-row-sum form: diagonal holds the weighted
-    degrees, entry (i, j) is -weight(j) on edges. symmetric_form has the
-    same diagonal with -sqrt(weight(i) * weight(j)) on edges; it is the
-    conjugate of entries by the square-root weight diagonal, so the two
-    share one eigenvalue multiset.
-    """
-
-    dimension: int
-    entries: np.ndarray
-    symmetric_form: np.ndarray
-
-
-def build_weighted_laplacian(q: QuotientGraph) -> WeightedLaplacian:
-    if q.is_empty:
-        raise ValueError(f"n = {q.n} is prime; the quotient has no Laplacian")
-    degrees = weighted_degrees(q)
-    weights = np.array(q.weights, dtype=np.int64)
-    root_w = np.sqrt(weights.astype(np.float64))
-    entries = np.where(q.adjacency, -weights[None, :], 0)
-    np.fill_diagonal(entries, degrees)
+    root_w = np.sqrt(np.array(q.weights, dtype=np.float64))
     symmetric = np.where(q.adjacency, -np.outer(root_w, root_w), 0.0)
-    np.fill_diagonal(symmetric, degrees)
-    entries.setflags(write=False)
-    symmetric.setflags(write=False)
-    return WeightedLaplacian(q.size, entries, symmetric)
+    np.fill_diagonal(symmetric, q.degrees)
+    return symmetric

@@ -4,7 +4,8 @@ Every divisor class induces an edgeless subgraph, so the join reduction
 makes the class of divisor d contribute its weighted degree exactly
 (class size - 1) times; those eigenvalues are exact integers and are
 kept that way. The remaining d eigenvalues come from the small quotient
-Laplacian, solved numerically. verify_against_oracle compares the whole
+Laplacian: its zero is exact, from the deflated square-root weights, and
+the other d - 1 values are solved numerically. verify_against_oracle compares the whole
 assembly against a brute-force eigensolve of the explicit vertex-level
 Laplacian, split into two half-size blocks by the negation x -> n - x,
 an automorphism of every cozero-divisor graph that it checks exactly.
@@ -26,11 +27,7 @@ from .fullgraph import (
     negation_split,
 )
 from .numbers import Factorization, factorize, is_prime
-from .quotient import (
-    build_quotient,
-    build_weighted_laplacian,
-    factorize_for_quotient,
-)
+from .quotient import build_quotient, factorize_for_quotient, symmetric_laplacian
 
 
 @dataclass(frozen=True)
@@ -78,15 +75,14 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
         empty = eigen.SpectrumMultiset(())
         return AssembledSpectrum(f.n, (), empty, empty, "empty")
     q = build_quotient(f)
-    wl = build_weighted_laplacian(q)
-    degrees = np.diagonal(wl.entries).tolist()  # weighted degrees, Python ints
     integer_part = tuple(
         ClassEigenvalue(deg, w - 1, d)
-        for deg, w, d in zip(degrees, q.weights, q.divisors)
+        for deg, w, d in zip(q.degrees, q.weights, q.divisors)
     )
-    quotient_part = eigen.eigenvalues_symmetric(
-        wl.symmetric_form, np.sqrt(np.array(q.weights, dtype=np.float64))
+    values = eigen.eigenvalues_in_place(
+        symmetric_laplacian(q), np.sqrt(np.array(q.weights, dtype=np.float64))
     )
+    quotient_part = eigen.merge_spectrum([(0, 1, True)] + [(v, 1, False) for v in values])
     triples = [(e.value, e.multiplicity, True) for e in integer_part]
     triples.extend((e.value, e.multiplicity, e.exact) for e in quotient_part.entries)
     combined = eigen.merge_spectrum(triples)

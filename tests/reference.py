@@ -6,6 +6,8 @@ integer arithmetic. The paper's two exact results live here too: the
 closed-form spectrum of n = p*q and the quartic characteristic polynomial
 of the p**2 * q quotient, with Faddeev-LeVerrier as the exact polynomial
 of any small integer matrix. None is used by the library itself.
+eigenvalue_multiset is no independent reference: it wraps the library's
+solver so that a test can pass any matrix and get a merged multiset.
 """
 
 from math import gcd
@@ -21,6 +23,7 @@ from cozero import (
     is_prime,
     merge_spectrum,
 )
+from cozero.eigen import eigenvalues_in_place
 
 CHARPOLY_MAX_DIM = 64
 
@@ -58,6 +61,20 @@ def is_adjacent_exhaustive(x: int, y: int, n: int) -> bool:
 def laplacian(graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix of a built graph, in int64."""
     return np.diag(graph.degrees()) - graph.adjacency
+
+
+def eigenvalue_multiset(matrix, null_vector=None) -> SpectrumMultiset:
+    """All eigenvalues of a real symmetric matrix, merged by multiplicity.
+
+    A float64 copy of matrix goes to eigenvalues_in_place, so matrix is
+    left as it was. A null vector is deflated there and contributes one
+    exact zero here, as in assemble_spectrum.
+    """
+    values = eigenvalues_in_place(np.array(matrix, dtype=np.float64), null_vector)
+    triples = [(v, 1, False) for v in values]
+    if null_vector is not None:
+        triples.append((0, 1, True))
+    return merge_spectrum(triples)
 
 
 def gcd_class_count(n: int, d: int) -> int:

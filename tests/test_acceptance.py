@@ -16,11 +16,9 @@ from cozero import (
     assemble_spectrum,
     build_full_graph,
     build_quotient,
-    build_weighted_laplacian,
     Factorization,
     compare_multisets,
     connected_component_count,
-    eigenvalues_symmetric,
     factorize,
     full_graph_connected_predicate,
     is_laplacian_integral,
@@ -29,10 +27,12 @@ from cozero import (
     verify_against_oracle,
 )
 from cozero.eigen import SpectrumMultiset, component_count, merge_spectrum
+from cozero.quotient import integer_laplacian, symmetric_laplacian
 from reference import (
     characteristic_polynomial,
     charpoly_p2q,
     closed_form_pq,
+    eigenvalue_multiset,
     laplacian,
     quotient_connected_predicate,
 )
@@ -112,8 +112,8 @@ def sweep(oracle_spectrum):
         assembled = assemble_spectrum(n)
         comparison = compare_multisets(assembled.combined, oracle)
         q = build_quotient(n)
-        wl = build_weighted_laplacian(q)
-        quotient_spec = eigenvalues_symmetric(wl.symmetric_form)
+        sym = symmetric_laplacian(q)
+        quotient_spec = eigenvalue_multiset(sym)
         records[n] = SweepRecord(
             n=n,
             vertex_count=graph.vertex_count,
@@ -124,8 +124,8 @@ def sweep(oracle_spectrum):
             full_norm=float(np.linalg.norm(lap)),
             components=connected_component_count(graph),
             quotient=quotient_spec,
-            quotient_trace=float(np.trace(wl.symmetric_form)),
-            quotient_norm=float(np.linalg.norm(wl.symmetric_form)),
+            quotient_trace=float(np.trace(sym)),
+            quotient_norm=float(np.linalg.norm(sym)),
             quotient_components=component_count(q.adjacency),
         )
     return Sweep(records, time.perf_counter() - started)
@@ -185,8 +185,7 @@ def test_criterion_3_quartic_polynomial_identity(oracle_spectrum):
     violations = []
     for p, q in P2Q_PAIRS:
         n = p * p * q
-        wl = build_weighted_laplacian(build_quotient(n))
-        exact = characteristic_polynomial(wl.entries)
+        exact = characteristic_polynomial(integer_laplacian(build_quotient(n)))
         closed = charpoly_p2q(p, q)
         if closed != exact:
             violations.append((n, f"coefficients {closed} != {exact}"))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cozero import build_quotient, cli, weighted_degrees
+from cozero import build_quotient, cli
 from cozero.cli import main
 
 
@@ -144,7 +144,7 @@ class TestSpectrumCommand:
         assert code == 0
         printed = {int(row.split(",")[0]) for row in out.splitlines()[1:]
                    if row.endswith(",true")}
-        values = {D for D, w in zip(weighted_degrees(q), q.weights) if w > 1}
+        values = {D for D, w in zip(q.degrees, q.weights) if w > 1}
         assert max(values) > 2**53
         assert values <= printed
 
@@ -402,6 +402,26 @@ class TestStructureCommand:
         code, out, _ = run(capsys, "structure", "12", "--format", "dot", "--full")
         assert code == 0
         assert out.startswith("graph cozero_divisor_12 {")
+
+    def test_full_builds_no_quotient(self, capsys, monkeypatch):
+        # --full renders the full graph alone, so the vertex cap refuses n
+        # before any d x d quotient array exists
+        expected = run(capsys, "structure", "30", "--format", "dot", "--full")
+        golden = (Path(__file__).parent / "golden" / "structure.txt").read_text(encoding="utf-8")
+        block = golden.split("$ cozero structure 12 --format dot --full\nexit 0\n")[1]
+
+        def refuse(n):
+            raise AssertionError("structure --full built the quotient")
+
+        monkeypatch.setattr(cli, "build_quotient", refuse)
+        assert expected[0] == 0
+        assert run(capsys, "structure", "30", "--format", "dot", "--full") == expected
+        code, out, _ = run(capsys, "structure", "12", "--format", "dot", "--full")
+        assert code == 0
+        assert out == block.split("$ cozero ")[0]
+        code, _, err = run(capsys, "structure", "720720", "--format", "dot", "--full")
+        assert code == 3
+        assert "cap" in err
 
     def test_prime_degenerate(self, capsys):
         code, out, _ = run(capsys, "structure", "11")

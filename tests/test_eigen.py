@@ -8,9 +8,7 @@ from cozero import (
     SpectrumEntry,
     build_full_graph,
     build_quotient,
-    build_weighted_laplacian,
     connected_component_count,
-    eigenvalues_symmetric,
     is_prime,
     merge_spectrum,
 )
@@ -24,7 +22,8 @@ from cozero.eigen import (
     _tridiagonal_eigenvalues,
     eigenvalues_in_place,
 )
-from reference import characteristic_polynomial, laplacian, poly_eval_int
+from cozero.quotient import integer_laplacian, symmetric_laplacian
+from reference import characteristic_polynomial, eigenvalue_multiset, laplacian, poly_eval_int
 
 
 def bareiss_determinant(matrix):
@@ -55,44 +54,44 @@ def as_entry_pairs(multiset):
 
 class TestEigenvaluesSymmetric:
     def test_zero_matrix(self):
-        s = eigenvalues_symmetric(np.zeros((2, 2)))
+        s = eigenvalue_multiset(np.zeros((2, 2)))
         assert as_entry_pairs(s) == [(0.0, 2)]
 
     def test_known_two_by_two(self):
-        s = eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]])
+        s = eigenvalue_multiset([[1.0, -1.0], [-1.0, 1.0]])
         assert as_entry_pairs(s) == [(2.0, 1), (0.0, 1)]
 
     def test_quotient_form_of_fifteen(self):
         root8 = math.sqrt(8.0)
-        s = eigenvalues_symmetric([[2.0, -root8], [-root8, 4.0]])
+        s = eigenvalue_multiset([[2.0, -root8], [-root8, 4.0]])
         values = s.values()
         assert abs(values[0] - 6.0) < 1e-8
         assert abs(values[1]) < 1e-8
 
     def test_single_entry(self):
-        s = eigenvalues_symmetric([[5.0]])
+        s = eigenvalue_multiset([[5.0]])
         assert as_entry_pairs(s) == [(5.0, 1)]
 
     def test_diagonal_matrix(self):
-        s = eigenvalues_symmetric(np.diag([3.0, 1.0, 1.0, -2.0]))
+        s = eigenvalue_multiset(np.diag([3.0, 1.0, 1.0, -2.0]))
         assert as_entry_pairs(s) == [(3.0, 1), (1.0, 2), (-2.0, 1)]
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="asymmetric"):
-            eigenvalues_symmetric([[0.0, 1.0], [0.5, 0.0]])
+            eigenvalues_in_place(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_rejects_an_infinite_entry(self):
         # inf - inf is nan, which no asymmetry bound catches
         with pytest.raises(ValueError, match="non-finite"):
-            eigenvalues_symmetric([[1.0, math.inf], [math.inf, 2.0]])
+            eigenvalues_in_place(np.array([[1.0, math.inf], [math.inf, 2.0]]))
 
     def test_rejects_a_nan_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
-            eigenvalues_symmetric([[1.0, 0.0], [0.0, math.nan]])
+            eigenvalues_in_place(np.array([[1.0, 0.0], [0.0, math.nan]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            eigenvalues_symmetric(np.zeros((2, 3)))
+            eigenvalues_in_place(np.zeros((2, 3)))
 
     def test_sweep_cap_raises_with_residual(self):
         # a QL iteration cap of 0 cannot reduce any off-diagonal entry; the
@@ -111,7 +110,7 @@ class TestEigenvaluesSymmetric:
         for m in (3, 10, 40):
             a = rng.standard_normal((m, m))
             a = a + a.T
-            s = eigenvalues_symmetric(a)
+            s = eigenvalue_multiset(a)
             total = float(np.sum(s.values()))
             assert abs(total - np.trace(a)) <= 1e-8 * np.linalg.norm(a)
 
@@ -120,7 +119,7 @@ class TestEigenvaluesSymmetric:
         for m in (4, 17, 60):
             a = rng.standard_normal((m, m))
             a = a + a.T
-            ours = eigenvalues_symmetric(a).values()
+            ours = eigenvalue_multiset(a).values()
             reference = np.linalg.eigvalsh(a)[::-1]
             assert float(np.max(np.abs(ours - reference))) < 1e-9 * max(
                 1.0, float(np.linalg.norm(a))
@@ -133,8 +132,8 @@ class TestEigenvaluesSymmetric:
         a = a + a.T
         perm = rng.permutation(m)
         permuted = a[np.ix_(perm, perm)]
-        base = eigenvalues_symmetric(a).values()
-        shuffled = eigenvalues_symmetric(permuted).values()
+        base = eigenvalue_multiset(a).values()
+        shuffled = eigenvalue_multiset(permuted).values()
         assert float(np.max(np.abs(base - shuffled))) < 1e-8
 
     def test_matches_eigvalsh_across_panel_edges(self):
@@ -146,7 +145,7 @@ class TestEigenvaluesSymmetric:
         for m in (2, 5, 30, 120, nb - 1, nb, nb + 1, 2 * nb + 3, *strips):
             a = rng.standard_normal((m, m))
             a = a + a.T
-            ours = eigenvalues_symmetric(a).values()
+            ours = eigenvalue_multiset(a).values()
             reference = np.linalg.eigvalsh(a)[::-1]
             assert float(np.max(np.abs(ours - reference))) < 1e-9 * max(
                 1.0, float(np.linalg.norm(a))
@@ -154,24 +153,16 @@ class TestEigenvaluesSymmetric:
 
     def test_paths_agree_on_graph_laplacian(self):
         lap = laplacian(build_full_graph(60))
-        ours = eigenvalues_symmetric(lap).values()
+        ours = eigenvalue_multiset(lap).values()
         reference = np.linalg.eigvalsh(lap)[::-1]
         assert float(np.max(np.abs(ours - reference))) < 1e-8
 
-    def test_does_not_modify_its_input(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((40, 40))
-        a = a + a.T
-        before = a.copy()
-        eigenvalues_symmetric(a)
-        assert np.array_equal(a, before)
-
     def test_symmetrises_within_the_limit(self):
         a = np.array([[2.0, 1.0 + 5e-13], [1.0, 2.0]])
-        assert [e.value for e in eigenvalues_symmetric(a).entries] == [3.0, 1.0]
+        assert [e.value for e in eigenvalue_multiset(a).entries] == [3.0, 1.0]
 
     def test_empty_matrix(self):
-        s = eigenvalues_symmetric(np.zeros((0, 0)))
+        s = eigenvalue_multiset(np.zeros((0, 0)))
         assert s.entries == ()
 
 
@@ -192,10 +183,17 @@ class TestEigenvaluesInPlace:
         error = float(np.max(np.abs(ours - np.linalg.eigvalsh(whole))))
         assert error <= 4 * len(whole) * np.finfo(np.float64).eps * row_sum_norm(whole)
 
-    def test_is_eigenvalues_symmetric_before_the_merge(self):
-        a = self.random_symmetric(np.random.default_rng(3), 50)
-        values = eigenvalues_in_place(a.copy())
-        assert merge_spectrum((v, 1, False) for v in values) == eigenvalues_symmetric(a)
+    def test_deflation_returns_the_rest_of_the_spectrum(self):
+        # a Laplacian with the all-ones null vector: deflating it drops one
+        # zero and returns the other m - 1 values of the undeflated solve
+        adjacency = np.triu(np.random.default_rng(3).random((50, 50)) < 0.2, 1)
+        adjacency = (adjacency | adjacency.T).astype(np.float64)
+        lap = np.diag(adjacency.sum(axis=1)) - adjacency
+        deflated = eigenvalues_in_place(lap.copy(), np.ones(50))
+        whole = np.sort(eigenvalues_in_place(lap.copy()))
+        assert deflated.shape == (49,)
+        assert abs(whole[0]) < 1e-12
+        assert float(np.max(np.abs(np.sort(deflated) - whole[1:]))) < 1e-11
 
     def test_empty_matrix(self):
         assert eigenvalues_in_place(np.zeros((0, 0))).shape == (0,)
@@ -222,9 +220,9 @@ def row_sum_norm(a):
 
 
 def assert_matches_eigvalsh(a, factor=4):
-    """eigenvalues_symmetric against eigvalsh merged the same way: equal
+    """eigenvalue_multiset against eigvalsh merged the same way: equal
     multiplicities, values within factor * m * eps * |A|."""
-    ours = eigenvalues_symmetric(a).entries
+    ours = eigenvalue_multiset(a).entries
     reference = merge_spectrum((v, 1, False) for v in np.linalg.eigvalsh(a)).entries
     assert [e.multiplicity for e in ours] == [e.multiplicity for e in reference]
     error = max(abs(x.value - y.value) for x, y in zip(ours, reference))
@@ -284,7 +282,7 @@ class TestGradedAndClustered:
         a[0, 1] = 1e6
         a[1, 0] = 1e6 * (1 + 1e-9)
         with pytest.raises(ValueError, match="asymmetric"):
-            eigenvalues_symmetric(a)
+            eigenvalues_in_place(a)
 
     @pytest.mark.parametrize("m", [40, 2 * PANEL_WIDTH + 3, 150])
     def test_clustered_spectrum(self, m):
@@ -377,7 +375,7 @@ class TestNullVectorDeflation:
         root = np.sqrt(w)
         sym = -np.outer(root, root) * adjacency
         np.fill_diagonal(sym, (adjacency * w[None, :]).sum(axis=1))
-        s = eigenvalues_symmetric(sym, null_vector=root)
+        s = eigenvalue_multiset(sym, null_vector=root)
         assert s.entries[-1] == SpectrumEntry(0.0, 3, True)
         reference = np.linalg.eigvalsh(sym)[::-1]
         assert float(np.max(np.abs(s.values() - reference))) < 1e-12 * np.linalg.norm(sym)
@@ -398,29 +396,40 @@ class TestNullVectorDeflation:
         root = np.sqrt(w)
         sym = -np.outer(root, root) * adjacency
         np.fill_diagonal(sym, (adjacency * w[None, :]).sum(axis=1))
-        s = eigenvalues_symmetric(sym, null_vector=root)
+        s = eigenvalue_multiset(sym, null_vector=root)
         assert s.entries[-1] == SpectrumEntry(0, 1, True)
         reference = np.linalg.eigvalsh(sym)[::-1]
         assert float(np.max(np.abs(s.values() - reference))) < 1e-12 * np.linalg.norm(sym)
 
     def test_rejects_a_vector_outside_the_kernel(self):
         with pytest.raises(ValueError, match="null vector"):
-            eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]], null_vector=[1.0, 2.0])
+            eigenvalues_in_place(np.array([[1.0, -1.0], [-1.0, 1.0]]), [1.0, 2.0])
 
     def test_rejects_a_non_finite_vector(self):
         with pytest.raises(ValueError, match="non-finite"):
-            eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]], null_vector=[1.0, math.nan])
+            eigenvalues_in_place(np.array([[1.0, -1.0], [-1.0, 1.0]]), [1.0, math.nan])
 
     def test_rejects_a_vector_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="shape"):
-            eigenvalues_symmetric(np.zeros((2, 2)), null_vector=[1.0])
+            eigenvalues_in_place(np.zeros((2, 2)), [1.0])
+
+    def test_rejects_a_vector_of_an_empty_matrix(self):
+        # a 0 x 0 matrix has no zero eigenvalue to deflate
+        with pytest.raises(ValueError, match="shape"):
+            eigenvalues_in_place(np.zeros((0, 0)), np.zeros(0))
+
+    def test_does_not_modify_the_null_vector(self):
+        a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        null = np.array([1.0, 1.0])
+        assert eigenvalues_in_place(a, null).tolist() == [2.0]
+        assert null.tolist() == [1.0, 1.0]
 
 
 class TestLaplacianHygiene:
     @pytest.mark.parametrize("n,components", [(8, 3), (12, 1), (30, 1), (9, 2)])
     def test_psd_and_zero_multiplicity(self, n, components):
         graph = build_full_graph(n)
-        s = eigenvalues_symmetric(laplacian(graph))
+        s = eigenvalue_multiset(laplacian(graph))
         assert s.entries[-1].value >= -1e-8
         assert s.zero_multiplicity() == components
         assert connected_component_count(graph) == components
@@ -543,8 +552,8 @@ class TestCharacteristicPolynomial:
         assert characteristic_polynomial([[7]]) == [1, -7]
 
     def test_quotient_of_twelve(self):
-        wl = build_weighted_laplacian(build_quotient(12))
-        assert characteristic_polynomial(wl.entries) == [1, -11, 34, -28, 0]
+        lap = integer_laplacian(build_quotient(12))
+        assert characteristic_polynomial(lap) == [1, -11, 34, -28, 0]
 
     def test_zero_matrix_gives_pure_power(self):
         assert characteristic_polynomial(np.zeros((4, 4), dtype=int)) == [1, 0, 0, 0, 0]
@@ -578,11 +587,12 @@ class TestPolynomialRootsReal:
         for n in range(4, 501):
             if is_prime(n):
                 continue
-            wl = build_weighted_laplacian(build_quotient(n))
-            exact = np.array(characteristic_polynomial(wl.entries), dtype=np.float64)
-            solved = eigenvalues_symmetric(wl.symmetric_form).values()
-            d = wl.dimension
-            rho = float(np.max(np.abs(wl.entries).sum(axis=1)))
+            q = build_quotient(n)
+            lap = integer_laplacian(q)
+            exact = np.array(characteristic_polynomial(lap), dtype=np.float64)
+            solved = eigenvalue_multiset(symmetric_laplacian(q)).values()
+            d = q.size
+            rho = float(np.max(np.abs(lap).sum(axis=1)))
             scale = np.maximum([math.comb(d, k) * rho**k for k in range(d + 1)], 1.0)
             error = float(np.max(np.abs(np.poly(solved) - exact) / scale))
             assert error <= 1e-12, f"n={n}"

@@ -1,14 +1,22 @@
-"""Peak memory of the oracle, traced with tracemalloc (numpy reports to it).
+"""Peak memory of the oracle and the quotient, traced with tracemalloc
+(numpy reports to it).
 
-Peaks are in units of one m x m float64 array, 8 m**2 bytes, at n = 720
-(527 vertices). The oracle holds the boolean adjacency (an eighth of a
-unit) and, split by the negation x -> n - x, one float64 block of about
-m / 2 (a quarter), built straight from the adjacency and solved in
+Oracle peaks are in units of one m x m float64 array, 8 m**2 bytes, at
+n = 720 (527 vertices). The oracle holds the boolean adjacency (an eighth
+of a unit) and, split by the negation x -> n - x, one float64 block of
+about m / 2 (a quarter), built straight from the adjacency and solved in
 place; the other half of the spectrum is the degree list. So the
 oracle's bound leaves room for that block and strips of STRIP_HEIGHT
-rows, but not for a second block or an m x m int16 Laplacian (a
-quarter unit each). eigenvalues_symmetric on the whole Laplacian still
-forms one full working copy.
+rows, but not for a second block or an m x m int16 Laplacian (a quarter
+unit each). The tests' eigenvalue_multiset on the whole Laplacian forms
+one full working copy.
+
+Quotient peaks are in units of one d x d float64 array, 8 d**2 bytes, at
+n = 720720 (d = 238). build_quotient forms the int64 adjacency product
+for the weighted degrees (one unit) and frees it; assemble_spectrum then
+builds the symmetric Laplacian from the outer product of the square-root
+weights, and eigenvalues_in_place solves that one array in place. A
+retained int64 Laplacian or a copy before the solve costs a unit more.
 
 Implicit QL works on two lists of Python floats, after the Householder
 reduction has released its panels. tracemalloc hooks every float it
@@ -20,11 +28,12 @@ import tracemalloc
 
 import pytest
 
-from cozero import build_full_graph, eigen, eigenvalues_symmetric
+from cozero import assemble_spectrum, build_full_graph, build_quotient, eigen
 from cozero.spectrum import verify_against_oracle
-from reference import laplacian
+from reference import eigenvalue_multiset, laplacian
 
 N = 720
+QUOTIENT_N = 720720
 
 
 def traced_peak(fn, *args):
@@ -54,7 +63,7 @@ def unit(graph):
 
 def test_eigensolve_forms_one_working_copy(graph, unit):
     lap = laplacian(graph)
-    assert traced_peak(eigenvalues_symmetric, lap) <= 1.4 * unit
+    assert traced_peak(eigenvalue_multiset, lap) <= 1.4 * unit
 
 
 def test_oracle_holds_one_working_copy(unit):
@@ -64,3 +73,9 @@ def test_oracle_holds_one_working_copy(unit):
 def test_full_graph_build_forms_no_full_size_temporary(unit):
     # the boolean adjacency is an eighth of a unit
     assert traced_peak(build_full_graph, N) <= 0.6 * unit
+
+
+def test_quotient_solve_holds_one_matrix():
+    d = build_quotient(QUOTIENT_N).size
+    assert d == 238
+    assert traced_peak(assemble_spectrum, QUOTIENT_N) <= 3.0 * 8 * d**2

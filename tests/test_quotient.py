@@ -4,14 +4,12 @@ import pytest
 from cozero import (
     build_full_graph,
     build_quotient,
-    build_weighted_laplacian,
     factorize,
     is_prime,
     quotient_connectivity_state,
-    weighted_degrees,
 )
-from cozero.eigen import eigenvalues_symmetric
-from reference import quotient_connected_predicate
+from cozero.quotient import integer_laplacian, symmetric_laplacian
+from reference import eigenvalue_multiset, quotient_connected_predicate
 
 
 def prime_pairs(limit):
@@ -48,11 +46,12 @@ class TestBuildQuotient:
     def test_prime_is_empty(self):
         q = build_quotient(11)
         assert q.is_empty
+        assert q.degrees == ()
 
     def test_factorization_gives_the_same_graph(self):
         for n in (12, 30, 720720, 3 * 2**60):
             a, b = build_quotient(n), build_quotient(factorize(n))
-            assert (a.n, a.divisors, a.weights) == (b.n, b.divisors, b.weights)
+            assert (a.n, a.divisors, a.weights, a.degrees) == (b.n, b.divisors, b.weights, b.degrees)
             assert np.array_equal(a.adjacency, b.adjacency)
 
     def test_adjacency_is_mutual_non_divisibility(self):
@@ -75,16 +74,15 @@ class TestBuildQuotient:
 
 class TestWeightedDegrees:
     def test_example_12(self):
-        assert weighted_degrees(build_quotient(12)) == [2, 4, 3, 2]
+        assert build_quotient(12).degrees == (2, 4, 3, 2)
 
     def test_isolated_vertices_get_zero(self):
-        assert weighted_degrees(build_quotient(8)) == [0, 0]
+        assert build_quotient(8).degrees == (0, 0)
 
     def test_two_prime_case(self):
         # divisors ascending (lo, hi); each one's degree is its own totient
         for p, q in prime_pairs(100):
-            degrees = weighted_degrees(build_quotient(p * q))
-            assert degrees == [p - 1, q - 1]
+            assert build_quotient(p * q).degrees == (p - 1, q - 1)
 
     def test_matches_full_graph_degrees(self):
         # the partition is equitable: every vertex of the class of d has
@@ -93,7 +91,7 @@ class TestWeightedDegrees:
             if is_prime(n):
                 continue
             q = build_quotient(n)
-            degrees = dict(zip(q.divisors, weighted_degrees(q)))
+            degrees = dict(zip(q.divisors, q.degrees))
             graph = build_full_graph(n)
             graph_degrees = graph.degrees()
             for vertex, cls, deg in zip(graph.vertices, graph.classes, graph_degrees):
@@ -103,13 +101,13 @@ class TestWeightedDegrees:
 class TestWeightedLaplacian:
     def test_two_prime_matrix(self):
         for p, q in ((3, 5), (2, 3), (5, 7)):
-            wl = build_weighted_laplacian(build_quotient(p * q))
             expected = [[p - 1, -(p - 1)], [-(q - 1), q - 1]]
-            assert wl.entries.tolist() == expected
+            assert integer_laplacian(build_quotient(p * q)).tolist() == expected
 
     def test_matrix_12(self):
-        wl = build_weighted_laplacian(build_quotient(12))
-        assert wl.entries.tolist() == [
+        lap = integer_laplacian(build_quotient(12))
+        assert lap.dtype == np.int64
+        assert lap.tolist() == [
             [2, -2, 0, 0],
             [-2, 4, -2, 0],
             [0, -2, 3, -1],
@@ -117,39 +115,55 @@ class TestWeightedLaplacian:
         ]
 
     def test_zero_matrix_8(self):
-        wl = build_weighted_laplacian(build_quotient(8))
-        assert wl.entries.tolist() == [[0, 0], [0, 0]]
+        assert integer_laplacian(build_quotient(8)).tolist() == [[0, 0], [0, 0]]
 
-    def test_prime_rejected(self):
-        with pytest.raises(ValueError):
-            build_weighted_laplacian(build_quotient(7))
+    def test_prime_gives_zero_by_zero(self):
+        # no proper divisors: both forms are empty, and nothing is refused
+        q = build_quotient(7)
+        assert integer_laplacian(q).shape == (0, 0)
+        assert symmetric_laplacian(q).shape == (0, 0)
 
     def test_row_sums_zero(self):
         for n in range(4, 1001):
             if is_prime(n):
                 continue
-            wl = build_weighted_laplacian(build_quotient(n))
-            assert (wl.entries.sum(axis=1) == 0).all()
+            lap = integer_laplacian(build_quotient(n))
+            assert (lap.sum(axis=1) == 0).all()
 
     def test_symmetric_form_entries(self):
-        q = build_quotient(15)
-        wl = build_weighted_laplacian(q)
+        sym = symmetric_laplacian(build_quotient(15))
         # weights (4, 2): off-diagonal -sqrt(8), diagonal as in the integer form
-        assert wl.symmetric_form[0, 0] == 2
-        assert wl.symmetric_form[1, 1] == 4
-        assert wl.symmetric_form[0, 1] == pytest.approx(-np.sqrt(8))
-        assert np.allclose(wl.symmetric_form, wl.symmetric_form.T)
+        assert sym[0, 0] == 2
+        assert sym[1, 1] == 4
+        assert sym[0, 1] == pytest.approx(-np.sqrt(8))
+        assert np.allclose(sym, sym.T)
+
+    def test_symmetric_form_is_fresh_and_writable(self):
+        # each call hands the solver its own working array
+        q = build_quotient(30)
+        first, second = symmetric_laplacian(q), symmetric_laplacian(q)
+        assert first.dtype == np.float64
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        first[:] = 0.0
+        assert np.array_equal(second, symmetric_laplacian(q))
+
+    def test_symmetric_form_has_no_negative_zero(self):
+        # every non-edge is +0.0, so a sign test on the entries is never fooled
+        for n in (8, 12, 30, 27, 720, 720720):
+            sym = symmetric_laplacian(build_quotient(n))
+            assert not np.signbit(sym[sym == 0.0]).any(), f"n={n}"
 
     def test_forms_share_spectrum(self):
         # LAPACK on the nonsymmetric integer form is the test-side oracle
         for n in range(4, 1001):
             if is_prime(n):
                 continue
-            wl = build_weighted_laplacian(build_quotient(n))
-            raw = np.linalg.eigvals(wl.entries.astype(float))
+            q = build_quotient(n)
+            raw = np.linalg.eigvals(integer_laplacian(q).astype(float))
             assert float(np.max(np.abs(raw.imag))) < 1e-8
             reference = np.sort(raw.real)[::-1]
-            ours = eigenvalues_symmetric(wl.symmetric_form).values()
+            ours = eigenvalue_multiset(symmetric_laplacian(q)).values()
             assert float(np.max(np.abs(ours - reference))) < 1e-8
 
     def test_verify_mode(self):
@@ -159,12 +173,12 @@ class TestWeightedLaplacian:
             if is_prime(n):
                 continue
             q = build_quotient(n)
-            wl = build_weighted_laplacian(q)
-            assert not wl.entries.sum(axis=1).any()
+            lap, sym = integer_laplacian(q), symmetric_laplacian(q)
+            assert not lap.sum(axis=1).any()
             root_w = np.sqrt(np.array(q.weights, dtype=np.float64))
-            conj = root_w[:, None] * wl.entries / root_w[None, :]
-            scale = max(1.0, float(np.max(np.abs(wl.symmetric_form))))
-            assert float(np.max(np.abs(conj - wl.symmetric_form))) <= 1e-12 * scale
+            conj = root_w[:, None] * lap / root_w[None, :]
+            scale = max(1.0, float(np.max(np.abs(sym))))
+            assert float(np.max(np.abs(conj - sym))) <= 1e-12 * scale
 
 
 class TestConnectivity:
