@@ -17,19 +17,20 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from itertools import chain
 
 from . import spectrum as sp
-from .eigen import upper_pairs
 from .errors import VertexCapError
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     FullGraph,
     build_full_graph,
+    factorize_for_full_graph,
     full_graph_connected_predicate,
 )
-from .numbers import Factorization, factorize
+from .numbers import Factorization
 from .quotient import (
     QuotientGraph,
     build_quotient,
@@ -132,14 +133,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(lines: list[str], args) -> None:
-    """Write lines, each ending in a newline, to --out or stdout."""
-    text = "\n".join(lines) + "\n"
+def _emit(lines: Iterable[str], args) -> None:
+    """Write each of lines (a list, or a generator of chunks) and a newline to --out or stdout."""
+    text = (f"{line}\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 _INF = float("inf")
@@ -281,20 +282,20 @@ def _quotient_dot(q: QuotientGraph) -> list[str]:
     return lines + ["}"]
 
 
-def _full_graph_dot(graph: FullGraph) -> list[str]:
-    """The full graph: vertex label is the ring element, fill color marks the class."""
+def _full_graph_dot(graph: FullGraph) -> Iterable[str]:
+    """The full graph: vertex label is the ring element, fill color marks the
+    class. Each edge strip that has edges is one chunk, never the whole text."""
     color_of = {
         c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(sorted(set(graph.classes)))
     }
-    lines = [f"graph cozero_divisor_{graph.n} {{", "  node [style=filled];"]
-    lines.extend(
-        f'  v{v} [label="{v}", fillcolor="{color_of[c]}", tooltip="class {c}"];'
-        for v, c in zip(graph.vertices, graph.classes)
-    )
-    i, j = upper_pairs(graph.adjacency)
+    yield f"graph cozero_divisor_{graph.n} {{\n  node [style=filled];"
     vertices = graph.vertices
-    lines.extend(f"  v{vertices[a]} -- v{vertices[b]};" for a, b in zip(i.tolist(), j.tolist()))
-    return lines + ["}"]
+    for v, c in zip(vertices, graph.classes):
+        yield f'  v{v} [label="{v}", fillcolor="{color_of[c]}", tooltip="class {c}"];'
+    for i, j in graph.edge_strips():
+        if i:
+            yield "\n".join(f"  v{vertices[a]} -- v{vertices[b]};" for a, b in zip(i, j))
+    yield "}"
 
 
 def _laplacian_csv(q: QuotientGraph) -> list[str]:
@@ -379,8 +380,7 @@ def _scan_one(task: tuple[int, int, str]) -> dict | None:
     """
     n, cap, family = task
     try:
-        sp.check_vertex_bound(n, cap)
-        f = factorize(n)
+        f = factorize_for_full_graph(n, cap)
         if not _matches_filter(f, family):
             return None
         report = sp.verify_against_oracle(f, cap=cap)
@@ -441,10 +441,10 @@ def _cmd_scan(args) -> int:
         _emit(lines, args)
     else:
         lines = [
-            _verdict_line(r["n"], "PASS", r["vertex_count"], r["max_deviation"],
+            _verdict_line(r["n"], r["status"], r["vertex_count"], r["max_deviation"],
                           r["laplacian_integral"])
-            if r["status"] == "PASS"
-            else f"n={r['n']}: {r['status']} {r.get('error', '')}".rstrip()
+            if r["status"] in ("PASS", "FAIL")
+            else f"n={r['n']}: {r['status']} {r['error']}".rstrip()
             for r in rows
         ]
         lines.append(
@@ -463,12 +463,13 @@ def _cmd_structure(args) -> int:
     if args.cap is not None and not args.full:
         args.parser.error("argument --cap: only with --full")
     n = args.n
-    f = factorize_for_quotient(n)
+    # --full builds no quotient: the vertex bound refuses n, not 2**63
+    cap = args.cap or DEFAULT_VERTEX_CAP
+    f = factorize_for_full_graph(n, cap) if args.full else factorize_for_quotient(n)
     if f.is_prime and args.format != "json":
         return _emit_degenerate(n, args, "no proper divisors")
     if args.full:
-        # the full graph alone: the vertex cap refuses n before any quotient is built
-        _emit(_full_graph_dot(build_full_graph(f, cap=args.cap or DEFAULT_VERTEX_CAP)), args)
+        _emit(_full_graph_dot(build_full_graph(f, cap=cap)), args)
         return EXIT_OK
     q = build_quotient(f)
     if args.format == "csv":

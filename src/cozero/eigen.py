@@ -175,17 +175,6 @@ def component_count(adjacency: np.ndarray) -> int:
     return count
 
 
-def upper_pairs(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns i < j of the nonzero entries of a square matrix,
-    row-major, read STRIP_HEIGHT rows at a time: no m x m temporary."""
-    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for lo in range(0, len(adjacency), STRIP_HEIGHT):
-        i, j = np.nonzero(np.triu(adjacency[lo:lo + STRIP_HEIGHT, lo:], 1))
-        rows.append(i + lo)
-        cols.append(j + lo)
-    return np.concatenate(rows), np.concatenate(cols)
-
-
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce symmetric a (destroyed) to (diagonal, subdiagonal).
 

@@ -7,18 +7,20 @@ y and y outside the ideal of x) since y and gcd(y, n) generate the same
 ideal of Z_n. negation_split uses the same fact once more for the
 oracle: x and n - x generate the same ideal, so they are twins, and the
 Laplacian splits into a diagonal of degrees and one block of half size.
+An int n reaches a graph only through factorize_for_full_graph.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import STRIP_HEIGHT, component_count
-from .errors import EmptyGraphError, VertexCapError
-from .numbers import Factorization, factorize
+from .errors import EmptyGraphError, VertexBoundError, VertexCapError
+from .numbers import Factorization, factorize, is_prime
 
 DEFAULT_VERTEX_CAP = 20_000
 
@@ -48,16 +50,35 @@ class FullGraph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1, dtype=np.int64)
 
+    def edge_strips(self) -> Iterator[tuple[list[int], list[int]]]:
+        """Vertex indices i < j of the edges, row-major, as one pair of lists
+        per strip of STRIP_HEIGHT adjacency rows: no m x m temporary."""
+        a = self.adjacency
+        for lo in range(0, len(a), STRIP_HEIGHT):
+            i, j = np.nonzero(np.triu(a[lo:lo + STRIP_HEIGHT, lo:], 1))
+            yield (i + lo).tolist(), (j + lo).tolist()
+
+
+def factorize_for_full_graph(n: int, cap: int = DEFAULT_VERTEX_CAP) -> Factorization:
+    """factorize(n), but VertexBoundError, before any factoring, when a
+    composite n has more than cap vertices by its bound of isqrt(n) - 1 (the
+    multiples of its least prime). A prime n passes, to be reported
+    degenerate: is_prime runs no rho."""
+    bound = math.isqrt(n) - 1
+    if bound > cap and not is_prime(n):
+        raise VertexBoundError(n, bound, cap)
+    return factorize(n)
+
 
 def build_full_graph(n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
     """Build the graph for composite n, given as n or its factorization.
 
-    Prime n raises EmptyGraphError (no vertices at all, distinct from the
-    edgeless null graphs of prime powers). The cap bounds memory: a graph
-    on m vertices stores an m x m boolean matrix, filled STRIP_HEIGHT rows
-    at a time so that no larger temporary is formed.
+    An int n is admitted by factorize_for_full_graph. Prime n raises
+    EmptyGraphError (no vertices at all, distinct from the edgeless null
+    graphs of prime powers). The cap bounds memory: a graph on m vertices
+    stores an m x m boolean matrix, filled STRIP_HEIGHT rows at a time.
     """
-    f = n if isinstance(n, Factorization) else factorize(n)
+    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n, cap)
     n = f.n
     if f.is_prime:
         raise EmptyGraphError(n)

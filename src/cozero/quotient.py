@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import component_count, upper_pairs
+from .eigen import component_count
 from .numbers import (
     Factorization,
     divisor_exponents,
@@ -51,7 +51,7 @@ class QuotientGraph:
         return int(self.adjacency.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        i, j = upper_pairs(self.adjacency)
+        i, j = np.nonzero(np.triu(self.adjacency, 1))
         d = np.array(self.divisors, dtype=np.int64)
         return list(zip(d[i].tolist(), d[j].tolist()))
 

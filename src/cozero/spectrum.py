@@ -5,10 +5,12 @@ makes the class of divisor d contribute its weighted degree exactly
 (class size - 1) times; those eigenvalues are exact integers and are
 kept that way. The remaining d eigenvalues come from the small quotient
 Laplacian: its zero is exact, from the deflated square-root weights, and
-the other d - 1 values are solved numerically. verify_against_oracle compares the whole
-assembly against a brute-force eigensolve of the explicit vertex-level
-Laplacian, split into two half-size blocks by the negation x -> n - x,
-an automorphism of every cozero-divisor graph that it checks exactly.
+the other d - 1 values are solved numerically. verify_against_oracle
+compares the whole assembly against a brute-force eigensolve of the
+explicit vertex-level Laplacian, split into two half-size blocks by the
+negation x -> n - x, an automorphism of every cozero-divisor graph that
+it checks exactly. Which int n each accepts is decided where it is
+factored: quotient.factorize_for_quotient, fullgraph.factorize_for_full_graph.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import VertexBoundError
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     build_full_graph,
     connected_component_count,
+    factorize_for_full_graph,
     negation_split,
 )
-from .numbers import Factorization, factorize, is_prime
+from .numbers import Factorization
 from .quotient import build_quotient, factorize_for_quotient, symmetric_laplacian
 
 
@@ -166,40 +168,26 @@ class OracleReport:
     component_count: int
 
 
-def check_vertex_bound(n: int, cap: int) -> None:
-    """Raise VertexBoundError when n is known, before it is factored, to
-    have more than cap vertices.
-
-    A composite n has at least isqrt(n) - 1 vertices (the multiples of its
-    least prime). A prime n has none.
-    """
-    bound = math.isqrt(n) - 1
-    if bound > cap and not is_prime(n):
-        raise VertexBoundError(n, bound, cap)
-
-
 def verify_against_oracle(
     n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP
 ) -> OracleReport:
     """Assembled spectrum versus a brute-force eigensolve of the full graph.
 
-    Takes n or its factorization; n is factored once, here, and both
-    sides read that factorization. The oracle builds the explicit
-    vertex-level graph and solves its Laplacian L with no knowledge of the
-    join structure. It uses one generic symmetry: Rx = R(-x) in any ring,
-    so x and n - x have the same neighbours, and they are mirror images
-    in the vertex list. negation_split checks that exactly (an
-    AssertionError refuses a graph that fails) and splits L by it: the
-    first m // 2 degrees are eigenvalues, and the rest of the spectrum is
-    that of one float64 block of about m / 2, solved in place; the two
-    halves are merged once. Raises VertexCapError when the graph would
-    exceed cap, and before n is factored when check_vertex_bound already
-    refuses n. Prime n verifies trivially (both sides empty) and is
-    flagged degenerate.
+    Takes n or its factorization; an int n is factored once, here, by
+    factorize_for_full_graph, and both sides read that factorization. The
+    oracle builds the explicit vertex-level graph and solves its Laplacian
+    L with no knowledge of the join structure. It uses one generic
+    symmetry: Rx = R(-x) in any ring, so x and n - x have the same
+    neighbours, and they are mirror images in the vertex list.
+    negation_split checks that exactly (an AssertionError refuses a graph
+    that fails) and splits L by it: the first m // 2 degrees are
+    eigenvalues, and the rest of the spectrum is that of one float64 block
+    of about m / 2, solved in place; the two halves are merged once.
+    Raises VertexCapError when the graph would exceed cap, for an int n
+    before factoring it when its vertex bound already does. Prime n
+    verifies trivially (both sides empty) and is flagged degenerate.
     """
-    if not isinstance(n, Factorization):
-        check_vertex_bound(n, cap)
-    f = n if isinstance(n, Factorization) else factorize(n)
+    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n, cap)
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f, cap=cap)

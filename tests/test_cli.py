@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -341,6 +342,18 @@ class TestScanCommand:
         assert code == 64
         assert "lo" in err
 
+    def test_fail_row_keeps_its_numbers(self, capsys, monkeypatch):
+        # a FAIL row reads as verify's verdict line does
+        report = cli.sp.verify_against_oracle(30)
+        mismatched = dataclasses.replace(report, matched=False, max_deviation=0.5)
+        monkeypatch.setattr(cli.sp, "verify_against_oracle", lambda n, cap: mismatched)
+        verdict = "n=30: FAIL (vertices=21, max_deviation=5.000e-01, integral=false)"
+        code, out, _ = run(capsys, "scan", "30", "30", "--jobs", "1", "--no-timestamp")
+        assert code == 1
+        assert out.splitlines() == [verdict, "checked 1 values, 1 failures, 0 integral"]
+        code, out, _ = run(capsys, "verify", "30")
+        assert (code, out) == (1, verdict + "\n")
+
     @pytest.mark.parametrize("family", cli.FILTERS)
     def test_refused_n_is_a_cap_row_under_every_filter(self, capsys, monkeypatch, family):
         # factoring 10**30 + 1 reaches a cofactor above the Miller-Rabin
@@ -422,6 +435,17 @@ class TestStructureCommand:
         code, _, err = run(capsys, "structure", "720720", "--format", "dot", "--full")
         assert code == 3
         assert "cap" in err
+
+    def test_full_refuses_by_the_vertex_bound_before_factoring(self, capsys, monkeypatch):
+        # --full builds no quotient, so the quotient's 2**63 bound is not
+        # its refusal: the vertex bound refuses n, unfactored, as verify does
+        calls = count_calls(monkeypatch, "factorize")
+        n = str(2**64)
+        code, out, err = run(capsys, "structure", n, "--format", "dot", "--full")
+        assert (code, out) == (3, "")
+        assert "needs at least 4294967295 vertices" in err
+        assert run(capsys, "verify", n) == (code, out, err)
+        assert calls == []
 
     def test_prime_degenerate(self, capsys):
         code, out, _ = run(capsys, "structure", "11")

@@ -1,5 +1,5 @@
-from itertools import combinations
-from math import gcd
+from itertools import chain, combinations
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ from cozero import (
     merge_spectrum,
 )
 from cozero import fullgraph
-from cozero.eigen import MATCH_TOL, eigenvalues_in_place
+from cozero.eigen import MATCH_TOL, STRIP_HEIGHT, eigenvalues_in_place
+from cozero.errors import VertexBoundError
 from cozero.fullgraph import negation_split
 from reference import (
     eigenvalue_multiset,
@@ -109,6 +110,29 @@ class TestBuildFullGraph:
             build_full_graph(30, cap=10)
         assert err.value.vertex_count == 21
         assert err.value.cap == 10
+
+    def test_refuses_by_the_vertex_bound_before_factoring(self, monkeypatch):
+        # two primes near 2**40, which rho takes a sizeable fraction of a
+        # second to split; the least one alone bounds the vertex count
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(fullgraph, "factorize", refuse)
+        n = 1099511627791 * 1099511627803
+        with pytest.raises(VertexBoundError) as err:
+            build_full_graph(n)
+        assert err.value.vertex_count == isqrt(n) - 1
+        assert err.value.cap == fullgraph.DEFAULT_VERTEX_CAP
+
+    @pytest.mark.parametrize("n", [12, 720, 1155, 3**6])
+    def test_edge_strips_walk_the_upper_triangle(self, n):
+        # 720 and 1155 have several strips; the null graph of 3**6 has no edges
+        graph = build_full_graph(n)
+        strips = list(graph.edge_strips())
+        assert len(strips) == -(-graph.vertex_count // STRIP_HEIGHT)
+        i, j = np.nonzero(np.triu(graph.adjacency, 1))
+        assert list(chain.from_iterable(s[0] for s in strips)) == i.tolist()
+        assert list(chain.from_iterable(s[1] for s in strips)) == j.tolist()
 
     def test_verify_mode(self):
         # every pair re-checked against the ring definition

@@ -11,6 +11,11 @@ rows, but not for a second block or an m x m int16 Laplacian (a quarter
 unit each). The tests' eigenvalue_multiset on the whole Laplacian forms
 one full working copy.
 
+The full graph's DOT is rendered strip by strip: structure 3010 --format
+dot --full (2001 vertices, about 13 MB of text) holds the boolean
+adjacency and one strip's edges and text, never the whole text or every
+edge's index, so its peak is counted in the same units at m = 2001.
+
 Quotient peaks are in units of one d x d float64 array, 8 d**2 bytes, at
 n = 720720 (d = 238). build_quotient forms the int64 adjacency product
 for the weighted degrees (one unit) and frees it; assemble_spectrum then
@@ -24,11 +29,12 @@ creates, which makes QL some sixty times slower, so here it passes the
 diagonal through: the values are wrong, the arrays are the real ones.
 """
 
+import os
 import tracemalloc
 
 import pytest
 
-from cozero import assemble_spectrum, build_full_graph, build_quotient, eigen
+from cozero import assemble_spectrum, build_full_graph, build_quotient, cli, eigen
 from cozero.spectrum import verify_against_oracle
 from reference import eigenvalue_multiset, laplacian
 
@@ -73,6 +79,14 @@ def test_oracle_holds_one_working_copy(unit):
 def test_full_graph_build_forms_no_full_size_temporary(unit):
     # the boolean adjacency is an eighth of a unit
     assert traced_peak(build_full_graph, N) <= 0.6 * unit
+
+
+def test_full_graph_dot_holds_the_adjacency_and_one_strip():
+    argv = ["structure", "3010", "--format", "dot", "--full", "--out", os.devnull]
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    assert peak <= 0.75 * 8 * 2001**2
 
 
 def test_quotient_solve_holds_one_matrix():

@@ -248,12 +248,12 @@ class TestClosedFormGeneral:
         assert cmp.matched
 
     def test_never_factors_n(self, monkeypatch):
-        from cozero import numbers, quotient, spectrum
+        from cozero import fullgraph, numbers, quotient
 
         def refuse(n):
             raise AssertionError(f"factorize({n}) called")
 
-        for module in (numbers, quotient, spectrum):
+        for module in (numbers, quotient, fullgraph):
             monkeypatch.setattr(module, "factorize", refuse)
         general = two_prime_power(999983, 1, 1000003, 1)
         direct = closed_form_pq(999983, 1000003)
