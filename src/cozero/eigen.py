@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -150,13 +150,13 @@ def _group_entry(pinned, mult: int, total: float) -> SpectrumEntry:
 # ---------------------------------------------------------------------------
 # symmetric eigensolver
 
-def component_count(adjacency: np.ndarray) -> int:
-    """Number of components of a symmetric boolean adjacency.
+def component_count(m: int, rows: Callable[[np.ndarray], np.ndarray]) -> int:
+    """Number of components of a symmetric boolean adjacency on m vertices.
 
-    Breadth-first by whole frontiers, whose rows are read STRIP_HEIGHT at
-    a time; every vertex a search reaches is marked in one seen array.
+    rows(indices) reads the adjacency rows at an index array. Breadth-first
+    by whole frontiers, whose rows are read STRIP_HEIGHT at a time; every
+    vertex a search reaches is marked in one seen array.
     """
-    m = adjacency.shape[0]
     seen = np.zeros(m, dtype=bool)
     count = 0
     for start in range(m):
@@ -164,14 +164,14 @@ def component_count(adjacency: np.ndarray) -> int:
             continue
         count += 1
         seen[start] = True
-        rows = [start]
-        while len(rows):
+        frontier_rows = np.array([start])
+        while len(frontier_rows):
             frontier = np.zeros(m, dtype=bool)
-            for lo in range(0, len(rows), STRIP_HEIGHT):
-                frontier |= adjacency[rows[lo:lo + STRIP_HEIGHT]].any(axis=0)
+            for lo in range(0, len(frontier_rows), STRIP_HEIGHT):
+                frontier |= rows(frontier_rows[lo:lo + STRIP_HEIGHT]).any(axis=0)
             frontier &= ~seen
             seen |= frontier
-            rows = np.flatnonzero(frontier)
+            frontier_rows = np.flatnonzero(frontier)
     return count
 
 

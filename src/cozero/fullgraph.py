@@ -1,26 +1,29 @@
 """Vertex-level cozero-divisor graph of the integers mod n.
 
-This is the brute-force side of every spectral check. Adjacency is filled
+This is the brute-force side of every spectral check. Adjacency comes
 from the divisor criterion: x and y are adjacent when neither gcd class
 divides the other, which is the ring definition (x outside the ideal of
 y and y outside the ideal of x) since y and gcd(y, n) generate the same
-ideal of Z_n. negation_split uses the same fact once more for the
-oracle: x and n - x generate the same ideal, so they are twins, and the
-Laplacian splits into a diagonal of degrees and one block of half size.
-An int n reaches a graph only through factorize_for_full_graph.
+ideal of Z_n. A graph is therefore its class vector: it keeps the
+criterion's value for each pair of distinct classes, fewer than the
+divisors of n squared, and hands out adjacency rows a strip at a time,
+never an m x m matrix. negation_split uses the same fact once more for
+the oracle: x and n - x generate the same ideal, so they are twins, and
+the Laplacian splits into a diagonal of degrees and one block of half
+size. An int n reaches a graph only through factorize_for_full_graph.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eigen import STRIP_HEIGHT, component_count
 from .errors import EmptyGraphError, VertexBoundError, VertexCapError
-from .numbers import Factorization, factorize, is_prime
+from .numbers import Factorization, factorize, is_prime, prime_power
 
 DEFAULT_VERTEX_CAP = 20_000
 
@@ -29,15 +32,27 @@ DEFAULT_VERTEX_CAP = 20_000
 class FullGraph:
     """Explicit graph on the non-zero non-unit residues of Z_n.
 
-    vertices are ascending; classes[i] == gcd(vertices[i], n). The
-    adjacency matrix is boolean, symmetric, hollow, and read-only, so
-    built graphs are safe to share across threads.
+    vertices are ascending; classes[i] == gcd(vertices[i], n). No m x m
+    matrix is held: the divisor criterion is evaluated once per pair of
+    distinct classes, into a table with one adjacency row per class, and
+    adjacency_rows gathers any rows of the adjacency from it. Every other
+    reader goes through adjacency_rows. The graph is immutable, so built
+    graphs are safe to share across threads.
     """
 
     n: int
     vertices: tuple[int, ...]
     classes: tuple[int, ...]
-    adjacency: np.ndarray
+    # the index of each vertex's class among the distinct classes, and the
+    # class rows: row c is the adjacency row of every vertex of class c
+    _class_of: np.ndarray = field(init=False, repr=False, compare=False)
+    _class_rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        values, class_of = np.unique(np.array(self.classes, dtype=np.int64), return_inverse=True)
+        pairs = (values[:, None] % values != 0) & (values % values[:, None] != 0)
+        object.__setattr__(self, "_class_of", class_of)
+        object.__setattr__(self, "_class_rows", pairs[:, class_of])
 
     @property
     def vertex_count(self) -> int:
@@ -45,17 +60,29 @@ class FullGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return int(self.degrees().sum()) // 2
+
+    def adjacency_rows(self, rows) -> np.ndarray:
+        """The adjacency rows at rows, a slice or an index array, as a fresh
+        boolean array: one gather of class rows. The whole matrix they
+        come from is symmetric and hollow."""
+        return self._class_rows[self._class_of[rows]]
+
+    def strips(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, adjacency rows lo .. lo + STRIP_HEIGHT) from the top down."""
+        for lo in range(0, self.vertex_count, STRIP_HEIGHT):
+            yield lo, self.adjacency_rows(slice(lo, lo + STRIP_HEIGHT))
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1, dtype=np.int64)
+        return np.concatenate(
+            [rows.sum(axis=1, dtype=np.int64) for _, rows in self.strips()]
+        )
 
     def edge_strips(self) -> Iterator[tuple[list[int], list[int]]]:
         """Vertex indices i < j of the edges, row-major, as one pair of lists
         per strip of STRIP_HEIGHT adjacency rows: no m x m temporary."""
-        a = self.adjacency
-        for lo in range(0, len(a), STRIP_HEIGHT):
-            i, j = np.nonzero(np.triu(a[lo:lo + STRIP_HEIGHT, lo:], 1))
+        for lo, rows in self.strips():
+            i, j = np.nonzero(np.triu(rows[:, lo:], 1))
             yield (i + lo).tolist(), (j + lo).tolist()
 
 
@@ -75,8 +102,9 @@ def build_full_graph(n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP) -> F
 
     An int n is admitted by factorize_for_full_graph. Prime n raises
     EmptyGraphError (no vertices at all, distinct from the edgeless null
-    graphs of prime powers). The cap bounds memory: a graph on m vertices
-    stores an m x m boolean matrix, filled STRIP_HEIGHT rows at a time.
+    graphs of prime powers). The cap bounds time and the oracle's memory:
+    the graph itself holds a class row of m booleans per distinct gcd,
+    fewer than the divisors of n, and any reader a strip at a time.
     """
     f = n if isinstance(n, Factorization) else factorize_for_full_graph(n, cap)
     n = f.n
@@ -89,15 +117,7 @@ def build_full_graph(n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP) -> F
     # the non-units are the multiples of n's primes
     vertices = np.unique(np.concatenate([np.arange(p, n, p) for p in f.primes]))
     assert len(vertices) == m
-    g = np.gcd(vertices, n)
-    # the divisor criterion evaluated on every pair, one strip of rows at a time
-    adjacency = np.empty((m, m), dtype=bool)
-    for lo in range(0, m, STRIP_HEIGHT):
-        strip = g[lo:lo + STRIP_HEIGHT, None]
-        adjacency[lo:lo + STRIP_HEIGHT] = (strip % g != 0) & (g % strip != 0)
-
-    adjacency.setflags(write=False)
-    return FullGraph(n, tuple(int(v) for v in vertices), tuple(int(c) for c in g), adjacency)
+    return FullGraph(n, tuple(vertices.tolist()), tuple(np.gcd(vertices, n).tolist()))
 
 
 def negation_split(graph: FullGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +125,8 @@ def negation_split(graph: FullGraph) -> tuple[np.ndarray, np.ndarray]:
 
     x and n - x generate the same ideal, so they have the same neighbours,
     and on the ascending vertex list n - x is the mirror of x: row i of
-    the adjacency equals row m - 1 - i. That is checked exactly, STRIP_HEIGHT
-    rows at a time, and an AssertionError refuses a graph that fails it;
+    the adjacency equals row m - 1 - i. That is checked exactly, on the
+    strips read here, and an AssertionError refuses a graph that fails it;
     nothing else about the graph is assumed. With h = m // 2 it gives:
 
     - on (e_i - e_{m-1-i}) / sqrt 2, the eigenvalue deg_i, for i < h;
@@ -116,41 +136,53 @@ def negation_split(graph: FullGraph) -> tuple[np.ndarray, np.ndarray]:
       odd m by the middle vertex e_h: the row and column -sqrt 2 A[h, :h]
       and the corner deg_h. It is float64, of size m - h, and the second
       array returned.
+
+    Each strip of the top h rows and its mirror are read once, for the
+    twin check, the degrees and the even block; the middle row once more.
     """
-    a = graph.adjacency
-    m = len(a)
+    m = graph.vertex_count
     h = m // 2
-    for lo in range(0, h, STRIP_HEIGHT):
-        hi = min(lo + STRIP_HEIGHT, h)
-        if not np.array_equal(a[lo:hi], a[m - hi:m - lo][::-1]):
-            raise AssertionError(f"x and {graph.n} - x are not twins among the {m} vertices")
-    degrees = graph.degrees()
+    root2 = math.sqrt(2.0)
+    degrees = np.empty(m - h, dtype=np.int64)
     # zeros, then the edges: every non-edge is +0.0, as it is in L, where
     # scaling A by -2.0 would give -0.0, whose sign Householder reads
     even = np.zeros((m - h, m - h))
-    np.copyto(even[:h, :h], -2.0, where=a[:h, :h])
+    for lo in range(0, h, STRIP_HEIGHT):
+        hi = min(lo + STRIP_HEIGHT, h)
+        top = graph.adjacency_rows(slice(lo, hi))
+        if not np.array_equal(top, graph.adjacency_rows(slice(m - hi, m - lo))[::-1]):
+            raise AssertionError(f"x and {graph.n} - x are not twins among the {m} vertices")
+        degrees[lo:hi] = top.sum(axis=1)
+        np.copyto(even[lo:hi, :h], -2.0, where=top[:, :h])
+        if m > 2 * h:
+            np.copyto(even[lo:hi, h], -root2, where=top[:, h])
     if m > 2 * h:
-        np.copyto(even[h, :h], -math.sqrt(2.0), where=a[h, :h])
-        np.copyto(even[:h, h], -math.sqrt(2.0), where=a[h, :h])
-    np.fill_diagonal(even, degrees[:m - h])
+        (middle,) = graph.adjacency_rows(slice(h, h + 1))
+        degrees[h] = middle.sum()
+        np.copyto(even[h, :h], -root2, where=middle[:h])
+    np.fill_diagonal(even, degrees)
     return degrees[:h], even
 
 
 def connected_component_count(graph: FullGraph) -> int:
-    return component_count(graph.adjacency)
+    return component_count(graph.vertex_count, graph.adjacency_rows)
 
 
 def full_graph_connected_predicate(n: int | Factorization) -> bool | None:
     """Closed-form connectivity without building the graph.
 
-    Takes n or its factorization. None for prime n (empty graph).
-    Otherwise the graph is connected unless n is a prime power, with
-    n = 4 as the single-vertex boundary case that still counts as
-    connected.
+    Takes n or its factorization; an int n is not factored, since only
+    whether it is a prime power matters (numbers.prime_power). None for
+    prime n (empty graph). Otherwise the graph is connected unless n is a
+    prime power, with n = 4 as the single-vertex boundary case that still
+    counts as connected.
     """
-    f = n if isinstance(n, Factorization) else factorize(n)
-    if f.is_prime:
-        return None
-    if not f.is_prime_power:
+    if isinstance(n, Factorization):
+        power = n.factors[0] if n.is_prime_power else None
+    else:
+        power = prime_power(n)
+    if power is None:
         return True
-    return f.n == 4
+    if power[1] == 1:
+        return None
+    return power == (2, 2)

@@ -114,6 +114,48 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n)
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p**k and p prime, or None when n is no prime power.
+
+    Decided without rho: trial division below SMALL_PRIME_LIMIT settles
+    every n with a small prime factor; otherwise n = b**k with k as large
+    as possible, found by integer roots, is a prime power iff Miller-Rabin
+    finds b prime. Raises ValueError for n < 2, and when that b is at or
+    above MILLER_RABIN_LIMIT.
+    """
+    if n < 2:
+        raise ValueError(f"prime_power requires n >= 2, got {n}")
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n, 1
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            return (p, k) if n == 1 else None
+    # every prime factor of n, and so b, lies above SMALL_PRIME_LIMIT
+    base, k = n, 1
+    for q in _SMALL_PRIMES:
+        if SMALL_PRIME_LIMIT**q > base:
+            break
+        root = _integer_root(base, q)
+        while root**q == base:
+            base, k = root, k * q
+            root = _integer_root(base, q)
+    return (base, k) if _miller_rabin(base) else None
+
+
+def _integer_root(m: int, k: int) -> int:
+    """The integer part of m ** (1 / k), m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _miller_rabin(m: int) -> bool:
     """Primality of m, which has no prime factor below SMALL_PRIME_LIMIT.
 

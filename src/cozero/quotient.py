@@ -108,7 +108,8 @@ def quotient_connectivity_state(q: QuotientGraph) -> str:
     """
     if q.is_empty:
         return "empty"
-    return "connected" if component_count(q.adjacency) == 1 else "disconnected"
+    connected = component_count(q.size, q.adjacency.__getitem__) == 1
+    return "connected" if connected else "disconnected"
 
 
 def integer_laplacian(q: QuotientGraph) -> np.ndarray:

@@ -7,7 +7,9 @@ closed-form spectrum of n = p*q and the quartic characteristic polynomial
 of the p**2 * q quotient, with Faddeev-LeVerrier as the exact polynomial
 of any small integer matrix. None is used by the library itself.
 eigenvalue_multiset is no independent reference: it wraps the library's
-solver so that a test can pass any matrix and get a merged multiset.
+solver so that a test can pass any matrix and get a merged multiset, and
+with_flipped_pairs makes a graph the builder cannot, for the oracle's
+refusals to be tested.
 """
 
 from math import gcd
@@ -17,6 +19,7 @@ import numpy as np
 from cozero import (
     AssembledSpectrum,
     ClassEigenvalue,
+    FullGraph,
     SpectrumEntry,
     SpectrumMultiset,
     factorize,
@@ -58,9 +61,29 @@ def is_adjacent_exhaustive(x: int, y: int, n: int) -> bool:
     return x not in ideal_of(y, n) and y not in ideal_of(x, n)
 
 
+def adjacency(graph) -> np.ndarray:
+    """The whole boolean adjacency of a built graph: its strips, stacked."""
+    return np.vstack([rows for _, rows in graph.strips()])
+
+
 def laplacian(graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix of a built graph, in int64."""
-    return np.diag(graph.degrees()) - graph.adjacency
+    return np.diag(graph.degrees()) - adjacency(graph)
+
+
+def with_flipped_pairs(graph, pairs):
+    """graph, read through a strip reader that flips the adjacency of each
+    pair (i, j) in pairs, both ways: a graph the builder cannot make."""
+    class Flipped(FullGraph):
+        def adjacency_rows(self, rows):
+            block = super().adjacency_rows(rows)
+            index = np.arange(self.vertex_count)[rows]
+            for i, j in pairs:
+                for a, b in ((i, j), (j, i)):
+                    block[index == a, b] ^= True
+            return block
+
+    return Flipped(graph.n, graph.vertices, graph.classes)
 
 
 def eigenvalue_multiset(matrix, null_vector=None) -> SpectrumMultiset:

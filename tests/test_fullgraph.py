@@ -6,7 +6,6 @@ import pytest
 
 from cozero import (
     EmptyGraphError,
-    FullGraph,
     VertexCapError,
     build_full_graph,
     build_quotient,
@@ -20,10 +19,12 @@ from cozero.eigen import MATCH_TOL, STRIP_HEIGHT, eigenvalues_in_place
 from cozero.errors import VertexBoundError
 from cozero.fullgraph import negation_split
 from reference import (
+    adjacency,
     eigenvalue_multiset,
     is_adjacent_by_definition,
     is_adjacent_exhaustive,
     laplacian,
+    with_flipped_pairs,
 )
 
 
@@ -33,7 +34,8 @@ def composite_range(hi):
 
 def adjacent_in_graph(x, y, n):
     graph = build_full_graph(n)
-    return bool(graph.adjacency[graph.vertices.index(x), graph.vertices.index(y)])
+    (row,) = graph.adjacency_rows([graph.vertices.index(x)])
+    return bool(row[graph.vertices.index(y)])
 
 
 def is_connected(graph):
@@ -70,15 +72,19 @@ class TestAdjacency:
                 )
 
     def test_definition_matches_divisor_criterion_everywhere(self):
-        # vectorized form of the definition, independent of the builder
-        for n in composite_range(300):
+        # vectorized form of the definition, independent of the builder,
+        # against every strip the graph hands out
+        for n in composite_range(400):
             graph = build_full_graph(n)
             v = np.array(graph.vertices)
             g = np.gcd(v, n)
             by_definition = (v[:, None] % g[None, :] != 0) & (
                 v[None, :] % g[:, None] != 0
             )
-            assert np.array_equal(by_definition, graph.adjacency)
+            strips = list(graph.strips())
+            assert [lo for lo, _ in strips] == list(range(0, len(v), STRIP_HEIGHT))
+            for lo, rows in strips:
+                assert np.array_equal(rows, by_definition[lo:lo + STRIP_HEIGHT])
 
 
 class TestBuildFullGraph:
@@ -130,7 +136,7 @@ class TestBuildFullGraph:
         graph = build_full_graph(n)
         strips = list(graph.edge_strips())
         assert len(strips) == -(-graph.vertex_count // STRIP_HEIGHT)
-        i, j = np.nonzero(np.triu(graph.adjacency, 1))
+        i, j = np.nonzero(np.triu(adjacency(graph), 1))
         assert list(chain.from_iterable(s[0] for s in strips)) == i.tolist()
         assert list(chain.from_iterable(s[1] for s in strips)) == j.tolist()
 
@@ -138,9 +144,10 @@ class TestBuildFullGraph:
         # every pair re-checked against the ring definition
         for n in (12, 30, 60):
             graph = build_full_graph(n)
+            a = adjacency(graph)
             for i, j in combinations(range(graph.vertex_count), 2):
                 x, y = graph.vertices[i], graph.vertices[j]
-                assert bool(graph.adjacency[i, j]) == is_adjacent_by_definition(x, y, n)
+                assert bool(a[i, j]) == is_adjacent_by_definition(x, y, n)
 
     def test_vertices_are_exactly_non_units(self):
         for n in (12, 30, 49):
@@ -163,25 +170,30 @@ class TestBuildFullGraph:
         assert graph.vertices == tuple(range(1009, 1009**2, 1009))
         assert len(calls) <= graph.vertex_count
 
-    def test_adjacency_is_read_only(self):
-        graph = build_full_graph(12)
-        with pytest.raises(ValueError):
-            graph.adjacency[0, 1] = True
+    @pytest.mark.parametrize("n", [720, 1155])
+    def test_holds_no_vertex_by_vertex_array(self, n):
+        # a class row per distinct gcd, never an m x m matrix
+        graph = build_full_graph(n)
+        m = graph.vertex_count
+        classes = len(set(graph.classes))
+        arrays = [v for v in vars(graph).values() if isinstance(v, np.ndarray)]
+        assert arrays and max(a.size for a in arrays) == classes * m < m * m // 16
 
 
 class TestEquitableStructure:
     def test_within_class_edgeless_between_class_all_or_none(self):
         for n in composite_range(300):
             graph = build_full_graph(n)
+            a = adjacency(graph)
             divisors = build_quotient(n).divisors
             classes = np.array(graph.classes)
             for i, di in enumerate(divisors):
                 idx_i = np.nonzero(classes == di)[0]
-                block = graph.adjacency[np.ix_(idx_i, idx_i)]
+                block = a[np.ix_(idx_i, idx_i)]
                 assert not block.any(), f"edges inside class {di} of n={n}"
                 for dj in divisors[i + 1:]:
                     idx_j = np.nonzero(classes == dj)[0]
-                    count = int(graph.adjacency[np.ix_(idx_i, idx_j)].sum())
+                    count = int(a[np.ix_(idx_i, idx_j)].sum())
                     assert count in (0, len(idx_i) * len(idx_j)), (
                         f"partial join between classes {di}, {dj} of n={n}"
                     )
@@ -206,6 +218,29 @@ class TestConnectivity:
 
     def test_predicate_for_prime_is_none(self):
         assert full_graph_connected_predicate(13) is None
+        assert full_graph_connected_predicate(1099511627791) is None
+
+    @pytest.mark.parametrize(
+        "n, connected",
+        [
+            (4, True),
+            (2**10, False),
+            (1099511627791**2, False),
+            (1009**3, False),
+            # two primes near 2**40, which rho would take a sizeable
+            # fraction of a second to split
+            (1099511627791 * 1099511627803, True),
+            # a cofactor above the proven range of Miller-Rabin, which
+            # factoring n in full refuses
+            (10**30 + 1, True),
+        ],
+    )
+    def test_predicate_factors_no_int(self, n, connected, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(fullgraph, "factorize", refuse)
+        assert full_graph_connected_predicate(n) is connected
 
 
 class TestExports:
@@ -258,14 +293,6 @@ def negation_basis(m):
     if m % 2:
         basis[h, m - 1] = 1.0
     return basis
-
-
-def without_twins(graph, *pairs):
-    """graph with the adjacency of each pair (i, j) flipped, both ways."""
-    adjacency = graph.adjacency.copy()
-    for i, j in pairs:
-        adjacency[i, j] = adjacency[j, i] = not adjacency[i, j]
-    return FullGraph(graph.n, graph.vertices, graph.classes, adjacency)
 
 
 class TestNegationSplit:
@@ -330,8 +357,9 @@ class TestNegationSplit:
 
     def test_refuses_a_graph_that_reversal_does_not_preserve(self):
         # still a simple graph, but reversal maps the pair (0, 1) to (m-1, m-2)
-        broken = without_twins(build_full_graph(30), (0, 1))
-        assert np.array_equal(broken.adjacency, broken.adjacency.T)
+        broken = with_flipped_pairs(build_full_graph(30), [(0, 1)])
+        a = adjacency(broken)
+        assert np.array_equal(a, a.T) and a[0, 1] != adjacency(build_full_graph(30))[0, 1]
         with pytest.raises(AssertionError, match="twins"):
             negation_split(broken)
 
@@ -340,7 +368,7 @@ class TestNegationSplit:
         # but row 0 no longer equals row m-1: 0 and m-1 are not twins
         graph = build_full_graph(30)
         m = graph.vertex_count
-        broken = without_twins(graph, (0, 1), (m - 2, m - 1))
+        broken = with_flipped_pairs(graph, [(0, 1), (m - 2, m - 1)])
         lap = laplacian(broken)
         assert np.array_equal(lap, lap[::-1, ::-1])
         with pytest.raises(AssertionError, match="twins"):

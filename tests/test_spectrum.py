@@ -5,7 +5,6 @@ import pytest
 
 from cozero import (
     Factorization,
-    FullGraph,
     SpectrumEntry,
     VertexCapError,
     assemble_spectrum,
@@ -18,7 +17,12 @@ from cozero import (
     verify_against_oracle,
 )
 from cozero.quotient import integer_laplacian
-from reference import characteristic_polynomial, charpoly_p2q, closed_form_pq
+from reference import (
+    characteristic_polynomial,
+    charpoly_p2q,
+    closed_form_pq,
+    with_flipped_pairs,
+)
 
 
 def entry_pairs(multiset):
@@ -326,10 +330,7 @@ class TestOracleVerification:
 
         def broken_graph(f, cap):
             graph = build_full_graph(f, cap=cap)
-            adjacency = graph.adjacency.copy()
-            for i, j in pairs(graph.vertex_count):
-                adjacency[i, j] = adjacency[j, i] = not adjacency[i, j]
-            return FullGraph(graph.n, graph.vertices, graph.classes, adjacency)
+            return with_flipped_pairs(graph, pairs(graph.vertex_count))
 
         monkeypatch.setattr(spectrum, "build_full_graph", broken_graph)
 
