@@ -21,7 +21,6 @@ from .fullgraph import (
     FullGraph,
     build_full_graph,
     connected_component_count,
-    full_graph_connected_predicate,
 )
 from .quotient import (
     QuotientGraph,
@@ -67,7 +66,6 @@ __all__ = [
     "connected_component_count",
     "divisor_exponents",
     "factorize",
-    "full_graph_connected_predicate",
     "is_laplacian_integral",
     "is_prime",
     "merge_spectrum",

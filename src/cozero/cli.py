@@ -21,6 +21,8 @@ from collections.abc import Iterable
 from datetime import datetime, timezone
 from itertools import chain
 
+import numpy as np
+
 from . import spectrum as sp
 from .errors import VertexCapError
 from .fullgraph import (
@@ -28,7 +30,6 @@ from .fullgraph import (
     FullGraph,
     build_full_graph,
     factorize_for_full_graph,
-    full_graph_connected_predicate,
 )
 from .numbers import Factorization
 from .quotient import (
@@ -284,7 +285,8 @@ def _quotient_dot(q: QuotientGraph) -> list[str]:
 
 def _full_graph_dot(graph: FullGraph) -> Iterable[str]:
     """The full graph: vertex label is the ring element, fill color marks the
-    class. Each edge strip that has edges is one chunk, never the whole text."""
+    class. Edges are read one adjacency row at a time, and each row's edges
+    to later vertices, if it has any, are one chunk, never the whole text."""
     color_of = {
         c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(sorted(set(graph.classes)))
     }
@@ -292,9 +294,11 @@ def _full_graph_dot(graph: FullGraph) -> Iterable[str]:
     vertices = graph.vertices
     for v, c in zip(vertices, graph.classes):
         yield f'  v{v} [label="{v}", fillcolor="{color_of[c]}", tooltip="class {c}"];'
-    for i, j in graph.edge_strips():
-        if i:
-            yield "\n".join(f"  v{vertices[a]} -- v{vertices[b]};" for a, b in zip(i, j))
+    for i, v in enumerate(vertices):
+        (row,) = graph.adjacency_rows(slice(i, i + 1))
+        later = np.flatnonzero(row[i + 1:])
+        if len(later):
+            yield "\n".join([f"  v{v} -- v{vertices[j]};" for j in (later + (i + 1)).tolist()])
     yield "}"
 
 
@@ -475,11 +479,19 @@ def _cmd_structure(args) -> int:
     if args.format == "csv":
         _emit(_laplacian_csv(q), args)
         return EXIT_OK
-    boundary = n == 4
-
     if args.format == "dot":
         _emit(_quotient_dot(q), args)
-    elif args.format == "json":
+        return EXIT_OK
+    boundary = n == 4
+    state = quotient_connectivity_state(q)
+    # the full graph is a join of edgeless classes over the quotient, so it
+    # is connected when the quotient is, unless that is one class of more
+    # than one vertex (n = p**2, p odd); None for prime n, which has none
+    connected = None if q.is_empty else (
+        state == "connected" and (q.size > 1 or q.weights[0] == 1)
+    )
+
+    if args.format == "json":
         _emit_json({
             "n": n,
             "divisor_classes": [
@@ -487,15 +499,14 @@ def _cmd_structure(args) -> int:
                 for d, w, deg in zip(q.divisors, q.weights, q.degrees)
             ],
             "edges": [list(e) for e in q.edges()],
-            "quotient_connectivity": quotient_connectivity_state(q),
-            "full_graph_connected": full_graph_connected_predicate(f),
+            "quotient_connectivity": state,
+            "full_graph_connected": connected,
             "boundary_case": boundary,
         }, args)
     else:
         lines = [
             f"n={n}: {q.size} proper divisors, {q.edge_count} quotient edges",
-            f"quotient {quotient_connectivity_state(q)}; "
-            f"full graph connected: {str(full_graph_connected_predicate(f)).lower()}",
+            f"quotient {state}; full graph connected: {str(connected).lower()}",
         ]
         if boundary:
             lines.append("note: n=4 is the single-vertex boundary case (even prime squared)")

@@ -6,8 +6,8 @@ divides the other, which is the ring definition (x outside the ideal of
 y and y outside the ideal of x) since y and gcd(y, n) generate the same
 ideal of Z_n. A graph is therefore its class vector: it keeps the
 criterion's value for each pair of distinct classes, fewer than the
-divisors of n squared, and hands out adjacency rows a strip at a time,
-never an m x m matrix. negation_split uses the same fact once more for
+divisors of n squared, and hands out any rows of the adjacency, never
+an m x m matrix. negation_split uses the same fact once more for
 the oracle: x and n - x generate the same ideal, so they are twins, and
 the Laplacian splits into a diagonal of degrees and one block of half
 size. An int n reaches a graph only through factorize_for_full_graph.
@@ -16,14 +16,13 @@ size. An int n reaches a graph only through factorize_for_full_graph.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eigen import STRIP_HEIGHT, component_count
 from .errors import EmptyGraphError, VertexBoundError, VertexCapError
-from .numbers import Factorization, factorize, is_prime, prime_power
+from .numbers import Factorization, factorize, is_prime
 
 DEFAULT_VERTEX_CAP = 20_000
 
@@ -58,32 +57,11 @@ class FullGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.degrees().sum()) // 2
-
     def adjacency_rows(self, rows) -> np.ndarray:
         """The adjacency rows at rows, a slice or an index array, as a fresh
         boolean array: one gather of class rows. The whole matrix they
         come from is symmetric and hollow."""
         return self._class_rows[self._class_of[rows]]
-
-    def strips(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, adjacency rows lo .. lo + STRIP_HEIGHT) from the top down."""
-        for lo in range(0, self.vertex_count, STRIP_HEIGHT):
-            yield lo, self.adjacency_rows(slice(lo, lo + STRIP_HEIGHT))
-
-    def degrees(self) -> np.ndarray:
-        return np.concatenate(
-            [rows.sum(axis=1, dtype=np.int64) for _, rows in self.strips()]
-        )
-
-    def edge_strips(self) -> Iterator[tuple[list[int], list[int]]]:
-        """Vertex indices i < j of the edges, row-major, as one pair of lists
-        per strip of STRIP_HEIGHT adjacency rows: no m x m temporary."""
-        for lo, rows in self.strips():
-            i, j = np.nonzero(np.triu(rows[:, lo:], 1))
-            yield (i + lo).tolist(), (j + lo).tolist()
 
 
 def factorize_for_full_graph(n: int, cap: int = DEFAULT_VERTEX_CAP) -> Factorization:
@@ -104,7 +82,7 @@ def build_full_graph(n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP) -> F
     EmptyGraphError (no vertices at all, distinct from the edgeless null
     graphs of prime powers). The cap bounds time and the oracle's memory:
     the graph itself holds a class row of m booleans per distinct gcd,
-    fewer than the divisors of n, and any reader a strip at a time.
+    fewer than the divisors of n, and each reader a strip or a row at a time.
     """
     f = n if isinstance(n, Factorization) else factorize_for_full_graph(n, cap)
     n = f.n
@@ -166,23 +144,3 @@ def negation_split(graph: FullGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def connected_component_count(graph: FullGraph) -> int:
     return component_count(graph.vertex_count, graph.adjacency_rows)
-
-
-def full_graph_connected_predicate(n: int | Factorization) -> bool | None:
-    """Closed-form connectivity without building the graph.
-
-    Takes n or its factorization; an int n is not factored, since only
-    whether it is a prime power matters (numbers.prime_power). None for
-    prime n (empty graph). Otherwise the graph is connected unless n is a
-    prime power, with n = 4 as the single-vertex boundary case that still
-    counts as connected.
-    """
-    if isinstance(n, Factorization):
-        power = n.factors[0] if n.is_prime_power else None
-    else:
-        power = prime_power(n)
-    if power is None:
-        return True
-    if power[1] == 1:
-        return None
-    return power == (2, 2)

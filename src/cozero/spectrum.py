@@ -7,9 +7,10 @@ kept that way. The remaining d eigenvalues come from the small quotient
 Laplacian: its zero is exact, from the deflated square-root weights, and
 the other d - 1 values are solved numerically. verify_against_oracle
 compares the whole assembly against a brute-force eigensolve of the
-explicit vertex-level Laplacian, split into two half-size blocks by the
-negation x -> n - x, an automorphism of every cozero-divisor graph that
-it checks exactly. Which int n each accepts is decided where it is
+explicit vertex-level Laplacian. x and n - x generate the same ideal, so
+they are twins; the oracle checks that exactly, takes the first m // 2
+degrees as eigenvalues, and eigensolves the one even block of about
+m / 2 that is left. Which int n each accepts is decided where it is
 factored: quotient.factorize_for_quotient, fullgraph.factorize_for_full_graph.
 """
 
@@ -111,8 +112,6 @@ def is_laplacian_integral(spectrum: AssembledSpectrum | eigen.SpectrumMultiset) 
 class MultisetComparison:
     matched: bool
     max_deviation: float
-    size_a: int
-    size_b: int
     multiplicity_mismatches: tuple[tuple[float, int, int], ...]
 
 
@@ -127,11 +126,11 @@ def compare_multisets(
     va, vb = a.values(), b.values()
     if len(va) != len(vb):
         mismatches = _multiplicity_mismatches(a, b)
-        return MultisetComparison(False, math.inf, len(va), len(vb), mismatches)
+        return MultisetComparison(False, math.inf, mismatches)
     dev = float(np.max(np.abs(va - vb))) if len(va) else 0.0
     matched = dev <= eigen.MATCH_TOL
     mismatches = () if matched else _multiplicity_mismatches(a, b)
-    return MultisetComparison(matched, dev, len(va), len(vb), mismatches)
+    return MultisetComparison(matched, dev, mismatches)
 
 
 def _multiplicity_mismatches(

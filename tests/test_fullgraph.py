@@ -1,4 +1,5 @@
-from itertools import chain, combinations
+import json
+from itertools import combinations
 from math import gcd, isqrt
 
 import numpy as np
@@ -10,12 +11,11 @@ from cozero import (
     build_full_graph,
     build_quotient,
     connected_component_count,
-    full_graph_connected_predicate,
     is_prime,
     merge_spectrum,
 )
 from cozero import fullgraph
-from cozero.eigen import MATCH_TOL, STRIP_HEIGHT, eigenvalues_in_place
+from cozero.eigen import MATCH_TOL, eigenvalues_in_place
 from cozero.errors import VertexBoundError
 from cozero.fullgraph import negation_split
 from reference import (
@@ -73,7 +73,7 @@ class TestAdjacency:
 
     def test_definition_matches_divisor_criterion_everywhere(self):
         # vectorized form of the definition, independent of the builder,
-        # against every strip the graph hands out
+        # against the whole adjacency and against rows read by index
         for n in composite_range(400):
             graph = build_full_graph(n)
             v = np.array(graph.vertices)
@@ -81,10 +81,9 @@ class TestAdjacency:
             by_definition = (v[:, None] % g[None, :] != 0) & (
                 v[None, :] % g[:, None] != 0
             )
-            strips = list(graph.strips())
-            assert [lo for lo, _ in strips] == list(range(0, len(v), STRIP_HEIGHT))
-            for lo, rows in strips:
-                assert np.array_equal(rows, by_definition[lo:lo + STRIP_HEIGHT])
+            assert np.array_equal(adjacency(graph), by_definition)
+            rows = np.arange(len(v) - 1, -1, -3)
+            assert np.array_equal(graph.adjacency_rows(rows), by_definition[rows])
 
 
 class TestBuildFullGraph:
@@ -95,7 +94,7 @@ class TestBuildFullGraph:
     def test_single_vertex_graph(self):
         graph = build_full_graph(4)
         assert graph.vertex_count == 1
-        assert graph.edge_count == 0
+        assert not adjacency(graph).any()
 
     def test_edge_count_15_by_brute_recount(self):
         graph = build_full_graph(15)
@@ -105,7 +104,7 @@ class TestBuildFullGraph:
             1 for x, y in combinations(vertices, 2) if is_adjacent_by_definition(x, y, 15)
         )
         assert brute == 8
-        assert graph.edge_count == brute
+        assert int(adjacency(graph).sum()) // 2 == brute
 
     def test_prime_raises_empty_graph(self):
         with pytest.raises(EmptyGraphError):
@@ -131,14 +130,18 @@ class TestBuildFullGraph:
         assert err.value.cap == fullgraph.DEFAULT_VERTEX_CAP
 
     @pytest.mark.parametrize("n", [12, 720, 1155, 3**6])
-    def test_edge_strips_walk_the_upper_triangle(self, n):
-        # 720 and 1155 have several strips; the null graph of 3**6 has no edges
+    def test_dot_edges_walk_the_upper_triangle(self, n, cli_output):
+        # the DOT's edge lines, row by row; the null graph of 3**6 has none
+        code, out = cli_output("structure", str(n), "--format", "dot", "--full")
+        assert code == 0
         graph = build_full_graph(n)
-        strips = list(graph.edge_strips())
-        assert len(strips) == -(-graph.vertex_count // STRIP_HEIGHT)
+        index = {f"v{x}": k for k, x in enumerate(graph.vertices)}
+        edges = [
+            tuple(index[v] for v in line.strip().rstrip(";").split(" -- "))
+            for line in out.splitlines() if " -- " in line
+        ]
         i, j = np.nonzero(np.triu(adjacency(graph), 1))
-        assert list(chain.from_iterable(s[0] for s in strips)) == i.tolist()
-        assert list(chain.from_iterable(s[1] for s in strips)) == j.tolist()
+        assert edges == list(zip(i.tolist(), j.tolist()))
 
     def test_verify_mode(self):
         # every pair re-checked against the ring definition
@@ -210,37 +213,16 @@ class TestConnectivity:
         assert connected_component_count(build_full_graph(9)) == 2
         assert connected_component_count(build_full_graph(30)) == 1
 
-    def test_predicate_matches_bfs(self):
-        for n in composite_range(300):
-            predicted = full_graph_connected_predicate(n)
-            assert predicted is not None
-            assert is_connected(build_full_graph(n)) == predicted
-
-    def test_predicate_for_prime_is_none(self):
-        assert full_graph_connected_predicate(13) is None
-        assert full_graph_connected_predicate(1099511627791) is None
-
-    @pytest.mark.parametrize(
-        "n, connected",
-        [
-            (4, True),
-            (2**10, False),
-            (1099511627791**2, False),
-            (1009**3, False),
-            # two primes near 2**40, which rho would take a sizeable
-            # fraction of a second to split
-            (1099511627791 * 1099511627803, True),
-            # a cofactor above the proven range of Miller-Rabin, which
-            # factoring n in full refuses
-            (10**30 + 1, True),
-        ],
-    )
-    def test_predicate_factors_no_int(self, n, connected, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"factorize({n}) called")
-
-        monkeypatch.setattr(fullgraph, "factorize", refuse)
-        assert full_graph_connected_predicate(n) is connected
+    def test_structure_reports_the_bfs_answer(self, cli_output):
+        # structure derives it from the quotient; 9, 25, 49, ... are the n
+        # whose quotient is one class of several vertices
+        for n in range(2, 401):
+            code, out = cli_output("structure", str(n), "--format", "json", "--no-timestamp")
+            reported = json.loads(out)["full_graph_connected"]
+            if is_prime(n):
+                assert (code, reported) == (2, None), n
+            else:
+                assert reported is is_connected(build_full_graph(n)), n
 
 
 class TestExports:
@@ -255,7 +237,7 @@ class TestExports:
         graph = build_full_graph(12)
         for v in graph.vertices:
             assert f'v{v} [label="{v}"' in out
-        assert out.count(" -- ") == graph.edge_count
+        assert out.count(" -- ") == int(adjacency(graph).sum()) // 2
 
 
 def split_spectrum(graph):

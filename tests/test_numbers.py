@@ -10,8 +10,6 @@ from cozero import (
     factorize,
     is_prime,
 )
-from cozero import numbers
-from cozero.numbers import prime_power
 from reference import gcd_class_count
 
 
@@ -194,44 +192,6 @@ class TestIsPrime:
             is_prime(PSI_13)
         # an even n above the bound is decided by trial division
         assert not is_prime(PSI_13 + 1)
-
-
-class TestPrimePower:
-    def test_matches_factorize(self):
-        for n in range(2, 20000):
-            f = factorize(n)
-            assert prime_power(n) == (f.factors[0] if f.is_prime_power else None), n
-
-    @pytest.mark.parametrize("p", [1009, 999999999989, 1099511627791])
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_powers_of_primes_without_small_factors(self, p, k):
-        assert prime_power(p**k) == (p, k)
-
-    @pytest.mark.parametrize(
-        "n",
-        [
-            # two primes near 2**40: rho would take a sizeable fraction of a second
-            1099511627791 * 1099511627803,
-            1009**2 * 1013,
-            (1009 * 1013) ** 3,
-            # the cofactor left after its small factors is above PSI_13
-            10**30 + 1,
-            2**3 * 1009,
-        ],
-    )
-    def test_composites_are_none(self, n, monkeypatch):
-        monkeypatch.setattr(numbers, "_pollard_brent", None)
-        assert prime_power(n) is None
-
-    def test_integer_root_is_the_floor(self):
-        for m in (1, 2, 7, 8, 9, 10**6, 10**6 - 1, 3**40, 3**40 - 1, 2**200 + 1):
-            for k in (2, 3, 5, 7):
-                r = numbers._integer_root(m, k)
-                assert r**k <= m < (r + 1) ** k, (m, k)
-
-    def test_refuses_below_two(self):
-        with pytest.raises(ValueError):
-            prime_power(1)
 
 
 class TestTotient:
