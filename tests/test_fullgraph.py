@@ -213,16 +213,20 @@ class TestConnectivity:
         assert connected_component_count(build_full_graph(9)) == 2
         assert connected_component_count(build_full_graph(30)) == 1
 
-    def test_structure_reports_the_bfs_answer(self, cli_output):
+    def test_predicate_matches_bfs(self, cli_output):
         # structure derives it from the quotient; 9, 25, 49, ... are the n
         # whose quotient is one class of several vertices
         for n in range(2, 401):
+            if is_prime(n):
+                continue
             code, out = cli_output("structure", str(n), "--format", "json", "--no-timestamp")
             reported = json.loads(out)["full_graph_connected"]
-            if is_prime(n):
-                assert (code, reported) == (2, None), n
-            else:
-                assert reported is is_connected(build_full_graph(n)), n
+            assert reported is is_connected(build_full_graph(n)), n
+
+    def test_predicate_for_prime_is_none(self, cli_output):
+        for n in [p for p in range(2, 401) if is_prime(p)] + [1099511627791]:
+            code, out = cli_output("structure", str(n), "--format", "json", "--no-timestamp")
+            assert (code, json.loads(out)["full_graph_connected"]) == (2, None), n
 
 
 class TestExports:
