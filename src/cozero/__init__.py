@@ -20,11 +20,11 @@ from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     FullGraph,
     build_full_graph,
-    connected_component_count,
 )
 from .quotient import (
     QuotientGraph,
     build_quotient,
+    full_graph_component_count,
     quotient_connectivity_state,
 )
 from .eigen import (
@@ -34,7 +34,6 @@ from .eigen import (
 )
 from .spectrum import (
     AssembledSpectrum,
-    ClassEigenvalue,
     MultisetComparison,
     OracleReport,
     assemble_spectrum,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssembledSpectrum",
-    "ClassEigenvalue",
     "ConvergenceError",
     "DEFAULT_VERTEX_CAP",
     "EmptyGraphError",
@@ -63,9 +61,9 @@ __all__ = [
     "build_full_graph",
     "build_quotient",
     "compare_multisets",
-    "connected_component_count",
     "divisor_exponents",
     "factorize",
+    "full_graph_component_count",
     "is_laplacian_integral",
     "is_prime",
     "merge_spectrum",

@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from . import spectrum as sp
-from .errors import VertexCapError
+from .errors import ConvergenceError, VertexCapError
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     FullGraph,
@@ -36,6 +36,7 @@ from .quotient import (
     QuotientGraph,
     build_quotient,
     factorize_for_quotient,
+    full_graph_component_count,
     integer_laplacian,
     quotient_connectivity_state,
 )
@@ -243,16 +244,18 @@ def _verdict_line(n: int, status: str, vertices: int, deviation: float, integral
     )
 
 
+def _divisor_classes(q: QuotientGraph) -> list[dict]:
+    """The class table of JSON output: divisor, class size and weighted degree."""
+    return [{"d": d, "size": w, "D": deg} for d, w, deg in zip(q.divisors, q.weights, q.degrees)]
+
+
 def _spectrum_report(assembled: sp.AssembledSpectrum) -> dict:
     """spectrum's JSON payload. It never runs the oracle (verify does), so
     "oracle_checked" is always false and "max_deviation" always null."""
     return {
         "n": assembled.n,
         "vertex_count": assembled.vertex_count,
-        "divisor_classes": [
-            {"d": e.divisor, "size": e.multiplicity + 1, "D": e.value}
-            for e in assembled.integer_part
-        ],
+        "divisor_classes": _divisor_classes(assembled.quotient),
         "spectrum": [
             {"value": e.value, "multiplicity": e.multiplicity, "exact": e.exact}
             for e in assembled.combined.entries
@@ -484,20 +487,13 @@ def _cmd_structure(args) -> int:
         return EXIT_OK
     boundary = n == 4
     state = quotient_connectivity_state(q)
-    # the full graph is a join of edgeless classes over the quotient, so it
-    # is connected when the quotient is, unless that is one class of more
-    # than one vertex (n = p**2, p odd); None for prime n, which has none
-    connected = None if q.is_empty else (
-        state == "connected" and (q.size > 1 or q.weights[0] == 1)
-    )
+    # None for prime n, whose full graph has no vertices
+    connected = None if q.is_empty else full_graph_component_count(q) == 1
 
     if args.format == "json":
         _emit_json({
             "n": n,
-            "divisor_classes": [
-                {"d": d, "size": w, "D": deg}
-                for d, w, deg in zip(q.divisors, q.weights, q.degrees)
-            ],
+            "divisor_classes": _divisor_classes(q),
             "edges": [list(e) for e in q.edges()],
             "quotient_connectivity": state,
             "full_graph_connected": connected,
@@ -559,7 +555,7 @@ def main(argv=None) -> int:
     except VertexCapError as exc:
         sys.stderr.write(f"cozero: {exc}\n")
         return EXIT_CAP
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, ConvergenceError) as exc:
         sys.stderr.write(f"cozero: {exc}\n")
         return EXIT_ERROR
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -48,6 +48,8 @@ PANEL_WIDTH = 32
 # rows per strip of a rank-k update, so its temporary is STRIP_HEIGHT x m,
 # never m x m
 STRIP_HEIGHT = 64
+# QL sweeps allowed per eigenvalue before ConvergenceError
+QL_MAX_ITERATIONS = 60
 # exchanges columns 2j and 2j + 1 of a Householder panel: v_j with w_j
 _PAIR_SWAP = np.arange(2 * PANEL_WIDTH) ^ 1
 
@@ -150,31 +152,6 @@ def _group_entry(pinned, mult: int, total: float) -> SpectrumEntry:
 # ---------------------------------------------------------------------------
 # symmetric eigensolver
 
-def component_count(m: int, rows: Callable[[np.ndarray], np.ndarray]) -> int:
-    """Number of components of a symmetric boolean adjacency on m vertices.
-
-    rows(indices) reads the adjacency rows at an index array. Breadth-first
-    by whole frontiers, whose rows are read STRIP_HEIGHT at a time; every
-    vertex a search reaches is marked in one seen array.
-    """
-    seen = np.zeros(m, dtype=bool)
-    count = 0
-    for start in range(m):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        frontier_rows = np.array([start])
-        while len(frontier_rows):
-            frontier = np.zeros(m, dtype=bool)
-            for lo in range(0, len(frontier_rows), STRIP_HEIGHT):
-                frontier |= rows(frontier_rows[lo:lo + STRIP_HEIGHT]).any(axis=0)
-            frontier &= ~seen
-            seen |= frontier
-            frontier_rows = np.flatnonzero(frontier)
-    return count
-
-
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce symmetric a (destroyed) to (diagonal, subdiagonal).
 
@@ -232,9 +209,7 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, sub
 
 
-def _tridiagonal_eigenvalues(
-    diag: np.ndarray, sub: np.ndarray, max_iterations: int = 60
-) -> np.ndarray:
+def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """Root-free QL with shifts on a symmetric tridiagonal matrix T.
 
     It updates the squared subdiagonal, so a sweep takes no square root
@@ -259,9 +234,9 @@ def _tridiagonal_eigenvalues(
         l, iterations = start, 0
         while l < end:
             iterations += 1
-            if iterations > max_iterations:
+            if iterations > QL_MAX_ITERATIONS:
                 raise ConvergenceError(
-                    f"implicit QL cap of {max_iterations} exhausted",
+                    f"implicit QL cap of {QL_MAX_ITERATIONS} exhausted",
                     residual=math.sqrt(e2[l]) * scale,
                 )
             rte = math.sqrt(e2[l])

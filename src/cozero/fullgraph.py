@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import STRIP_HEIGHT, component_count
+from .eigen import STRIP_HEIGHT
 from .errors import EmptyGraphError, VertexBoundError, VertexCapError
 from .numbers import Factorization, factorize, is_prime
 
@@ -141,6 +141,3 @@ def negation_split(graph: FullGraph) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(even, degrees)
     return degrees[:h], even
 
-
-def connected_component_count(graph: FullGraph) -> int:
-    return component_count(graph.vertex_count, graph.adjacency_rows)

@@ -9,7 +9,8 @@ equals the full-graph degree of every vertex in the class of d (the
 partition is equitable); build_quotient computes the degrees once. Two
 Laplacian reductions are built from them on demand: the integer
 zero-row-sum form and its symmetric conjugate, which share one spectrum.
-They are int64 and float64 arrays, so n must lie below 2**63.
+They are int64 and float64 arrays, so n must lie below 2**63. The full
+graph's components are read off the quotient's, by one search here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import component_count
 from .numbers import (
     Factorization,
     divisor_exponents,
@@ -101,6 +101,24 @@ def build_quotient(n: int | Factorization) -> QuotientGraph:
     return QuotientGraph(f.n, tuple(d for d, _ in proper), weights, adjacency, degrees)
 
 
+def _component_count(adjacency: np.ndarray) -> int:
+    """Components of a symmetric boolean adjacency, by breadth-first
+    search on whole frontiers; every vertex reached is marked once."""
+    seen = np.zeros(len(adjacency), dtype=bool)
+    count = 0
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        frontier = np.array([start])
+        while len(frontier):
+            reached = adjacency[frontier].any(axis=0) & ~seen
+            seen |= reached
+            frontier = np.flatnonzero(reached)
+    return count
+
+
 def quotient_connectivity_state(q: QuotientGraph) -> str:
     """"empty" for prime n, else "connected" or "disconnected" by BFS.
 
@@ -108,8 +126,19 @@ def quotient_connectivity_state(q: QuotientGraph) -> str:
     """
     if q.is_empty:
         return "empty"
-    connected = component_count(q.size, q.adjacency.__getitem__) == 1
-    return "connected" if connected else "disconnected"
+    return "connected" if _component_count(q.adjacency) == 1 else "disconnected"
+
+
+def full_graph_component_count(q: QuotientGraph) -> int:
+    """Components of the full graph, read off its quotient; 0 for prime n.
+
+    The full graph joins edgeless classes over the quotient, so every
+    quotient component with an edge is one component of the full graph,
+    and a class with no neighbour (weighted degree 0) is w isolated
+    vertices: C - I + the sum of w over the I isolated classes.
+    """
+    isolated = [w for w, deg in zip(q.weights, q.degrees) if deg == 0]
+    return _component_count(q.adjacency) - len(isolated) + sum(isolated)
 
 
 def integer_laplacian(q: QuotientGraph) -> np.ndarray:

@@ -17,7 +17,7 @@ factored: quotient.factorize_for_quotient, fullgraph.factorize_for_full_graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,36 +25,34 @@ from . import eigen
 from .fullgraph import (
     DEFAULT_VERTEX_CAP,
     build_full_graph,
-    connected_component_count,
     factorize_for_full_graph,
     negation_split,
 )
 from .numbers import Factorization
-from .quotient import build_quotient, factorize_for_quotient, symmetric_laplacian
-
-
-@dataclass(frozen=True)
-class ClassEigenvalue:
-    """One divisor class's contribution: value repeated multiplicity times."""
-
-    value: int
-    multiplicity: int
-    divisor: int
+from .quotient import (
+    QuotientGraph,
+    build_quotient,
+    factorize_for_quotient,
+    full_graph_component_count,
+    symmetric_laplacian,
+)
 
 
 @dataclass(frozen=True)
 class AssembledSpectrum:
     """Full Laplacian spectrum of the cozero-divisor graph of Z_n.
 
-    integer_part has one entry per proper divisor (multiplicity may be 0
-    when the class is a singleton); quotient_part holds the d eigenvalues
-    of the weighted quotient Laplacian; combined is their multiset union.
-    degenerate is "empty" for prime n, "null" for prime powers (edgeless
-    graph, all-zero spectrum), None otherwise.
+    quotient is the graph it was assembled from, empty for prime n: the
+    class of each proper divisor d contributes its weighted degree
+    (weight - 1) times, the integer part. quotient_part holds the d
+    eigenvalues of the weighted quotient Laplacian; combined is the
+    multiset union of both. degenerate is "empty" for prime n, "null"
+    for prime powers (edgeless graph, all-zero spectrum), None otherwise.
     """
 
     n: int
-    integer_part: tuple[ClassEigenvalue, ...]
+    # n decides it; left out of == and hash, which an array cannot take
+    quotient: QuotientGraph = field(compare=False)
     quotient_part: eigen.SpectrumMultiset
     combined: eigen.SpectrumMultiset
     degenerate: str | None = None
@@ -74,19 +72,15 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     exact: the square-root weights are deflated as a known null vector.
     """
     f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
+    q = build_quotient(f)
     if f.is_prime:
         empty = eigen.SpectrumMultiset(())
-        return AssembledSpectrum(f.n, (), empty, empty, "empty")
-    q = build_quotient(f)
-    integer_part = tuple(
-        ClassEigenvalue(deg, w - 1, d)
-        for deg, w, d in zip(q.degrees, q.weights, q.divisors)
-    )
+        return AssembledSpectrum(f.n, q, empty, empty, "empty")
     values = eigen.eigenvalues_in_place(
         symmetric_laplacian(q), np.sqrt(np.array(q.weights, dtype=np.float64))
     )
     quotient_part = eigen.merge_spectrum([(0, 1, True)] + [(v, 1, False) for v in values])
-    triples = [(e.value, e.multiplicity, True) for e in integer_part]
+    triples = [(deg, w - 1, True) for deg, w in zip(q.degrees, q.weights)]
     triples.extend((e.value, e.multiplicity, e.exact) for e in quotient_part.entries)
     combined = eigen.merge_spectrum(triples)
     expected = f.n - f.totient - 1
@@ -96,7 +90,7 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
             f"expected {expected}"
         )
     degenerate = "null" if f.is_prime_power else None
-    return AssembledSpectrum(f.n, integer_part, quotient_part, combined, degenerate)
+    return AssembledSpectrum(f.n, q, quotient_part, combined, degenerate)
 
 
 def is_laplacian_integral(spectrum: AssembledSpectrum | eigen.SpectrumMultiset) -> bool:
@@ -182,9 +176,11 @@ def verify_against_oracle(
     that fails) and splits L by it: the first m // 2 degrees are
     eigenvalues, and the rest of the spectrum is that of one float64 block
     of about m / 2, solved in place; the two halves are merged once.
-    Raises VertexCapError when the graph would exceed cap, for an int n
-    before factoring it when its vertex bound already does. Prime n
-    verifies trivially (both sides empty) and is flagged degenerate.
+    The component count is read off the assembled quotient, not searched
+    in the full graph. Raises VertexCapError when the graph would exceed
+    cap, for an int n before factoring it when its vertex bound already
+    does. Prime n verifies trivially (both sides empty) and is flagged
+    degenerate.
     """
     f = n if isinstance(n, Factorization) else factorize_for_full_graph(n, cap)
     if f.is_prime:
@@ -205,5 +201,5 @@ def verify_against_oracle(
         laplacian_integral=is_laplacian_integral(assembled),
         degenerate=assembled.degenerate,
         zero_multiplicity=oracle.zero_multiplicity(),
-        component_count=connected_component_count(graph),
+        component_count=full_graph_component_count(assembled.quotient),
     )

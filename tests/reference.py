@@ -1,25 +1,28 @@
 """Independent references the tests compare the library against.
 
 Each one computes its answer the slow, literal way: from the ring
-definition, by scanning residues, by exact Horner evaluation, or in exact
-integer arithmetic. The paper's two exact results live here too: the
-closed-form spectrum of n = p*q and the quartic characteristic polynomial
-of the p**2 * q quotient, with Faddeev-LeVerrier as the exact polynomial
-of any small integer matrix. None is used by the library itself.
-eigenvalue_multiset is no independent reference: it wraps the library's
+definition, by scanning residues, by a search that visits one vertex at
+a time, by exact Horner evaluation, or in exact integer arithmetic. The
+paper's two exact results live here too: the closed-form spectrum of
+n = p*q and the quartic characteristic polynomial of the p**2 * q
+quotient, with Faddeev-LeVerrier as the exact polynomial of any small
+integer matrix. None is used by the library itself. Three helpers are
+no independent references: integer_part reads the class table off an
+assembled spectrum's quotient, eigenvalue_multiset wraps the library's
 solver so that a test can pass any matrix and get a merged multiset, and
 with_flipped_pairs makes a graph the builder cannot, for the oracle's
 refusals to be tested.
 """
 
+from collections import deque
 from math import gcd
 
 import numpy as np
 
 from cozero import (
     AssembledSpectrum,
-    ClassEigenvalue,
     FullGraph,
+    QuotientGraph,
     SpectrumEntry,
     SpectrumMultiset,
     factorize,
@@ -64,6 +67,31 @@ def is_adjacent_exhaustive(x: int, y: int, n: int) -> bool:
 def adjacency(graph) -> np.ndarray:
     """The whole boolean adjacency of a built graph, gathered in one read."""
     return graph.adjacency_rows(slice(None))
+
+
+def component_count(adjacency) -> int:
+    """Components of a graph given by its boolean adjacency matrix, by a
+    breadth-first search that visits one vertex at a time."""
+    seen = np.zeros(len(adjacency), dtype=bool)
+    count = 0
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            new = np.flatnonzero(adjacency[queue.popleft()] & ~seen)
+            seen[new] = True
+            queue.extend(new.tolist())
+    return count
+
+
+def integer_part(spectrum) -> dict[int, tuple[int, int]]:
+    """{d: (weighted degree, class size - 1)}: the eigenvalue each divisor
+    class of an assembled spectrum contributes, and how often."""
+    q = spectrum.quotient
+    return {d: (deg, w - 1) for d, w, deg in zip(q.divisors, q.weights, q.degrees)}
 
 
 def laplacian(graph) -> np.ndarray:
@@ -202,19 +230,19 @@ def closed_form_pq(p: int, q: int) -> AssembledSpectrum:
     """
     _require_distinct_primes(p, q)
     lo, hi = min(p, q), max(p, q)
-    # divisor lo has weight phi(hi) and weighted degree lo - 1, and vice versa
-    integer_part = (
-        ClassEigenvalue(lo - 1, hi - 2, lo),
-        ClassEigenvalue(hi - 1, lo - 2, hi),
-    )
+    # divisor lo has weight phi(hi) and weighted degree phi(lo) = lo - 1,
+    # and vice versa; the two are adjacent
+    edge = np.array([[False, True], [True, False]])
+    edge.setflags(write=False)
+    quotient = QuotientGraph(p * q, (lo, hi), (hi - 1, lo - 1), edge, (lo - 1, hi - 1))
     quotient_part = SpectrumMultiset(
         (SpectrumEntry(p + q - 2, 1, True), SpectrumEntry(0, 1, True))
     )
     combined = merge_spectrum(
-        [(e.value, e.multiplicity, True) for e in integer_part]
+        [(lo - 1, hi - 2, True), (hi - 1, lo - 2, True)]
         + [(e.value, e.multiplicity, e.exact) for e in quotient_part.entries]
     )
-    return AssembledSpectrum(p * q, integer_part, quotient_part, combined, None)
+    return AssembledSpectrum(p * q, quotient, quotient_part, combined, None)
 
 
 def charpoly_p2q(p: int, q: int) -> list[int]:

@@ -204,6 +204,16 @@ class TestSpectrumCommand:
             assert err.startswith("cozero: ") and err.count("\n") == 1
             assert kind in err and str(target) in err
 
+    def test_eigensolver_cap_is_one_line_error(self, capsys, monkeypatch):
+        from cozero import eigen
+
+        monkeypatch.setattr(eigen, "QL_MAX_ITERATIONS", 0)
+        code, out, err = run(capsys, "spectrum", "30")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cozero: implicit QL cap of 0 exhausted (residual ")
+        assert err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):

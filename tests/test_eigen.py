@@ -8,10 +8,10 @@ from cozero import (
     SpectrumEntry,
     build_full_graph,
     build_quotient,
-    connected_component_count,
     is_prime,
     merge_spectrum,
 )
+from cozero import eigen
 from cozero.eigen import (
     INTEGER_TOL,
     MERGE_TOL,
@@ -23,7 +23,14 @@ from cozero.eigen import (
     eigenvalues_in_place,
 )
 from cozero.quotient import integer_laplacian, symmetric_laplacian
-from reference import characteristic_polynomial, eigenvalue_multiset, laplacian, poly_eval_int
+from reference import (
+    adjacency,
+    characteristic_polynomial,
+    component_count,
+    eigenvalue_multiset,
+    laplacian,
+    poly_eval_int,
+)
 
 
 def bareiss_determinant(matrix):
@@ -93,16 +100,17 @@ class TestEigenvaluesSymmetric:
         with pytest.raises(ValueError):
             eigenvalues_in_place(np.zeros((2, 3)))
 
-    def test_sweep_cap_raises_with_residual(self):
+    def test_sweep_cap_raises_with_residual(self, monkeypatch):
         # a QL iteration cap of 0 cannot reduce any off-diagonal entry; the
         # residual is the top one of the first block, in the input's units
+        monkeypatch.setattr(eigen, "QL_MAX_ITERATIONS", 0)
         d, e = _householder_tridiagonalize(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        with pytest.raises(ConvergenceError) as err:
-            _tridiagonal_eigenvalues(d, e, max_iterations=0)
+        with pytest.raises(ConvergenceError, match="cap of 0") as err:
+            _tridiagonal_eigenvalues(d, e)
         assert err.value.residual > 0
         d, e = 1e6 * np.arange(1.0, 5.0), 1e6 * np.array([0.5, 0.25, 0.125])
         with pytest.raises(ConvergenceError) as err:
-            _tridiagonal_eigenvalues(d, e, max_iterations=0)
+            _tridiagonal_eigenvalues(d, e)
         assert err.value.residual == pytest.approx(0.5e6, rel=1e-15)
 
     def test_trace_identity_random(self):
@@ -432,7 +440,7 @@ class TestLaplacianHygiene:
         s = eigenvalue_multiset(laplacian(graph))
         assert s.entries[-1].value >= -1e-8
         assert s.zero_multiplicity() == components
-        assert connected_component_count(graph) == components
+        assert component_count(adjacency(graph)) == components
 
 
 class TestMergeSpectrum:

@@ -10,9 +10,10 @@ from cozero import (
     VertexCapError,
     build_full_graph,
     build_quotient,
-    connected_component_count,
+    full_graph_component_count,
     is_prime,
     merge_spectrum,
+    verify_against_oracle,
 )
 from cozero import fullgraph
 from cozero.eigen import MATCH_TOL, eigenvalues_in_place
@@ -20,6 +21,7 @@ from cozero.errors import VertexBoundError
 from cozero.fullgraph import negation_split
 from reference import (
     adjacency,
+    component_count,
     eigenvalue_multiset,
     is_adjacent_by_definition,
     is_adjacent_exhaustive,
@@ -39,7 +41,11 @@ def adjacent_in_graph(x, y, n):
 
 
 def is_connected(graph):
-    return connected_component_count(graph) == 1
+    return component_count(adjacency(graph)) == 1
+
+
+# every composite n in [4, 400], then even and odd vertex counts beyond
+SEARCHED = composite_range(400) + [720, 1155, 3010]
 
 
 class TestAdjacency:
@@ -209,16 +215,23 @@ class TestConnectivity:
         assert is_connected(build_full_graph(4))  # single vertex
 
     def test_component_counts(self):
-        assert connected_component_count(build_full_graph(8)) == 3
-        assert connected_component_count(build_full_graph(9)) == 2
-        assert connected_component_count(build_full_graph(30)) == 1
+        for n, components in ((8, 3), (9, 2), (30, 1), (4, 1), (27, 8)):
+            assert component_count(adjacency(build_full_graph(n))) == components, n
+            assert full_graph_component_count(build_quotient(n)) == components, n
+        assert full_graph_component_count(build_quotient(7)) == 0
+
+    def test_verify_counts_match_a_vertex_search(self):
+        # verify reads the count off its quotient, and the oracle's zeros
+        # must agree with it
+        for n in SEARCHED:
+            report = verify_against_oracle(n)
+            expected = component_count(adjacency(build_full_graph(n)))
+            assert (report.component_count, report.zero_multiplicity) == (expected, expected), n
 
     def test_predicate_matches_bfs(self, cli_output):
         # structure derives it from the quotient; 9, 25, 49, ... are the n
         # whose quotient is one class of several vertices
-        for n in range(2, 401):
-            if is_prime(n):
-                continue
+        for n in SEARCHED:
             code, out = cli_output("structure", str(n), "--format", "json", "--no-timestamp")
             reported = json.loads(out)["full_graph_connected"]
             assert reported is is_connected(build_full_graph(n)), n

@@ -22,6 +22,7 @@ from reference import (
     characteristic_polynomial,
     charpoly_p2q,
     closed_form_pq,
+    integer_part,
     with_flipped_pairs,
 )
 
@@ -30,14 +31,8 @@ def entry_pairs(multiset):
     return [(e.value, e.multiplicity) for e in multiset.entries]
 
 
-def integer_part_map(spectrum):
-    return {
-        e.divisor: (e.value, e.multiplicity) for e in spectrum.integer_part
-    }
-
-
 def integer_multiplicity_total(spectrum):
-    return sum(e.multiplicity for e in spectrum.integer_part)
+    return sum(m for _, m in integer_part(spectrum).values())
 
 
 def two_prime_power(p, n1, q, n2):
@@ -91,7 +86,7 @@ class TestAssembleSpectrum:
 
     def test_integer_part_of_twelve(self):
         s = assemble_spectrum(12)
-        assert integer_part_map(s) == {
+        assert integer_part(s) == {
             2: (2, 1),
             3: (4, 1),
             4: (3, 1),
@@ -163,7 +158,7 @@ class TestClosedFormTwoPrimes:
         for p, q in prime_pairs_up_to(400):
             closed = closed_form_pq(p, q)
             assembled = assemble_spectrum(p * q)
-            assert integer_part_map(closed) == integer_part_map(assembled)
+            assert integer_part(closed) == integer_part(assembled)
             cmp = compare_multisets(closed.combined, assembled.combined)
             assert cmp.matched, f"(p, q) = ({p}, {q})"
 
@@ -202,9 +197,9 @@ class TestQuarticCharpoly:
             assembled = assemble_spectrum(n)
             roots = np.roots(charpoly_p2q(p, q)).real
             triples = [
-                (float(e.value), e.multiplicity, True)
-                for e in assembled.integer_part
-                if e.multiplicity > 0
+                (float(value), m, True)
+                for value, m in integer_part(assembled).values()
+                if m > 0
             ]
             triples.extend((r, 1, False) for r in roots)
             rebuilt = merge_spectrum(triples)
@@ -218,12 +213,12 @@ class TestClosedFormGeneral:
     def test_reduces_to_two_prime_form(self):
         general = two_prime_power(3, 1, 5, 1)
         direct = closed_form_pq(3, 5)
-        assert integer_part_map(general) == integer_part_map(direct)
+        assert integer_part(general) == integer_part(direct)
         assert compare_multisets(general.combined, direct.combined).matched
 
     def test_degree_values_at_twelve(self):
         general = two_prime_power(2, 2, 3, 1)
-        assert integer_part_map(general) == {
+        assert integer_part(general) == {
             2: (2, 1),
             3: (4, 1),
             4: (3, 1),
@@ -235,7 +230,7 @@ class TestClosedFormGeneral:
         for p, n1, q, n2 in cases:
             general = two_prime_power(p, n1, q, n2)
             assembled = assemble_spectrum(p**n1 * q**n2)
-            assert integer_part_map(general) == integer_part_map(assembled)
+            assert integer_part(general) == integer_part(assembled)
             cmp = compare_multisets(general.combined, assembled.combined)
             assert cmp.matched
 
@@ -262,7 +257,7 @@ class TestClosedFormGeneral:
             monkeypatch.setattr(module, "factorize", refuse)
         general = two_prime_power(999983, 1, 1000003, 1)
         direct = closed_form_pq(999983, 1000003)
-        assert integer_part_map(general) == integer_part_map(direct)
+        assert integer_part(general) == integer_part(direct)
         assert general.combined == direct.combined
 
 
@@ -377,7 +372,7 @@ class TestExactQuotientZero:
         assert s.quotient_part.zero_multiplicity() == 1
         assert s.combined.entries[-1] == SpectrumEntry(0.0, 1, True)
         # trace of the quotient Laplacian: the sum of its weighted degrees
-        degrees = sum(e.value for e in s.integer_part)
+        degrees = sum(s.quotient.degrees)
         assert abs(float(np.sum(s.quotient_part.values())) - degrees) <= 1e-12 * degrees
 
 
