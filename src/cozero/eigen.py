@@ -2,11 +2,18 @@
 
 The solver is written here rather than borrowed, and one path serves
 every size: blocked Householder tridiagonalization, then root-free QL
-with shifts (Pal-Walker-Kahan, as LAPACK's DSTERF). Each panel of the
-reduction keeps its reflectors and update vectors in one array, so every
-update it makes is a single matrix product. QL runs on the tridiagonal
-T in reverse order, so it deflates from the bottom of T, with one
-threshold scaled by |T|, the largest entry of T: e_i**2 <= (eps |T|)**2.
+with shifts (Pal-Walker-Kahan, as LAPACK's DSTERF). Each reflector is
+I - u u^T with u normalised from the norm its step already takes. A
+panel of the reduction keeps each u and its update vector as a
+contiguous row of one array, so every update it makes is a single
+matrix product, and the pairs are exchanged only in short rows of
+coefficients or one strip of the panel at a time. A matrix whose
+largest entry |A| is so large or so small that sums of squares could
+overflow or lose bits to underflow is first scaled by a power of two,
+which is exact, and its eigenvalues are scaled back. QL runs on the
+tridiagonal T in reverse order, so it deflates from the bottom of T,
+with one threshold scaled by |T|, the largest entry of T:
+e_i**2 <= (eps |T|)**2.
 eigenvalues_in_place is the one entry point: it solves a float64 matrix
 that the caller hands over as the working array, such as the oracle's
 half-size negation block or the quotient's symmetric Laplacian, and
@@ -22,6 +29,7 @@ argument; concurrent calls on distinct matrices are safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,7 +58,8 @@ PANEL_WIDTH = 32
 STRIP_HEIGHT = 64
 # QL sweeps allowed per eigenvalue before ConvergenceError
 QL_MAX_ITERATIONS = 60
-# exchanges columns 2j and 2j + 1 of a Householder panel: v_j with w_j
+# exchanges u_j with w_j, index 2j with 2j + 1, in a Householder panel's
+# coefficients or in one strip of the panel
 _PAIR_SWAP = np.arange(2 * PANEL_WIDTH) ^ 1
 
 
@@ -156,57 +165,71 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce symmetric a (destroyed) to (diagonal, subdiagonal).
 
     Blocked as LAPACK's DSYTRD/DLATRD (Dongarra, Hammarling & Sorensen
-    1989). Step k applies the reflector I - beta v v^T as the rank-2
-    update A - v w^T - w v^T. Within a panel of PANEL_WIDTH steps the
-    pairs are collected in one array U, v_j in column 2j and w_j in
-    column 2j + 1, and only the column about to be reduced is brought up
-    to date. With P the permutation _PAIR_SWAP, which exchanges the two
-    columns of each pair, the sum of v_j w_j^T + w_j v_j^T is U (U P)^T,
-    so each update is one product: the next column takes U times a row
-    of U P, and the trailing block takes A -= (U P) U^T, STRIP_HEIGHT
-    rows at a time, with the columns of one strip permuted at a time.
+    1989). Step k reflects x, the part of column k below the diagonal,
+    onto alpha e_1 with H = I - u u^T: u = (x - alpha e_1) / s, where
+    s = sqrt(|x|**2 + |x_0| |x|) comes from the norm already taken, so
+    u^T u = 2. H A H is then the rank-2 update A - u w^T - w u^T with
+    w = A u - (u^T A u / 2) u. Within a panel of PANEL_WIDTH steps the
+    pairs are rows of one array U, u_j in row 2j and w_j in row 2j + 1,
+    each contiguous, and only the column about to be reduced is brought
+    up to date: it takes a row of coefficients, the pairs' entries at
+    that column with each pair exchanged by _PAIR_SWAP, times U. A u is
+    written straight into the row of w, then corrected the same way. The
+    trailing block takes A -= (P U)^T U, STRIP_HEIGHT rows at a time,
+    with P the pair swap applied to the strip's columns of U only.
+
+    A column whose squares lose bits to underflow, such as a zero one,
+    takes its norm in units of its largest entry. eigenvalues_in_place
+    scales the whole matrix so that no sum of squares overflows.
     """
     m = a.shape[0]
-    diag = np.diagonal(a).copy()
-    sub = np.diagonal(a, -1).copy()
+    # a sum of squares below this may have lost bits to underflow
+    small = sys.float_info.min / sys.float_info.epsilon
+    alphas = []
     for start in range(0, m - 2, PANEL_WIDTH):
         width = min(PANEL_WIDTH, m - 2 - start)
-        swap = _PAIR_SWAP[:2 * width]
-        # row r of U is row start + r of a
-        U = np.zeros((m - start, 2 * width))
+        # column c of U is row start + c of a
+        U = np.zeros((2 * width, m - start))
         for i in range(width):
             k = start + i
-            col = a[k, k:]  # column k by symmetry, stored contiguously
+            col = a[k, k:]  # column k by symmetry, stored as row k
+            swap = _PAIR_SWAP[:2 * i]
             if i:
-                col -= U[i:, :2 * i] @ U[i, swap[:2 * i]]
-            diag[k] = col[0]
+                col -= U[swap, i] @ U[:2 * i, i:]
             x = col[1:]
-            xnorm = math.sqrt(float(x @ x))
-            if xnorm == 0.0:
-                sub[k] = 0.0  # v and w stay zero: the step is the identity
-                continue
-            alpha = -math.copysign(xnorm, x[0])
-            sub[k] = alpha
-            v = U[i + 1:, 2 * i]
-            v[:] = x
-            v[0] -= alpha
-            beta = 2.0 / float(v @ v)
-            p = a[k + 1:, k + 1:] @ v
+            xx, unit = float(x @ x), 1.0
+            if xx < small:
+                unit = float(np.max(np.abs(x)))
+                if unit == 0.0:
+                    alphas.append(0.0)  # u and w stay zero: the step is the identity
+                    continue
+                xx = float(np.sum((x / unit) ** 2))
+            # |x| = unit * r and s = unit * sqrt(r**2 + |x_0| r / unit)
+            r = math.sqrt(xx)
+            x0 = float(x[0])
+            alpha = -math.copysign(unit * r, x0)
+            alphas.append(alpha)
+            s = unit * math.sqrt(xx + abs(x0) / unit * r)
+            u = U[2 * i, i + 1:]
+            np.divide(x, s, out=u)
+            u[0] = (x0 - alpha) / s
+            w = U[2 * i + 1, i + 1:]
+            np.matmul(a[k + 1:, k + 1:], u, out=w)
             if i:
-                up = U[i + 1:, :2 * i]
-                p -= up @ (up.T @ v)[swap[:2 * i]]
-            p *= beta
-            p -= (0.5 * beta * float(v @ p)) * v
-            U[i + 1:, 2 * i + 1] = p
+                up = U[:2 * i, i + 1:]
+                w -= (up @ u)[swap] @ up
+            w -= (0.5 * float(u @ w)) * u
         rest = a[start + width:, start + width:]
-        U = U[width:]  # rows of the trailing block
+        U = U[:, width:]  # columns of the trailing block
+        swap = _PAIR_SWAP[:2 * width]
         for lo in range(0, len(rest), STRIP_HEIGHT):
             rows = slice(lo, lo + STRIP_HEIGHT)
-            rest[rows] -= U[rows][:, swap] @ U.T
-    if m > 2:
-        diag[-2:] = np.diagonal(a)[-2:]
-        sub[-1] = a[-1, -2]
-    return diag, sub
+            rest[rows] -= U[swap, rows].T @ U
+    # each diagonal entry is final once its step has updated it, and the
+    # last subdiagonal entry once the last panel has
+    sub = np.diagonal(a, -1).copy()
+    sub[:len(alphas)] = alphas
+    return np.diagonal(a).copy(), sub
 
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -280,11 +303,13 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     return _tridiagonal_eigenvalues(diag[::-1], sub[::-1])
 
 
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """a, a float64 square matrix, checked and symmetrised in place.
+def _symmetrized(a: np.ndarray) -> float:
+    """|A|, the largest absolute entry of a, a float64 square matrix that
+    is checked and symmetrised in place.
 
-    A non-finite entry, or an asymmetry above SYMMETRY_TOL * max(1, |A|)
-    with |A| the largest absolute entry, is refused.
+    A non-finite entry, or an asymmetry above SYMMETRY_TOL * max(1, |A|),
+    is refused. Both are judged on halves of the entries, whose
+    difference and mean cannot overflow.
 
     Works on strips of PANEL_WIDTH rows and the matching columns, so
     each temporary holds one strip.
@@ -297,20 +322,22 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
         hi = min(lo + PANEL_WIDTH, m)
         rows = a[lo:hi, lo:]
         cols = a[lo:, lo:hi].T
+        half_rows = 0.5 * rows
+        half_cols = 0.5 * cols
         with np.errstate(invalid="ignore"):  # inf - inf, refused below
-            strip_asym = float(np.max(np.abs(rows - cols)))
+            strip_asym = float(np.max(np.abs(half_rows - half_cols)))
         # every entry is in rows or cols; an inf or a nan leaves strip_asym non-finite
         if not math.isfinite(strip_asym):
             raise ValueError("matrix has a non-finite entry")
         asym = max(asym, strip_asym)
         scale = max(scale, float(np.max(np.abs(rows))), float(np.max(np.abs(cols))))
-        mean = 0.5 * (rows + cols)
+        mean = np.add(half_rows, half_cols, out=half_rows)
         a[lo:hi, lo:] = mean
         a[lo:, lo:hi] = mean.T
     limit = SYMMETRY_TOL * max(1.0, scale)
-    if asym > limit:
-        raise ValueError(f"matrix is asymmetric by {asym:.3e} (limit {limit:.3e})")
-    return a
+    if asym > 0.5 * limit:
+        raise ValueError(f"matrix is asymmetric by {2.0 * asym:.3e} (limit {limit:.3e})")
+    return scale
 
 
 def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
@@ -347,6 +374,9 @@ def eigenvalues_in_place(a: np.ndarray, null_vector=None) -> np.ndarray:
     """Unsorted eigenvalues of a, a real symmetric float64 matrix that is
     the solver's working array: it is checked and symmetrised, then
     destroyed. A matrix with an inf or a nan is refused with a ValueError.
+    One whose largest entry is so large or so small that sums of squares
+    could overflow or underflow is solved scaled by a power of two, and
+    its values are scaled back.
 
     With null_vector, which must lie in the kernel of a, as the
     square-root weights do for the symmetric form of a weighted Laplacian,
@@ -359,7 +389,16 @@ def eigenvalues_in_place(a: np.ndarray, null_vector=None) -> np.ndarray:
     """
     if a.dtype != np.float64:
         raise ValueError(f"expected a float64 matrix, got {a.dtype}")
-    _symmetrized(a)
+    norm = _symmetrized(a)
+    # the reduction squares entries of up to m |A| and sums m squares:
+    # outside this range a power of two, which is exact, brings |A| near 1
+    fi = sys.float_info
+    safe = math.sqrt(fi.min / fi.epsilon) <= norm <= math.sqrt(fi.max) / len(a)
+    exponent = 0 if safe or norm == 0.0 else math.frexp(norm)[1]
+    if exponent:
+        np.ldexp(a, -exponent, out=a)
     if null_vector is None:
-        return _eigenvalues(a)
-    return _deflated_eigenvalues(a, np.asarray(null_vector, dtype=np.float64))
+        values = _eigenvalues(a)
+    else:
+        values = _deflated_eigenvalues(a, np.asarray(null_vector, dtype=np.float64))
+    return np.ldexp(values, exponent) if exponent else values

@@ -218,6 +218,41 @@ class TestEigenvaluesInPlace:
         with pytest.raises(ValueError, match="non-finite"):
             eigenvalues_in_place(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
+    def test_refuses_an_asymmetry_beyond_the_largest_float_as_asymmetric(self):
+        # 1e308 - (-1e308) overflows; the halves of the entries do not
+        with pytest.raises(ValueError, match="asymmetric"):
+            eigenvalues_in_place(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+    @staticmethod
+    def assert_solves_like_eigvalsh(working, a):
+        """eigenvalues_in_place(working), working holding a, against eigvalsh(a)."""
+        ours = np.sort(eigenvalues_in_place(working))
+        error = float(np.max(np.abs(ours - np.linalg.eigvalsh(a))))
+        assert error <= 4 * len(a) * np.finfo(np.float64).eps * row_sum_norm(a)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_squares_of_a_scaled_matrix_neither_overflow_nor_underflow(self, scale):
+        # squares of the entries overflow, fall to subnormals, or vanish
+        a = scale * self.random_symmetric(np.random.default_rng(40), 40)
+        self.assert_solves_like_eigvalsh(a.copy(), a)
+
+    def test_a_column_whose_squares_underflow(self):
+        # |A| is near 1, but the first column's squares are below 1e-300
+        a = self.random_symmetric(np.random.default_rng(40), 40)
+        a[0] *= 1e-162
+        a[:, 0] *= 1e-162
+        self.assert_solves_like_eigvalsh(a.copy(), a)
+
+    @pytest.mark.parametrize("m", [67, 129])
+    def test_solves_fortran_ordered_and_strided_working_arrays(self, m):
+        a = self.random_symmetric(np.random.default_rng(m), m)
+        fortran = np.asfortranarray(a)
+        strided = np.zeros((2 * m, 2 * m))[::2, ::2]  # every other row and column
+        strided[:] = a
+        assert not fortran.flags.c_contiguous and not strided.flags.c_contiguous
+        self.assert_solves_like_eigvalsh(fortran, a)
+        self.assert_solves_like_eigvalsh(strided, a)
+
 
 def tridiagonal(diag, sub):
     return np.diag(diag) + np.diag(sub, 1) + np.diag(sub, -1)
@@ -245,11 +280,13 @@ class TestHouseholderPanels:
     )
     def test_zero_reflector_column_inside_a_panel(self, m):
         # a direct sum of random blocks that end in the middle of the first
-        # and second panels: the last row of each block has a zero reflector
-        # column, and the step leaves its pair of panel columns zero, so the
-        # blocks stay uncoupled through the panel and trailing updates
+        # panel, at its last step k = nb - 1, at the first step k = nb of the
+        # second panel (a block of one row) and in the middle of the second
+        # panel: the last row of each block has a zero reflector column, and
+        # the step leaves its pair of panel rows zero, so the blocks stay
+        # uncoupled through the panel and trailing updates
         nb = PANEL_WIDTH
-        splits = [s for s in (nb // 2, nb + nb // 2) if s <= m - 2]
+        splits = [s for s in (nb // 2, nb, nb + 1, nb + nb // 2) if s <= m - 2]
         rng = np.random.default_rng(m)
         a = np.zeros((m, m))
         edges = [0, *splits, m]
@@ -408,6 +445,27 @@ class TestNullVectorDeflation:
         assert s.entries[-1] == SpectrumEntry(0, 1, True)
         reference = np.linalg.eigvalsh(sym)[::-1]
         assert float(np.max(np.abs(s.values() - reference))) < 1e-12 * np.linalg.norm(sym)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_deflates_from_a_scaled_matrix(self, scale):
+        # |A|**2 overflows or vanishes; the null vector test and the
+        # deflating reflector run on the matrix scaled by a power of two,
+        # so the test still refuses a vector outside the kernel
+        rng = np.random.default_rng(7)
+        w = rng.integers(1, 50, size=40).astype(np.float64)
+        adjacency = np.triu(rng.random((40, 40)) < 0.3, 1)
+        adjacency |= adjacency.T
+        root = np.sqrt(w)
+        sym = -np.outer(root, root) * adjacency
+        np.fill_diagonal(sym, (adjacency * w[None, :]).sum(axis=1))
+        sym *= scale
+        deflated = np.sort(eigenvalues_in_place(sym.copy(), root))
+        reference = np.linalg.eigvalsh(sym)
+        assert abs(reference[0]) <= 1e-12 * scale
+        error = float(np.max(np.abs(deflated - reference[1:])))
+        assert error <= 4 * 40 * np.finfo(np.float64).eps * row_sum_norm(sym)
+        with pytest.raises(ValueError, match="not a null vector"):
+            eigenvalues_in_place(sym.copy(), np.ones(40))
 
     def test_rejects_a_vector_outside_the_kernel(self):
         with pytest.raises(ValueError, match="null vector"):
