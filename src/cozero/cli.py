@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands: spectrum (assembled spectrum of one n), verify (assembly versus
-the brute-force oracle), scan (verify over a range, in parallel),
+the brute-force oracle), scan (verify every n of a range),
 structure (quotient graph and class table), integrality (integer-spectrum
 check). Exit codes: 0 success, 1 error or failed verification,
 2 degenerate input (prime or prime power), 3 vertex cap exceeded,
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from collections.abc import Iterable
@@ -31,7 +30,6 @@ from .fullgraph import (
     build_full_graph,
     factorize_for_full_graph,
 )
-from .numbers import Factorization
 from .quotient import (
     QuotientGraph,
     build_quotient,
@@ -48,7 +46,14 @@ EXIT_CAP = 3
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
-FILTERS = ("all", "pq", "p2q", "png-q", "general2prime")
+# scan's families, each a predicate on the sorted exponents of a composite n
+FILTERS = {
+    "all": lambda exponents: True,
+    "pq": lambda exponents: exponents == [1, 1],
+    "p2q": lambda exponents: exponents == [1, 2],
+    "png-q": lambda exponents: len(exponents) == 2 and exponents[0] == 1,
+    "general2prime": lambda exponents: len(exponents) == 2,
+}
 
 # qualitative palette cycled per divisor class in the full graph's DOT
 _PALETTE = (
@@ -116,8 +121,6 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("lo", type=int)
     p_scan.add_argument("hi", type=int)
     p_scan.add_argument("--filter", choices=FILTERS, default="all")
-    p_scan.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes (default: available cores)")
 
     p_struct = command("structure", ("text", "json", "csv", "dot"), True,
                        "divisor quotient graph and class table")
@@ -361,34 +364,16 @@ def _cmd_verify(args) -> int:
     return EXIT_DEGENERATE if prime else EXIT_OK if report.matched else EXIT_ERROR
 
 
-def _matches_filter(f: Factorization, family: str) -> bool:
-    if f.is_prime:
-        return False
-    exponents = sorted(e for _, e in f.factors)
-    if family == "all":
-        return True
-    if family == "pq":
-        return exponents == [1, 1]
-    if family == "p2q":
-        return exponents == [1, 2]
-    if family == "png-q":
-        return len(exponents) == 2 and min(exponents) == 1
-    if family == "general2prime":
-        return len(exponents) == 2
-    raise ValueError(f"unknown filter {family!r}")
-
-
-def _scan_one(task: tuple[int, int, str]) -> dict | None:
+def _scan_one(n: int, cap: int, family: str) -> dict | None:
     """The scan row of n, or None when n is not of the filter's family.
 
     An n that the vertex bound refuses is left unfactored, and an n whose
     factoring fails has no factors either; their family is unknown, so
     under every filter they become CAP and ERROR rows.
     """
-    n, cap, family = task
     try:
         f = factorize_for_full_graph(n, cap)
-        if not _matches_filter(f, family):
+        if f.is_prime or not FILTERS[family](sorted(e for _, e in f.factors)):
             return None
         report = sp.verify_against_oracle(f, cap=cap)
     except VertexCapError as exc:
@@ -408,18 +393,11 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.lo <= args.hi:
         sys.stderr.write(f"cozero: need 2 <= lo <= hi, got {args.lo}, {args.hi}\n")
         return EXIT_USAGE
-    tasks = [(n, args.cap, args.filter) for n in range(args.lo, args.hi + 1)]
-    cores = os.cpu_count() or 1
-    jobs = min(args.jobs or cores, len(tasks), cores)
     started = time.perf_counter()
-    if jobs > 1:
-        from multiprocessing import Pool  # only here: it costs every start ~6 ms
-
-        with Pool(processes=jobs) as pool:
-            rows = pool.map(_scan_one, tasks)
-    else:
-        rows = [_scan_one(t) for t in tasks]
-    rows = [r for r in rows if r is not None]
+    rows = [
+        r for n in range(args.lo, args.hi + 1)
+        if (r := _scan_one(n, args.cap, args.filter)) is not None
+    ]
     elapsed = time.perf_counter() - started
 
     failures = [r for r in rows if r["status"] not in ("PASS",)]

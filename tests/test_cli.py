@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import random
 import subprocess
@@ -277,13 +276,13 @@ class TestVerifyCommand:
 class TestScanCommand:
     def test_factors_each_n_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "factorize")
-        code, _, _ = run(capsys, "scan", "4", "30", "--jobs", "1")
+        code, _, _ = run(capsys, "scan", "4", "30")
         assert code == 0
         assert calls == list(range(4, 31))
 
     def test_two_prime_filter(self, capsys):
         code, out, _ = run(capsys, "scan", "6", "40", "--filter", "pq",
-                           "--jobs", "1", "--no-timestamp")
+                           "--no-timestamp")
         assert code == 0
         lines = out.splitlines()
         ns = [int(line.split(":")[0][2:]) for line in lines if line.startswith("n=")]
@@ -293,62 +292,28 @@ class TestScanCommand:
         assert f"{len(ns)} integral" in lines[-1]
 
     def test_single_value_range(self, capsys):
-        code, out, _ = run(capsys, "scan", "6", "6", "--jobs", "1",
-                           "--no-timestamp")
+        code, out, _ = run(capsys, "scan", "6", "6", "--no-timestamp")
         assert code == 0
         assert out.splitlines()[0].startswith("n=6: PASS")
 
-    def test_parallel_matches_serial(self, capsys):
-        code1, serial, _ = run(capsys, "scan", "4", "30", "--jobs", "1",
-                               "--no-timestamp")
-        code2, parallel, _ = run(capsys, "scan", "4", "30", "--jobs", "4",
-                                 "--no-timestamp")
-        assert code1 == code2 == 0
-        assert serial == parallel
-
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "scan", "6", "20", "--filter", "p2q",
-                           "--jobs", "1", "--format", "json", "--no-timestamp")
+                           "--format", "json", "--no-timestamp")
         assert code == 0
         doc = json.loads(out)
         assert [row["n"] for row in doc["rows"]] == [12, 18, 20]
         assert doc["failures"] == 0
 
-    def test_jobs_clamped_to_tasks_and_cores(self, capsys, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                pools.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        assert run(capsys, "scan", "4", "9", "--jobs", "1000000")[0] == 0
-        assert run(capsys, "scan", "4", "40", "--jobs", "1000000")[0] == 0
-        assert run(capsys, "scan", "4", "40", "--jobs", "3")[0] == 0
-        assert run(capsys, "scan", "6", "6", "--jobs", "1000000")[0] == 0
-        # 4..9 is six tasks, factored in the workers; 4..40 has 37; a
-        # single task runs inline
-        assert pools == [6, 8, 3]
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_jobs_is_unknown(self, capsys, jobs):
+        # every n is verified in the calling process; there are no workers
         with pytest.raises(SystemExit) as exc:
             main(["scan", "4", "9", "--jobs", jobs])
         assert exc.value.code == 64
         assert "--jobs" in capsys.readouterr().err
 
     def test_bad_range_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "scan", "30", "6", "--jobs", "1")
+        code, _, err = run(capsys, "scan", "30", "6")
         assert code == 64
         assert "lo" in err
 
@@ -358,7 +323,7 @@ class TestScanCommand:
         mismatched = dataclasses.replace(report, matched=False, max_deviation=0.5)
         monkeypatch.setattr(cli.sp, "verify_against_oracle", lambda n, cap: mismatched)
         verdict = "n=30: FAIL (vertices=21, max_deviation=5.000e-01, integral=false)"
-        code, out, _ = run(capsys, "scan", "30", "30", "--jobs", "1", "--no-timestamp")
+        code, out, _ = run(capsys, "scan", "30", "30", "--no-timestamp")
         assert code == 1
         assert out.splitlines() == [verdict, "checked 1 values, 1 failures, 0 integral"]
         code, out, _ = run(capsys, "verify", "30")
@@ -372,7 +337,7 @@ class TestScanCommand:
         calls = count_calls(monkeypatch, "factorize")
         n = 10**30 + 1
         code, out, err = run(capsys, "scan", str(n), str(n + 1), "--filter", family,
-                             "--jobs", "1", "--format", "json", "--no-timestamp")
+                             "--format", "json", "--no-timestamp")
         assert code == 1
         assert err == ""
         rows = json.loads(out)["rows"]
@@ -389,7 +354,7 @@ class TestScanCommand:
         # decide; the scan still reports both
         n = 10**30 + 1
         code, out, err = run(capsys, "scan", str(n), str(n + 1), "--filter", family,
-                             "--cap", str(10**16), "--jobs", "1", "--format", "json",
+                             "--cap", str(10**16), "--format", "json",
                              "--no-timestamp")
         assert code == 1
         assert err == ""
@@ -588,7 +553,7 @@ class TestJsonEmitter:
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "30"], ["verify", "30"], ["structure", "30"],
-        ["integrality", "30"], ["scan", "4", "20", "--jobs", "1"],
+        ["integrality", "30"], ["scan", "4", "20"],
     ])
     def test_commands_never_run_the_python_encoder(self, capsys, monkeypatch, argv):
         # json.dumps with an indent builds its pure-Python encoder here
@@ -700,7 +665,7 @@ class TestParserReuse:
         assert run(capsys, "verify", "30", "--format", "json")[0] == 0
         assert run(capsys, "structure", "12", "--format", "csv")[0] == 0
         assert run(capsys, "integrality", "12")[0] == 0
-        assert run(capsys, "scan", "4", "9", "--jobs", "1")[0] == 0
+        assert run(capsys, "scan", "4", "9")[0] == 0
         assert run(capsys, "spectrum", "30", "--out", str(tmp_path / "s.txt"))[0] == 0
         assert built == []
 
@@ -732,12 +697,13 @@ class TestParserReuse:
 
 
 def test_import_leaves_multiprocessing_out():
-    # scan with more than one job is the only user of multiprocessing
+    # no command starts worker processes, so none imports multiprocessing,
+    # scan's default path included
     code = (
         "import sys\n"
         "from cozero import cli\n"
         "print('multiprocessing' in sys.modules)\n"
-        "cli.main(['scan', '4', '9', '--jobs', '1', '--out', sys.argv[1]])\n"
+        "cli.main(['scan', '4', '9', '--out', sys.argv[1]])\n"
         "cli.main(['spectrum', '30', '--out', sys.argv[1]])\n"
         "print('multiprocessing' in sys.modules)\n"
     )
