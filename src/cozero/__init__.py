@@ -17,7 +17,7 @@ from .numbers import (
     is_prime,
 )
 from .fullgraph import (
-    DEFAULT_VERTEX_CAP,
+    VERTEX_CAP,
     FullGraph,
     build_full_graph,
 )
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssembledSpectrum",
     "ConvergenceError",
-    "DEFAULT_VERTEX_CAP",
     "EmptyGraphError",
     "Factorization",
     "FullGraph",
@@ -56,6 +55,7 @@ __all__ = [
     "QuotientGraph",
     "SpectrumEntry",
     "SpectrumMultiset",
+    "VERTEX_CAP",
     "VertexCapError",
     "assemble_spectrum",
     "build_full_graph",

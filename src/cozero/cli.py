@@ -24,12 +24,7 @@ import numpy as np
 
 from . import spectrum as sp
 from .errors import ConvergenceError, VertexCapError
-from .fullgraph import (
-    DEFAULT_VERTEX_CAP,
-    FullGraph,
-    build_full_graph,
-    factorize_for_full_graph,
-)
+from .fullgraph import FullGraph, build_full_graph, factorize_for_full_graph
 from .quotient import (
     QuotientGraph,
     build_quotient,
@@ -68,22 +63,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type for integers of at least low; what names them."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-    return parse
-
-
-_positive_int = _int_at_least(1, "a positive integer")
-# Z_n has no non-zero non-unit below n = 2, so n < 2 is a usage error
-_modulus = _int_at_least(2, "an integer >= 2")
+def _modulus(text: str) -> int:
+    """The argparse type of n: Z_n has no non-zero non-unit below n = 2,
+    so n < 2 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 1
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return value
 
 
 @functools.cache
@@ -98,40 +87,36 @@ def _build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, formats: tuple[str, ...], cap: bool, summary: str) -> _Parser:
-        # each command takes only the formats it renders, and --cap only
-        # when it builds the full graph
+    def command(name: str, formats: tuple[str, ...], summary: str) -> _Parser:
+        # each command takes only the formats it renders
         p = sub.add_parser(name, parents=[common], help=summary)
         p.add_argument("--format", choices=formats, default="text")
-        if cap:
-            p.add_argument("--cap", type=_positive_int, default=DEFAULT_VERTEX_CAP,
-                           help=f"vertex cap for full-graph builds (default {DEFAULT_VERTEX_CAP})")
         return p
 
-    p_spec = command("spectrum", ("text", "json", "csv"), False,
+    p_spec = command("spectrum", ("text", "json", "csv"),
                      "assembled Laplacian spectrum of one n")
     p_spec.add_argument("n", type=_modulus)
 
-    p_verify = command("verify", ("text", "json"), True,
+    p_verify = command("verify", ("text", "json"),
                        "check the assembly against the brute-force oracle")
     p_verify.add_argument("n", type=_modulus)
 
-    p_scan = command("scan", ("text", "json", "csv"), True,
+    p_scan = command("scan", ("text", "json", "csv"),
                      "verify every eligible n in a range")
     p_scan.add_argument("lo", type=int)
     p_scan.add_argument("hi", type=int)
     p_scan.add_argument("--filter", choices=FILTERS, default="all")
 
-    p_struct = command("structure", ("text", "json", "csv", "dot"), True,
+    p_struct = command("structure", ("text", "json", "csv", "dot"),
                        "divisor quotient graph and class table")
     p_struct.add_argument("n", type=_modulus)
     p_struct.add_argument("--full", action="store_true",
                           help="with --format dot, emit the full graph instead")
-    # only --full builds the full graph, so an explicit --cap must come with
-    # it; _cmd_structure refuses the two options through this parser's usage
-    p_struct.set_defaults(cap=None, parser=p_struct)
+    # _cmd_structure refuses --full without --format dot through this
+    # parser's usage
+    p_struct.set_defaults(parser=p_struct)
 
-    p_int = command("integrality", ("text", "json"), False,
+    p_int = command("integrality", ("text", "json"),
                     "report whether the spectrum is all-integer")
     p_int.add_argument("n", type=_modulus)
 
@@ -336,7 +321,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
-    report = sp.verify_against_oracle(n, cap=args.cap)
+    report = sp.verify_against_oracle(n)
     prime = report.degenerate == "empty"
     if args.format == "json":
         _emit_json({
@@ -364,18 +349,20 @@ def _cmd_verify(args) -> int:
     return EXIT_DEGENERATE if prime else EXIT_OK if report.matched else EXIT_ERROR
 
 
-def _scan_one(n: int, cap: int, family: str) -> dict | None:
+def _scan_one(n: int, family: str) -> dict | None:
     """The scan row of n, or None when n is not of the filter's family.
 
-    An n that the vertex bound refuses is left unfactored, and an n whose
-    factoring fails has no factors either; their family is unknown, so
-    under every filter they become CAP and ERROR rows.
+    An n above the vertex bound is left unfactored: a CAP row, or an ERROR
+    row when its primality cannot be decided (no prime factor below
+    SMALL_PRIME_LIMIT, at or above MILLER_RABIN_LIMIT). Every n under the
+    bound factors. Those rows' family is unknown, so every filter keeps
+    them. Any failure of the oracle is an ERROR row too.
     """
     try:
-        f = factorize_for_full_graph(n, cap)
+        f = factorize_for_full_graph(n)
         if f.is_prime or not FILTERS[family](sorted(e for _, e in f.factors)):
             return None
-        report = sp.verify_against_oracle(f, cap=cap)
+        report = sp.verify_against_oracle(f)
     except VertexCapError as exc:
         return {"n": n, "status": "CAP", "error": str(exc)}
     except Exception as exc:  # collected, not fatal
@@ -396,7 +383,7 @@ def _cmd_scan(args) -> int:
     started = time.perf_counter()
     rows = [
         r for n in range(args.lo, args.hi + 1)
-        if (r := _scan_one(n, args.cap, args.filter)) is not None
+        if (r := _scan_one(n, args.filter)) is not None
     ]
     elapsed = time.perf_counter() - started
 
@@ -445,16 +432,13 @@ def _cmd_scan(args) -> int:
 def _cmd_structure(args) -> int:
     if args.full and args.format != "dot":
         args.parser.error("argument --full: only with --format dot")
-    if args.cap is not None and not args.full:
-        args.parser.error("argument --cap: only with --full")
     n = args.n
     # --full builds no quotient: the vertex bound refuses n, not 2**63
-    cap = args.cap or DEFAULT_VERTEX_CAP
-    f = factorize_for_full_graph(n, cap) if args.full else factorize_for_quotient(n)
+    f = factorize_for_full_graph(n) if args.full else factorize_for_quotient(n)
     if f.is_prime and args.format != "json":
         return _emit_degenerate(n, args, "no proper divisors")
     if args.full:
-        _emit(_full_graph_dot(build_full_graph(f, cap=cap)), args)
+        _emit(_full_graph_dot(build_full_graph(f)), args)
         return EXIT_OK
     q = build_quotient(f)
     if args.format == "csv":

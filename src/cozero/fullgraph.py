@@ -24,7 +24,8 @@ from .eigen import STRIP_HEIGHT
 from .errors import EmptyGraphError, VertexBoundError, VertexCapError
 from .numbers import Factorization, factorize, is_prime
 
-DEFAULT_VERTEX_CAP = 20_000
+# the most vertices any full graph may have, read at each call
+VERTEX_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -64,33 +65,35 @@ class FullGraph:
         return self._class_rows[self._class_of[rows]]
 
 
-def factorize_for_full_graph(n: int, cap: int = DEFAULT_VERTEX_CAP) -> Factorization:
+def factorize_for_full_graph(n: int) -> Factorization:
     """factorize(n), but VertexBoundError, before any factoring, when a
-    composite n has more than cap vertices by its bound of isqrt(n) - 1 (the
-    multiples of its least prime). A prime n passes, to be reported
-    degenerate: is_prime runs no rho."""
+    composite n has more than VERTEX_CAP vertices by its bound of
+    isqrt(n) - 1 (the multiples of its least prime). A prime n passes, to
+    be reported degenerate: is_prime runs no rho."""
     bound = math.isqrt(n) - 1
-    if bound > cap and not is_prime(n):
-        raise VertexBoundError(n, bound, cap)
+    if bound > VERTEX_CAP and not is_prime(n):
+        raise VertexBoundError(n, bound, VERTEX_CAP)
     return factorize(n)
 
 
-def build_full_graph(n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
+def build_full_graph(n: int | Factorization) -> FullGraph:
     """Build the graph for composite n, given as n or its factorization.
 
     An int n is admitted by factorize_for_full_graph. Prime n raises
     EmptyGraphError (no vertices at all, distinct from the edgeless null
-    graphs of prime powers). The cap bounds time and the oracle's memory:
-    the graph itself holds a class row of m booleans per distinct gcd,
-    fewer than the divisors of n, and each reader a strip or a row at a time.
+    graphs of prime powers), and more than VERTEX_CAP vertices raises
+    VertexCapError before any array is built. The cap bounds time and the
+    oracle's memory: the graph itself holds a class row of m booleans per
+    distinct gcd, fewer than the divisors of n, and each reader a strip or
+    a row at a time.
     """
-    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n, cap)
+    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n)
     n = f.n
     if f.is_prime:
         raise EmptyGraphError(n)
     m = n - f.totient - 1
-    if m > cap:
-        raise VertexCapError(n, m, cap)
+    if m > VERTEX_CAP:
+        raise VertexCapError(n, m, VERTEX_CAP)
 
     # the non-units are the multiples of n's primes
     vertices = np.unique(np.concatenate([np.arange(p, n, p) for p in f.primes]))

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import eigen
 from .fullgraph import (
-    DEFAULT_VERTEX_CAP,
     build_full_graph,
     factorize_for_full_graph,
     negation_split,
@@ -161,9 +160,7 @@ class OracleReport:
     component_count: int
 
 
-def verify_against_oracle(
-    n: int | Factorization, cap: int = DEFAULT_VERTEX_CAP
-) -> OracleReport:
+def verify_against_oracle(n: int | Factorization) -> OracleReport:
     """Assembled spectrum versus a brute-force eigensolve of the full graph.
 
     Takes n or its factorization; an int n is factored once, here, by
@@ -178,14 +175,14 @@ def verify_against_oracle(
     of about m / 2, solved in place; the two halves are merged once.
     The component count is read off the assembled quotient, not searched
     in the full graph. Raises VertexCapError when the graph would exceed
-    cap, for an int n before factoring it when its vertex bound already
-    does. Prime n verifies trivially (both sides empty) and is flagged
-    degenerate.
+    fullgraph.VERTEX_CAP, for an int n before factoring it when its vertex
+    bound already does. Prime n verifies trivially (both sides empty) and
+    is flagged degenerate.
     """
-    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n, cap)
+    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n)
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
-    graph = build_full_graph(f, cap=cap)
+    graph = build_full_graph(f)
     degrees, even = negation_split(graph)
     oracle = eigen.merge_spectrum(
         (v, 1, False) for v in np.concatenate((degrees, eigen.eigenvalues_in_place(even)))

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,9 +232,17 @@ class TestVerifyCommand:
         assert "degenerate" in out
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "verify", "30", "--cap", "5")
-        assert code == 3
-        assert "cap" in err
+        # 40022 = 2 * 20011 has 20011 vertices: it is factored, then refused
+        # before any graph is built, so the refusal takes no large array
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "40022")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == "cozero: n = 40022 needs 20011 vertices, above the cap of 20000\n"
+        assert peak < 2**20
 
     def test_refuses_above_the_cap_before_factoring(self, capsys, monkeypatch):
         no_rho(monkeypatch)
@@ -248,13 +257,6 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "9223372036854775837")
         assert code == 2
         assert "degenerate" in out
-
-    @pytest.mark.parametrize("value", ["0", "-5", "x"])
-    def test_bad_cap_option_is_usage_error(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "30", "--cap", value])
-        assert exc.value.code == 64
-        assert "--cap" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "15", "--format", "json",
@@ -321,7 +323,7 @@ class TestScanCommand:
         # a FAIL row reads as verify's verdict line does
         report = cli.sp.verify_against_oracle(30)
         mismatched = dataclasses.replace(report, matched=False, max_deviation=0.5)
-        monkeypatch.setattr(cli.sp, "verify_against_oracle", lambda n, cap: mismatched)
+        monkeypatch.setattr(cli.sp, "verify_against_oracle", lambda n: mismatched)
         verdict = "n=30: FAIL (vertices=21, max_deviation=5.000e-01, integral=false)"
         code, out, _ = run(capsys, "scan", "30", "30", "--no-timestamp")
         assert code == 1
@@ -349,18 +351,30 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("family", cli.FILTERS)
     def test_failed_factoring_is_an_error_row_under_every_filter(self, capsys, family):
-        # with the cap above their vertex bound, 10**30 + 1 and 10**30 + 2
-        # are factored, and each reaches a cofactor that Miller-Rabin cannot
-        # decide; the scan still reports both
-        n = 10**30 + 1
-        code, out, err = run(capsys, "scan", str(n), str(n + 1), "--filter", family,
-                             "--cap", str(10**16), "--format", "json",
-                             "--no-timestamp")
+        # every n under the vertex bound factors; above it, the admission
+        # tests primality alone, and cannot decide it for this n, the least
+        # at or above MILLER_RABIN_LIMIT with no prime factor below
+        # SMALL_PRIME_LIMIT; the scan still reports n
+        from cozero.numbers import MILLER_RABIN_LIMIT, SMALL_PRIME_LIMIT
+
+        n = 3317044064679887385961981
+        assert n == MILLER_RABIN_LIMIT
+        assert all(n % p for p in range(2, SMALL_PRIME_LIMIT))
+        code, out, err = run(capsys, "scan", str(n), str(n), "--filter", family,
+                             "--format", "json", "--no-timestamp")
         assert code == 1
         assert err == ""
         rows = json.loads(out)["rows"]
-        assert [(r["n"], r["status"]) for r in rows] == [(n, "ERROR"), (n + 1, "ERROR")]
-        assert all("cannot decide whether" in r["error"] for r in rows)
+        assert [(r["n"], r["status"]) for r in rows] == [(n, "ERROR")]
+        assert rows[0]["error"].startswith(f"cannot decide whether {n} is prime")
+
+    def test_cap_exceeded_is_a_cap_row(self, capsys):
+        code, out, err = run(capsys, "scan", "40022", "40022", "--no-timestamp")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "n=40022: CAP n = 40022 needs 20011 vertices, above the cap of 20000",
+            "checked 1 values, 1 failures, 0 integral",
+        ]
 
 
 class TestStructureCommand:
@@ -410,6 +424,11 @@ class TestStructureCommand:
         code, _, err = run(capsys, "structure", "720720", "--format", "dot", "--full")
         assert code == 3
         assert "cap" in err
+
+    def test_full_cap_exceeded(self, capsys):
+        code, out, err = run(capsys, "structure", "40022", "--format", "dot", "--full")
+        assert (code, out) == (3, "")
+        assert err == "cozero: n = 40022 needs 20011 vertices, above the cap of 20000\n"
 
     def test_full_refuses_by_the_vertex_bound_before_factoring(self, capsys, monkeypatch):
         # --full builds no quotient, so the quotient's 2**63 bound is not
@@ -594,15 +613,26 @@ class TestUsageErrors:
         ["structure", "30", "--format", "dot", "--cap", "1"],
     ])
     def test_options_a_command_does_not_use_are_refused(self, capsys, argv):
-        # each command takes only the formats it renders, and --cap only
-        # when it builds the full graph; structure builds it only with
-        # --format dot --full
+        # each command takes only the formats it renders, structure --full
+        # only with --format dot, and no command takes --cap
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
         out, err = capsys.readouterr()
         assert out == ""
         assert argv[-2] in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "30"],
+        ["scan", "4", "9"],
+        ["structure", "30", "--format", "dot", "--full"],
+    ], ids=["verify", "scan", "structure"])
+    def test_cap_is_unknown(self, capsys, argv):
+        # the vertex cap is the constant cozero.VERTEX_CAP, not an option
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", "100"])
+        assert exc.value.code == 64
+        assert "--cap" in capsys.readouterr().err
 
     def test_missing_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -672,13 +702,13 @@ class TestParserReuse:
     def test_in_process_sequence_matches_fresh_processes(self, capsys, tmp_path):
         # each pair checks that nothing of one call leaks into the next
         sequence = [
-            ["verify", "30", "--cap", "3"],
+            ["verify", "40022"],
             ["verify", "30"],
             ["spectrum", "30", "--frobnicate"],
             ["structure", "30", "--format", "dot", "--full"],
             ["structure", "30", "--format", "dot"],
             ["spectrum", "30", "--format", "json", "--no-timestamp", "--out", "{out}"],
-            ["verify", "30", "--format", "json", "--no-timestamp", "--cap", "3"],
+            ["verify", "40022", "--format", "json", "--no-timestamp"],
             ["verify", "30", "--format", "json", "--no-timestamp"],
         ]
         results = []

@@ -116,9 +116,11 @@ class TestBuildFullGraph:
         with pytest.raises(EmptyGraphError):
             build_full_graph(13)
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
+        # the cap is read when build_full_graph is called
+        monkeypatch.setattr(fullgraph, "VERTEX_CAP", 10)
         with pytest.raises(VertexCapError) as err:
-            build_full_graph(30, cap=10)
+            build_full_graph(30)
         assert err.value.vertex_count == 21
         assert err.value.cap == 10
 
@@ -133,7 +135,7 @@ class TestBuildFullGraph:
         with pytest.raises(VertexBoundError) as err:
             build_full_graph(n)
         assert err.value.vertex_count == isqrt(n) - 1
-        assert err.value.cap == fullgraph.DEFAULT_VERTEX_CAP
+        assert err.value.cap == fullgraph.VERTEX_CAP
 
     @pytest.mark.parametrize("n", [12, 720, 1155, 3**6])
     def test_dot_edges_walk_the_upper_triangle(self, n, cli_output):

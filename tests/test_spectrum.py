@@ -310,8 +310,10 @@ class TestOracleVerification:
         assert report.vertex_count == 0
 
     def test_cap_propagates(self):
-        with pytest.raises(VertexCapError):
-            verify_against_oracle(30, cap=5)
+        # 40022 = 2 * 20011 has 20011 vertices, 11 above the cap
+        with pytest.raises(VertexCapError) as err:
+            verify_against_oracle(40022)
+        assert (err.value.vertex_count, err.value.cap) == (20011, 20000)
 
     def test_zero_multiplicity_equals_component_count(self):
         for n in (8, 9, 12, 27, 30, 64):
@@ -324,8 +326,8 @@ class TestOracleVerification:
         in pairs(m) flipped, m the vertex count."""
         from cozero import spectrum
 
-        def broken_graph(f, cap):
-            graph = build_full_graph(f, cap=cap)
+        def broken_graph(f):
+            graph = build_full_graph(f)
             return with_flipped_pairs(graph, pairs(graph.vertex_count))
 
         monkeypatch.setattr(spectrum, "build_full_graph", broken_graph)
