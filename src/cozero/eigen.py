@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,9 +66,9 @@ _PAIR_SWAP = np.arange(2 * PANEL_WIDTH) ^ 1
 # ---------------------------------------------------------------------------
 # spectrum multisets
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One eigenvalue and its multiplicity.
+class SpectrumEntry(NamedTuple):
+    """One eigenvalue and its multiplicity, a (value, multiplicity, exact)
+    triple as merge_spectrum takes it.
 
     The library gives exact values as Python ints, so they stay exact
     above 2**53; other values are floats.

@@ -157,6 +157,11 @@ def symmetric_laplacian(q: QuotientGraph) -> np.ndarray:
     and the square-root weights are a null vector of this one.
     """
     root_w = np.sqrt(np.array(q.weights, dtype=np.float64))
-    symmetric = np.where(q.adjacency, -np.outer(root_w, root_w), 0.0)
+    symmetric = np.multiply.outer(-root_w, root_w)
+    # built in this one array, with no temporary of its size: the product
+    # by the adjacency leaves -0.0 at non-edges, and adding 0.0 turns
+    # that into +0.0 and leaves every other entry as it is
+    symmetric *= q.adjacency
+    symmetric += 0.0
     np.fill_diagonal(symmetric, q.degrees)
     return symmetric

@@ -78,9 +78,11 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     values = eigen.eigenvalues_in_place(
         symmetric_laplacian(q), np.sqrt(np.array(q.weights, dtype=np.float64))
     )
-    quotient_part = eigen.merge_spectrum([(0, 1, True)] + [(v, 1, False) for v in values])
+    quotient_part = eigen.merge_spectrum(
+        [(0, 1, True)] + [(v, 1, False) for v in values.tolist()]
+    )
     triples = [(deg, w - 1, True) for deg, w in zip(q.degrees, q.weights)]
-    triples.extend((e.value, e.multiplicity, e.exact) for e in quotient_part.entries)
+    triples.extend(quotient_part.entries)
     combined = eigen.merge_spectrum(triples)
     expected = f.n - f.totient - 1
     if combined.total_multiplicity != expected:

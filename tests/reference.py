@@ -6,7 +6,10 @@ a time, by exact Horner evaluation, or in exact integer arithmetic. The
 paper's two exact results live here too: the closed-form spectrum of
 n = p*q and the quartic characteristic polynomial of the p**2 * q
 quotient, with Faddeev-LeVerrier as the exact polynomial of any small
-integer matrix. None is used by the library itself. Three helpers are
+integer matrix and Sturm bisection over Fractions for its real roots.
+true_spectrum takes those roots for the quotient that the library
+builds, so it checks the solver and the merge, not the divisor lattice.
+None is used by the library itself. Three helpers are
 no independent references: integer_part reads the class table off an
 assembled spectrum's quotient, eigenvalue_multiset wraps the library's
 solver so that a test can pass any matrix and get a merged multiset, and
@@ -14,8 +17,9 @@ with_flipped_pairs makes a graph the builder cannot, for the oracle's
 refusals to be tested.
 """
 
-from collections import deque
-from math import gcd
+from collections import Counter, deque
+from fractions import Fraction
+from math import floor, gcd
 
 import numpy as np
 
@@ -25,11 +29,13 @@ from cozero import (
     QuotientGraph,
     SpectrumEntry,
     SpectrumMultiset,
+    build_quotient,
     factorize,
     is_prime,
     merge_spectrum,
 )
 from cozero.eigen import eigenvalues_in_place
+from cozero.quotient import integer_laplacian
 
 CHARPOLY_MAX_DIM = 64
 
@@ -147,7 +153,8 @@ def quotient_connected_predicate(n: int) -> bool | None:
 
 
 def poly_eval_int(coeffs, x: int) -> int:
-    """Exact Horner evaluation of an integer polynomial at an integer."""
+    """Exact Horner evaluation of an integer polynomial at an integer, or
+    of a Fraction polynomial at a Fraction."""
     acc = 0
     for c in coeffs:
         acc = acc * x + c
@@ -212,6 +219,120 @@ def characteristic_polynomial(matrix) -> list[int]:
     return coeffs
 
 
+def _derivative(poly: list) -> list:
+    degree = len(poly) - 1
+    return [c * (degree - i) for i, c in enumerate(poly[:-1])]
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b, coefficient lists of Fractions,
+    highest power first; the remainder has no leading zeros."""
+    quotient, a = [], list(a)
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        quotient.append(f)
+        a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and a[0] == 0:
+        a.pop(0)
+    return quotient, a
+
+
+def _gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[0] for c in a]
+
+
+def _sturm_chain(poly: list) -> list[list]:
+    chain = [poly, _derivative(poly)]
+    while len(chain[-1]) > 1:
+        remainder = _divmod(chain[-2], chain[-1])[1]
+        if not remainder:
+            break
+        chain.append([-c for c in remainder])
+    return chain
+
+
+def _sign_changes(chain: list[list], x: Fraction) -> int:
+    signs = [v > 0 for v in (poly_eval_int(poly, x) for poly in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _roots_of_square_free(poly: list) -> list[int | float]:
+    """Distinct real roots of a square-free polynomial. Sturm's
+    theorem counts them exactly in any interval (lo, hi]; bisection
+    isolates each one and narrows it to width below 1, where an integer
+    root is found by exact evaluation, and then to 2**-60 of its size."""
+    if len(poly) < 2:
+        return []
+    chain = _sturm_chain(poly)
+
+    def count(lo, hi):
+        return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+    bound = 1 + max(abs(c / poly[0]) for c in poly)
+    pending, roots = [(-bound, bound)], []
+    while pending:
+        lo, hi = pending.pop()
+        k = count(lo, hi)
+        if k == 0:
+            continue
+        mid = (lo + hi) / 2
+        if k > 1 or hi - lo >= 1:
+            pending += [(mid, hi), (lo, mid)]
+            continue
+        whole = floor(hi)
+        if whole > lo and poly_eval_int(poly, whole) == 0:
+            roots.append(whole)
+            continue
+        while hi - lo > abs(mid) / 2**60:
+            lo, hi = (lo, mid) if count(lo, mid) else (mid, hi)
+            mid = (lo + hi) / 2
+        roots.append(float(mid))
+    return roots
+
+
+def real_roots(coeffs) -> list[tuple[int | float, int]]:
+    """(root, multiplicity) of an integer polynomial whose roots are all
+    real, such as the characteristic polynomial of a symmetric matrix,
+    descending. An integer root is an int; any other root is the float
+    nearest it, to about one unit in the last place.
+
+    The square-free factors come from repeated gcds with the derivative:
+    with g_0 the polynomial and g_k = gcd(g_(k-1), g_(k-1)'), s_k =
+    g_(k-1) / g_k has every root of multiplicity k or more once, and
+    s_k / s_(k+1) those of multiplicity exactly k.
+    """
+    g = [[Fraction(c) for c in coeffs]]
+    while len(g[-1]) > 1:
+        g.append(_gcd(g[-1], _derivative(g[-1])))
+    s = [_divmod(a, b)[0] for a, b in zip(g, g[1:])] + [[Fraction(1)]]
+    out = []
+    for k in range(1, len(s)):
+        out += [(r, k) for r in _roots_of_square_free(_divmod(s[k - 1], s[k])[0])]
+    if sum(m for _, m in out) != len(coeffs) - 1:
+        raise ValueError("the polynomial has roots that are not real")
+    return sorted(out, key=lambda rm: -rm[0])
+
+
+def true_spectrum(n: int) -> list[tuple[int | float, int, bool]]:
+    """(value, multiplicity, exact) of the Laplacian spectrum of the graph
+    of Z_n, descending, from exact arithmetic alone: every divisor class
+    gives its weighted degree (weight - 1) times, and the quotient gives
+    the roots of the exact characteristic polynomial of its integer
+    Laplacian. Only integers are exact, and only equal integers merge.
+    Exact arithmetic on the polynomial is slow beyond about a dozen
+    quotient divisors."""
+    q = build_quotient(n)
+    counts = Counter()
+    for degree, w in zip(q.degrees, q.weights):
+        counts[degree, True] += w - 1
+    for root, m in real_roots(characteristic_polynomial(integer_laplacian(q))):
+        counts[root, isinstance(root, int)] += m
+    ordered = sorted(counts.items(), key=lambda item: (-item[0][0], not item[0][1]))
+    return [(v, m, exact) for (v, exact), m in ordered if m]
+
+
 def _require_distinct_primes(p: int, q: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -240,7 +361,7 @@ def closed_form_pq(p: int, q: int) -> AssembledSpectrum:
     )
     combined = merge_spectrum(
         [(lo - 1, hi - 2, True), (hi - 1, lo - 2, True)]
-        + [(e.value, e.multiplicity, e.exact) for e in quotient_part.entries]
+        + list(quotient_part.entries)
     )
     return AssembledSpectrum(p * q, quotient, quotient_part, combined, None)
 

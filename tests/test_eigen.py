@@ -30,6 +30,7 @@ from reference import (
     eigenvalue_multiset,
     laplacian,
     poly_eval_int,
+    real_roots,
 )
 
 
@@ -530,6 +531,36 @@ class TestMergeSpectrum:
         assert as_entry_pairs(s) == [(2.0, 1)]
 
 
+class TestSpectrumEntry:
+    """An entry is a (value, multiplicity, exact) named tuple."""
+
+    def test_unpacks_to_its_fields(self):
+        value, multiplicity, exact = SpectrumEntry(6, 1, True)
+        assert (value, multiplicity, exact) == (6, 1, True)
+
+    def test_equal_and_hashable_by_its_fields(self):
+        a, b = SpectrumEntry(2.5, 3, False), SpectrumEntry(2.5, 3, False)
+        assert a == b and hash(a) == hash(b)
+        assert a != SpectrumEntry(2.5, 2, False)
+        assert len({a, b, SpectrumEntry(2, 3, True)}) == 2
+
+    @pytest.mark.parametrize("field", ["value", "multiplicity", "exact"])
+    def test_assigning_a_field_raises(self, field):
+        entry = SpectrumEntry(0, 1, True)
+        with pytest.raises(AttributeError):
+            setattr(entry, field, 2)
+        assert entry == (0, 1, True)
+
+    def test_exact_values_stay_ints_above_2_53(self):
+        # float(2**53 + 1) is 2**53, so the numeric member joins the group
+        # that the exact int pins
+        s = merge_spectrum([(2**53 + 1, 2, True), (2.0**53, 1, False), (2**60 + 3, 1, True)])
+        assert [(type(v), v, m, e) for v, m, e in s.entries] == [
+            (int, 2**60 + 3, 1, True),
+            (int, 2**53 + 1, 3, True),
+        ]
+
+
 def reference_merge(triples):
     """merge_spectrum as one group list, closed afterwards: the grouping
     rules, summation order and value types the library must keep."""
@@ -641,6 +672,27 @@ class TestCharacteristicPolynomial:
             for x in (-2, -1, 0, 1, 2, 3):
                 shifted = x * np.eye(m, dtype=int) - a
                 assert poly_eval_int(coeffs, x) == bareiss_determinant(shifted)
+
+
+class TestRealRoots:
+    def test_integer_roots_are_ints_with_multiplicities(self):
+        # x (x - 2)**3 (x + 1)
+        roots = real_roots([1, -5, 6, 4, -8, 0])
+        assert [(type(r), r, m) for r, m in roots] == [(int, 2, 3), (int, 0, 1), (int, -1, 1)]
+
+    def test_irrational_roots_to_the_last_place(self):
+        # (x**2 - 2)**2 (x - 3)
+        roots = real_roots([1, -3, -4, 12, 4, -12])
+        assert roots == [(3, 1), (math.sqrt(2), 2), (-math.sqrt(2), 2)]
+
+    def test_separates_close_roots(self):
+        # (x - 10**9) (x - 10**9 - 10**-6): an integer root and one 1e-6 above
+        roots = real_roots([10**6, -(2 * 10**15 + 1), 10**24 + 10**9])
+        assert roots == [(1e9 + 1e-6, 1), (10**9, 1)]
+
+    def test_refuses_complex_roots(self):
+        with pytest.raises(ValueError, match="not real"):
+            real_roots([1, 0, 1])
 
 
 class TestPolynomialRootsReal:

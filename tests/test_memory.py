@@ -20,10 +20,14 @@ or the whole text, so its peak is counted in the same units.
 
 Quotient peaks are in units of one d x d float64 array, 8 d**2 bytes, at
 n = 720720 (d = 238). build_quotient forms the int64 adjacency product
-for the weighted degrees (one unit) and frees it; assemble_spectrum then
-builds the symmetric Laplacian from the outer product of the square-root
-weights, and eigenvalues_in_place solves that one array in place. A
-retained int64 Laplacian or a copy before the solve costs a unit more.
+for the weighted degrees (one unit) and frees it. symmetric_laplacian
+writes the outer product of the square-root weights into the one array
+it returns, then zeroes the non-edges and sets the diagonal in place; it
+peaks at 1.30 units, the rest being numpy's fixed-size buffers (1.01
+units at d = 1342). Masking a separate outer product, as np.where does,
+peaked at 2.01. eigenvalues_in_place then solves that array in place,
+so it is the solve's only d x d float array. A retained int64 Laplacian
+or a copy before the solve costs a unit more.
 
 Implicit QL works on two lists of Python floats, after the Householder
 reduction has released its panels. tracemalloc hooks every float it
@@ -37,6 +41,7 @@ import tracemalloc
 import pytest
 
 from cozero import assemble_spectrum, build_full_graph, build_quotient, cli, eigen
+from cozero.quotient import symmetric_laplacian
 from cozero.spectrum import verify_against_oracle
 from reference import eigenvalue_multiset, laplacian
 
@@ -99,3 +104,8 @@ def test_quotient_solve_holds_one_matrix():
     d = build_quotient(QUOTIENT_N).size
     assert d == 238
     assert traced_peak(assemble_spectrum, QUOTIENT_N) <= 3.0 * 8 * d**2
+
+
+def test_symmetric_laplacian_forms_no_second_matrix():
+    q = build_quotient(QUOTIENT_N)
+    assert traced_peak(symmetric_laplacian, q) <= 1.5 * 8 * q.size**2

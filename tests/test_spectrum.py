@@ -23,6 +23,7 @@ from reference import (
     charpoly_p2q,
     closed_form_pq,
     integer_part,
+    true_spectrum,
     with_flipped_pairs,
 )
 
@@ -376,6 +377,59 @@ class TestExactQuotientZero:
         # trace of the quotient Laplacian: the sum of its weighted degrees
         degrees = sum(s.quotient.degrees)
         assert abs(float(np.sum(s.quotient_part.values())) - degrees) <= 1e-12 * degrees
+
+
+def assert_true_entries(n):
+    """assemble_spectrum(n) against true_spectrum(n): the same multiplicities
+    and exact flags in the same order, exact values the same ints, and any
+    other value within 4 d eps rho of its root. That is the normwise error
+    bound of a float solver on the d x d quotient, rho the largest row sum
+    of its Laplacian, twice the largest weighted degree."""
+    q = build_quotient(n)
+    bound = 4 * q.size * np.finfo(float).eps * 2 * max(q.degrees)
+    got, want = assemble_spectrum(n).combined.entries, true_spectrum(n)
+    assert [(m, e) for _, m, e in got] == [(m, e) for _, m, e in want]
+    for (value, _, exact), (root, _, _) in zip(got, want):
+        if exact:
+            assert type(value) is int and value == root
+        else:
+            assert abs(value - root) <= bound, (value, root, bound)
+
+
+class TestTrueSpectrum:
+    """The assembly against the roots of the exact characteristic
+    polynomial, where no tolerance decides wrongly (ROADMAP item 1)."""
+
+    @pytest.mark.parametrize("n", [12, 30, 3 * 1009**2, 6 * 1000003])
+    def test_matches_the_exact_roots(self, n):
+        assert_true_entries(n)
+
+    # the table of ROADMAP item 1: fixed tolerances decide exact values and
+    # merges wrongly at each n. Strict, so a fix that passes a row fails
+    # the suite until its marker is removed
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="exact values decided by tolerance"
+    )
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # 2000000014 and 1000000007 printed exact; a root near 2 merged
+            # into the class value 2
+            4 * (10**9 + 7),
+            # 466357 printed exact
+            4 * 466357,
+            # p - 1 printed twice, p + 1 missing, p = 2**53 + 5
+            3 * (2**53 + 5),
+            # the root 1.99999999973643 printed as 2.000001907348633,
+            # above the class value 2
+            3 * 123191**2,
+            # a root near 2 merged into the class value 2 (large-prime's
+            # second known fault)
+            3 * 100003**2,
+        ],
+    )
+    def test_known_faults(self, n):
+        assert_true_entries(n)
 
 
 class TestReports:
