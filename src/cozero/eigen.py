@@ -7,13 +7,13 @@ I - u u^T with u normalised from the norm its step already takes. A
 panel of the reduction keeps each u and its update vector as a
 contiguous row of one array, so every update it makes is a single
 matrix product, and the pairs are exchanged only in short rows of
-coefficients or one strip of the panel at a time. A matrix whose
-largest entry |A| is so large or so small that sums of squares could
-overflow or lose bits to underflow is first scaled by a power of two,
-which is exact, and its eigenvalues are scaled back. QL runs on the
-tridiagonal T in reverse order, so it deflates from the bottom of T,
-with one threshold scaled by |T|, the largest entry of T:
-e_i**2 <= (eps |T|)**2.
+coefficients or one strip of the panel at a time. Scale is decided
+once, at the entry: every matrix is multiplied by the power of two that
+brings its largest entry |A| into [1/2, 1), which is exact, and its
+eigenvalues are scaled back, so neither the reduction nor QL checks for
+over- or underflow. QL runs on the tridiagonal T in reverse order, so it
+deflates from the bottom of T, with one threshold scaled by |T|, the
+largest entry of T: e_i**2 <= (eps |T|)**2.
 eigenvalues_in_place is the one entry point: it solves a float64 matrix
 that the caller hands over as the working array, such as the oracle's
 half-size negation block or the quotient's symmetric Laplacian, and
@@ -178,9 +178,9 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trailing block takes A -= (P U)^T U, STRIP_HEIGHT rows at a time,
     with P the pair swap applied to the strip's columns of U only.
 
-    A column whose squares lose bits to underflow, such as a zero one,
-    takes its norm in units of its largest entry. eigenvalues_in_place
-    scales the whole matrix so that no sum of squares overflows.
+    eigenvalues_in_place scales a to 1/2 <= |A| < 1, so no sum of squares
+    overflows, and a column whose squares may lose bits to underflow, such
+    as a zero one, has |x| < 1.01e-146 << eps |A|: its step is the identity.
     """
     m = a.shape[0]
     # a sum of squares below this may have lost bits to underflow
@@ -197,19 +197,15 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if i:
                 col -= U[swap, i] @ U[:2 * i, i:]
             x = col[1:]
-            xx, unit = float(x @ x), 1.0
+            xx = float(x @ x)
             if xx < small:
-                unit = float(np.max(np.abs(x)))
-                if unit == 0.0:
-                    alphas.append(0.0)  # u and w stay zero: the step is the identity
-                    continue
-                xx = float(np.sum((x / unit) ** 2))
-            # |x| = unit * r and s = unit * sqrt(r**2 + |x_0| r / unit)
+                alphas.append(0.0)  # u and w stay zero: the step is the identity
+                continue
             r = math.sqrt(xx)
             x0 = float(x[0])
-            alpha = -math.copysign(unit * r, x0)
+            alpha = -math.copysign(r, x0)
             alphas.append(alpha)
-            s = unit * math.sqrt(xx + abs(x0) / unit * r)
+            s = math.sqrt(xx + abs(x0) * r)
             u = U[2 * i, i + 1:]
             np.divide(x, s, out=u)
             u[0] = (x0 - alpha) / s
@@ -236,19 +232,17 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """Root-free QL with shifts on a symmetric tridiagonal matrix T.
 
     It updates the squared subdiagonal, so a sweep takes no square root
-    (Parlett, The Symmetric Eigenvalue Problem). T is first scaled by a
-    power of two near |T|, so no square over- or underflows. A block's
-    end is found once, when it starts; each sweep then ends the block at
-    the lowest new subdiagonal under the threshold.
+    (Parlett, The Symmetric Eigenvalue Problem). T comes from a matrix
+    scaled to 1/2 <= |A| < 1, so 1/6 <= |T| <= m, and neither e_i**2 nor
+    (eps |T|)**2 leaves float64's normal range. A block's end is found
+    once, when it starts; each sweep then ends the block at the lowest
+    new subdiagonal under the threshold.
     """
     m = len(diag)
     # Python floats: scalar access to numpy arrays costs more than the arithmetic
     d, e = diag.tolist(), sub.tolist()
-    norm = max(map(abs, d + e))
-    scale = math.ldexp(1.0, math.frexp(norm)[1])
-    d = [x / scale for x in d]
-    e2 = [(x / scale) ** 2 for x in e] + [0.0]
-    tol2 = (float(np.finfo(np.float64).eps) * norm / scale) ** 2
+    e2 = [x * x for x in e] + [0.0]
+    tol2 = (float(np.finfo(np.float64).eps) * max(map(abs, d + e))) ** 2
     start = 0
     while start < m:
         end = start
@@ -260,7 +254,7 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
             if iterations > QL_MAX_ITERATIONS:
                 raise ConvergenceError(
                     f"implicit QL cap of {QL_MAX_ITERATIONS} exhausted",
-                    residual=math.sqrt(e2[l]) * scale,
+                    residual=math.sqrt(e2[l]),
                 )
             rte = math.sqrt(e2[l])
             sigma = (d[l + 1] - d[l]) / (2.0 * rte)
@@ -289,7 +283,7 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
                 l, iterations = l + 1, 0
             end = low
         start = end + 1
-    return np.array(d) * scale
+    return np.array(d)
 
 
 def _eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -374,9 +368,10 @@ def eigenvalues_in_place(a: np.ndarray, null_vector=None) -> np.ndarray:
     """Unsorted eigenvalues of a, a real symmetric float64 matrix that is
     the solver's working array: it is checked and symmetrised, then
     destroyed. A matrix with an inf or a nan is refused with a ValueError.
-    One whose largest entry is so large or so small that sums of squares
-    could overflow or underflow is solved scaled by a power of two, and
-    its values are scaled back.
+    The solve runs on a times 2**-e, e = frexp(|A|)[1] (0 for a zero
+    matrix), which is exact and brings |A| into [1/2, 1); the values and
+    a ConvergenceError's residual are scaled back. So 2**k a has the
+    values of a times 2**k, bit for bit, while all stay normal floats.
 
     With null_vector, which must lie in the kernel of a, as the
     square-root weights do for the symmetric form of a weighted Laplacian,
@@ -389,16 +384,14 @@ def eigenvalues_in_place(a: np.ndarray, null_vector=None) -> np.ndarray:
     """
     if a.dtype != np.float64:
         raise ValueError(f"expected a float64 matrix, got {a.dtype}")
-    norm = _symmetrized(a)
-    # the reduction squares entries of up to m |A| and sums m squares:
-    # outside this range a power of two, which is exact, brings |A| near 1
-    fi = sys.float_info
-    safe = math.sqrt(fi.min / fi.epsilon) <= norm <= math.sqrt(fi.max) / len(a)
-    exponent = 0 if safe or norm == 0.0 else math.frexp(norm)[1]
-    if exponent:
-        np.ldexp(a, -exponent, out=a)
-    if null_vector is None:
-        values = _eigenvalues(a)
-    else:
-        values = _deflated_eigenvalues(a, np.asarray(null_vector, dtype=np.float64))
-    return np.ldexp(values, exponent) if exponent else values
+    exponent = math.frexp(_symmetrized(a))[1]
+    np.ldexp(a, -exponent, out=a)
+    try:
+        if null_vector is None:
+            values = _eigenvalues(a)
+        else:
+            values = _deflated_eigenvalues(a, np.asarray(null_vector, dtype=np.float64))
+    except ConvergenceError as err:
+        err.residual = math.ldexp(err.residual, exponent)
+        raise
+    return np.ldexp(values, exponent)

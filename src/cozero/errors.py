@@ -32,8 +32,11 @@ class VertexBoundError(VertexCapError):
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver hit its iteration cap; carries the residual."""
+    """Eigensolver hit its iteration cap; carries the residual, read when printed."""
 
     def __init__(self, message: str, residual: float):
         self.residual = residual
-        super().__init__(f"{message} (residual {residual:.3e})")
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (residual {self.residual:.3e})"

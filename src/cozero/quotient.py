@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import STRIP_HEIGHT
 from .numbers import (
     Factorization,
     divisor_exponents,
@@ -96,8 +97,10 @@ def build_quotient(n: int | Factorization) -> QuotientGraph:
         divides &= col[:, None] <= col[None, :]
     adjacency = ~(divides | divides.T)
     adjacency.setflags(write=False)
-    degrees = adjacency.astype(np.int64) @ np.array(weights, dtype=np.int64)
-    degrees = tuple(degrees.tolist())
+    # STRIP_HEIGHT rows at a time: no int64 copy of the whole adjacency
+    w = np.array(weights, dtype=np.int64)
+    strips = (adjacency[lo:lo + STRIP_HEIGHT] @ w for lo in range(0, m, STRIP_HEIGHT))
+    degrees = tuple(x for strip in strips for x in strip.tolist())
     return QuotientGraph(f.n, tuple(d for d, _ in proper), weights, adjacency, degrees)
 
 

@@ -22,6 +22,7 @@ from cozero.eigen import (
     _tridiagonal_eigenvalues,
     eigenvalues_in_place,
 )
+from cozero.fullgraph import negation_split
 from cozero.quotient import integer_laplacian, symmetric_laplacian
 from reference import (
     adjacency,
@@ -113,6 +114,11 @@ class TestEigenvaluesSymmetric:
         with pytest.raises(ConvergenceError) as err:
             _tridiagonal_eigenvalues(d, e)
         assert err.value.residual == pytest.approx(0.5e6, rel=1e-15)
+        # through the entry QL solves T / 2**22, reversed: its first block
+        # starts at the last subdiagonal, and the residual is scaled back
+        with pytest.raises(ConvergenceError, match=r"residual 1\.250e\+05") as err:
+            eigenvalues_in_place(tridiagonal(d, e))
+        assert err.value.residual == pytest.approx(0.125e6, rel=1e-14)
 
     def test_trace_identity_random(self):
         rng = np.random.default_rng(11)
@@ -243,6 +249,19 @@ class TestEigenvaluesInPlace:
         a[0] *= 1e-162
         a[:, 0] *= 1e-162
         self.assert_solves_like_eigvalsh(a.copy(), a)
+
+    @pytest.mark.parametrize("k", [-600, -30, 0, 30, 600])
+    def test_the_solve_is_independent_of_the_binade(self, k):
+        # 2**k A is scaled to the very array that A is, so its values are
+        # those of A times 2**k, bit for bit: the symmetric Laplacian of
+        # 720720 with its null vector, and the oracle's even block at 204
+        q = build_quotient(720720)
+        null = np.sqrt(np.array(q.weights, dtype=np.float64))
+        _, even = negation_split(build_full_graph(204))
+        for a, null_vector in ((symmetric_laplacian(q), null), (even, None)):
+            scaled = eigenvalues_in_place(np.ldexp(a, k), null_vector)
+            ours = np.ldexp(eigenvalues_in_place(a, null_vector), k)
+            assert scaled.tobytes() == ours.tobytes()
 
     @pytest.mark.parametrize("m", [67, 129])
     def test_solves_fortran_ordered_and_strided_working_arrays(self, m):
@@ -397,13 +416,14 @@ class TestTridiagonalQL:
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
     def test_squares_neither_overflow_nor_underflow(self, scale):
-        # at 1e300 and 1e-300 the squared entries fall outside float64
-        # unless QL scales before squaring; the reference is unscaled
+        # at 1e300 and 1e-300 the squared entries fall outside float64;
+        # QL squares them only as eigenvalues_in_place has scaled them,
+        # so T goes through the entry. The reference is unscaled
         rng = np.random.default_rng(17)
         diag = rng.standard_normal(30)
         sub = rng.standard_normal(29)
         t = tridiagonal(diag, sub)
-        ours = np.sort(_tridiagonal_eigenvalues(diag * scale, sub * scale)) / scale
+        ours = np.sort(eigenvalues_in_place(tridiagonal(diag * scale, sub * scale))) / scale
         reference = np.linalg.eigvalsh(t)
         bound = 4 * 30 * np.finfo(np.float64).eps * float(np.max(np.abs(t).sum(axis=1)))
         assert float(np.max(np.abs(ours - reference))) <= bound

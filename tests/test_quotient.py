@@ -8,6 +8,7 @@ from cozero import (
     is_prime,
     quotient_connectivity_state,
 )
+from cozero.eigen import STRIP_HEIGHT
 from cozero.quotient import integer_laplacian, symmetric_laplacian
 from reference import adjacency, eigenvalue_multiset, quotient_connected_predicate
 
@@ -83,6 +84,16 @@ class TestWeightedDegrees:
         # divisors ascending (lo, hi); each one's degree is its own totient
         for p, q in prime_pairs(100):
             assert build_quotient(p * q).degrees == (p - 1, q - 1)
+
+    @pytest.mark.parametrize("n", [27720, 720720])
+    def test_sums_across_strips_match_python_int_sums(self, n):
+        # 94 and 238 divisors: the degrees are summed over more than one
+        # strip of STRIP_HEIGHT adjacency rows
+        q = build_quotient(n)
+        assert q.size > STRIP_HEIGHT
+        rows = q.adjacency.tolist()
+        expected = tuple(sum(w for w, adj in zip(q.weights, row) if adj) for row in rows)
+        assert q.degrees == expected
 
     def test_matches_full_graph_degrees(self):
         # the partition is equitable: every vertex of the class of d has
