@@ -451,19 +451,20 @@ def _cmd_structure(args) -> int:
     state = quotient_connectivity_state(q)
     # None for prime n, whose full graph has no vertices
     connected = None if q.is_empty else full_graph_component_count(q) == 1
+    edges = q.edges()
 
     if args.format == "json":
         _emit_json({
             "n": n,
             "divisor_classes": _divisor_classes(q),
-            "edges": [list(e) for e in q.edges()],
+            "edges": [list(e) for e in edges],
             "quotient_connectivity": state,
             "full_graph_connected": connected,
             "boundary_case": boundary,
         }, args)
     else:
         lines = [
-            f"n={n}: {q.size} proper divisors, {q.edge_count} quotient edges",
+            f"n={n}: {q.size} proper divisors, {len(edges)} quotient edges",
             f"quotient {state}; full graph connected: {str(connected).lower()}",
         ]
         if boundary:
@@ -471,8 +472,8 @@ def _cmd_structure(args) -> int:
         lines.append("divisor  size  D")
         for d, w, deg in zip(q.divisors, q.weights, q.degrees):
             lines.append(f"{d:7d}  {w:4d}  {deg}")
-        if q.edge_count:
-            lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in q.edges()))
+        if edges:
+            lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in edges))
         _emit(lines, args)
     return EXIT_DEGENERATE if f.is_prime else EXIT_OK
 

@@ -3,14 +3,13 @@
 Built from one Factorization of n. Vertices are the proper divisors of
 n, each with its exponent vector; two are adjacent when neither divides
 the other, that is when their exponent vectors are incomparable. Vertex
-d carries weight phi(n/d) = prod phi(p^(e - a)), the size of its divisor
-class. The weighted degree of d sums the weights of its neighbours and
-equals the full-graph degree of every vertex in the class of d (the
-partition is equitable); build_quotient computes the degrees once. Two
-Laplacian reductions are built from them on demand: the integer
-zero-row-sum form and its symmetric conjugate, which share one spectrum.
-They are int64 and float64 arrays, so n must lie below 2**63. The full
-graph's components are read off the quotient's, by one search here.
+d carries weight phi(n/d), the size of its divisor class, and a weighted
+degree, the sum of its neighbours' weights and the full-graph degree of
+every vertex in its class (the partition is equitable). Both, and the
+connectivity, are read off the factorization: the graph holds only
+tuples. Its boolean adjacency is built when asked for, by edges() and
+the two Laplacian reductions, int64 and float64 arrays that share one
+spectrum, so n must lie below 2**63.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import STRIP_HEIGHT
 from .numbers import (
     Factorization,
     divisor_exponents,
@@ -34,8 +32,9 @@ from .numbers import (
 class QuotientGraph:
     n: int
     divisors: tuple[int, ...]
+    # each divisor's exponents of the primes of n, ascending by prime
+    exponents: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
-    adjacency: np.ndarray
     # weighted degrees, Python ints; 0 for isolated vertices
     degrees: tuple[int, ...]
 
@@ -47,12 +46,18 @@ class QuotientGraph:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+    def adjacency(self) -> np.ndarray:
+        """The d x d boolean adjacency, built on each call: d_i divides d_j
+        when no exponent of d_i is larger, and they are adjacent when
+        neither divides the other. Exponents of n < 2**63 fit in int8."""
+        divides = np.ones((self.size, self.size), dtype=bool)
+        # one column per prime, and none for the empty quotient of a prime
+        for col in np.array(self.exponents, dtype=np.int8).T:
+            divides &= col[:, None] <= col[None, :]
+        return ~(divides | divides.T)
 
     def edges(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adjacency, 1))
+        i, j = np.nonzero(np.triu(self.adjacency(), 1))
         d = np.array(self.divisors, dtype=np.int64)
         return list(zip(d[i].tolist(), d[j].tolist()))
 
@@ -78,76 +83,64 @@ def factorize_for_quotient(n: int) -> Factorization:
 def build_quotient(n: int | Factorization) -> QuotientGraph:
     """Quotient graph on the proper divisors, ascending. Empty for prime n.
 
-    Takes n or its factorization. A composite n must lie below 2**63:
-    weighted degrees are int64 sums of weights, which add up to
-    n - phi(n) - 1, so no sum overflows.
+    Takes n or its factorization; a composite n must lie below 2**63. With
+    a = v_p(d), p^e || n and c_p = p^e - p^(e - a - 1), or p^e if a = e,
+    the weighted degree of d is n - n/d - prod c_p + phi(n/d), in Python
+    ints: the non-units, less the multiples of d, less the non-units whose
+    gcd with n divides d (prod c_p - phi(n) of them), plus the class of d,
+    counted in both.
     """
     f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
     if not f.is_prime:
         _require_below_int64(f.n)
     proper = divisor_exponents(f)[1:-1]
     phis = [[totient_prime_power(p, e - a) for a in range(e + 1)] for p, e in f.factors]
-    weights = tuple(math.prod(phi[a] for phi, a in zip(phis, vec)) for _, vec in proper)
-    # d_i divides d_j when no exponent of d_i is larger; adjacent when
-    # neither divides the other. Exponents of n < 2**63 fit in int8.
-    m = len(proper)
-    exponents = np.array([vec for _, vec in proper], dtype=np.int8).reshape(m, len(f.factors))
-    divides = np.ones((m, m), dtype=bool)
-    for col in exponents.T:
-        divides &= col[:, None] <= col[None, :]
-    adjacency = ~(divides | divides.T)
-    adjacency.setflags(write=False)
-    # STRIP_HEIGHT rows at a time: no int64 copy of the whole adjacency
-    w = np.array(weights, dtype=np.int64)
-    strips = (adjacency[lo:lo + STRIP_HEIGHT] @ w for lo in range(0, m, STRIP_HEIGHT))
-    degrees = tuple(x for strip in strips for x in strip.tolist())
-    return QuotientGraph(f.n, tuple(d for d, _ in proper), weights, adjacency, degrees)
-
-
-def _component_count(adjacency: np.ndarray) -> int:
-    """Components of a symmetric boolean adjacency, by breadth-first
-    search on whole frontiers; every vertex reached is marked once."""
-    seen = np.zeros(len(adjacency), dtype=bool)
-    count = 0
-    for start in range(len(adjacency)):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        frontier = np.array([start])
-        while len(frontier):
-            reached = adjacency[frontier].any(axis=0) & ~seen
-            seen |= reached
-            frontier = np.flatnonzero(reached)
-    return count
+    weights, degrees = [], []
+    for d, vec in proper:
+        w = math.prod(phi[a] for phi, a in zip(phis, vec))
+        below = math.prod(
+            p**e if a == e else p**e - p ** (e - a - 1) for (p, e), a in zip(f.factors, vec)
+        )
+        weights.append(w)
+        degrees.append(f.n - f.n // d - below + w)
+    return QuotientGraph(
+        f.n, tuple(d for d, _ in proper), tuple(vec for _, vec in proper),
+        tuple(weights), tuple(degrees),
+    )
 
 
 def quotient_connectivity_state(q: QuotientGraph) -> str:
-    """"empty" for prime n, else "connected" or "disconnected" by BFS.
+    """"empty" for prime n, else "connected" or "disconnected".
 
-    A single vertex counts as connected.
+    With two or more primes, every proper divisor d is adjacent to some
+    full power p^e || n: some p^e does not divide d, and if d divides it,
+    d is a power of p and any other prime's full power will do. Those
+    powers are pairwise adjacent, so the quotient is connected. A prime
+    power's proper divisors form a chain with no edges, connected only as
+    a single vertex.
     """
     if q.is_empty:
         return "empty"
-    return "connected" if _component_count(q.adjacency) == 1 else "disconnected"
+    return "connected" if q.size == 1 or len(q.exponents[0]) > 1 else "disconnected"
 
 
 def full_graph_component_count(q: QuotientGraph) -> int:
     """Components of the full graph, read off its quotient; 0 for prime n.
 
-    The full graph joins edgeless classes over the quotient, so every
-    quotient component with an edge is one component of the full graph,
-    and a class with no neighbour (weighted degree 0) is w isolated
-    vertices: C - I + the sum of w over the I isolated classes.
+    The full graph joins edgeless classes over the quotient. With two or
+    more primes the quotient is connected and has an edge, so the full
+    graph is one component. A prime power's classes have no neighbour,
+    so its n/p - 1 vertices, the sum of the weights, are all isolated.
     """
-    isolated = [w for w, deg in zip(q.weights, q.degrees) if deg == 0]
-    return _component_count(q.adjacency) - len(isolated) + sum(isolated)
+    if q.is_empty:
+        return 0
+    return 1 if len(q.exponents[0]) > 1 else sum(q.weights)
 
 
 def integer_laplacian(q: QuotientGraph) -> np.ndarray:
     """The integer zero-row-sum Laplacian, int64: the weighted degrees on
     the diagonal and -weight(j) at each edge (i, j). 0 x 0 for prime n."""
-    entries = np.where(q.adjacency, -np.array(q.weights, dtype=np.int64), 0)
+    entries = np.where(q.adjacency(), -np.array(q.weights, dtype=np.int64), 0)
     np.fill_diagonal(entries, q.degrees)
     return entries
 
@@ -159,12 +152,13 @@ def symmetric_laplacian(q: QuotientGraph) -> np.ndarray:
     edges and +0.0 elsewhere. Both forms share one eigenvalue multiset,
     and the square-root weights are a null vector of this one.
     """
+    adjacency = q.adjacency()
     root_w = np.sqrt(np.array(q.weights, dtype=np.float64))
     symmetric = np.multiply.outer(-root_w, root_w)
     # built in this one array, with no temporary of its size: the product
     # by the adjacency leaves -0.0 at non-edges, and adding 0.0 turns
     # that into +0.0 and leaves every other entry as it is
-    symmetric *= q.adjacency
+    symmetric *= adjacency
     symmetric += 0.0
     np.fill_diagonal(symmetric, q.degrees)
     return symmetric

@@ -17,7 +17,7 @@ factored: quotient.factorize_for_quotient, fullgraph.factorize_for_full_graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class AssembledSpectrum:
     """
 
     n: int
-    # n decides it; left out of == and hash, which an array cannot take
-    quotient: QuotientGraph = field(compare=False)
+    quotient: QuotientGraph
     quotient_part: eigen.SpectrumMultiset
     combined: eigen.SpectrumMultiset
     degenerate: str | None = None

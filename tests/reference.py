@@ -30,7 +30,6 @@ from cozero import (
     SpectrumEntry,
     SpectrumMultiset,
     build_quotient,
-    factorize,
     is_prime,
     merge_spectrum,
 )
@@ -138,18 +137,6 @@ def eigenvalue_multiset(matrix, null_vector=None) -> SpectrumMultiset:
 def gcd_class_count(n: int, d: int) -> int:
     """|{x in [1, n-1] : gcd(x, n) == d}| by direct scan."""
     return sum(1 for x in range(1, n) if gcd(x, n) == d)
-
-
-def quotient_connected_predicate(n: int) -> bool | None:
-    """Closed form: None for prime n (empty quotient); otherwise the
-    quotient is connected unless n is a prime power p**t with t >= 3,
-    whose divisors form a divisibility chain with no edges."""
-    if n < 2:
-        raise ValueError(f"predicate requires n >= 2, got {n}")
-    f = factorize(n)
-    if f.is_prime:
-        return None
-    return not (f.is_prime_power and f.factors[0][1] >= 3)
 
 
 def poly_eval_int(coeffs, x: int) -> int:
@@ -353,9 +340,7 @@ def closed_form_pq(p: int, q: int) -> AssembledSpectrum:
     lo, hi = min(p, q), max(p, q)
     # divisor lo has weight phi(hi) and weighted degree phi(lo) = lo - 1,
     # and vice versa; the two are adjacent
-    edge = np.array([[False, True], [True, False]])
-    edge.setflags(write=False)
-    quotient = QuotientGraph(p * q, (lo, hi), (hi - 1, lo - 1), edge, (lo - 1, hi - 1))
+    quotient = QuotientGraph(p * q, (lo, hi), ((1, 0), (0, 1)), (hi - 1, lo - 1), (lo - 1, hi - 1))
     quotient_part = SpectrumMultiset(
         (SpectrumEntry(p + q - 2, 1, True), SpectrumEntry(0, 1, True))
     )

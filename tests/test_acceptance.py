@@ -35,7 +35,6 @@ from reference import (
     eigenvalue_multiset,
     integer_part,
     laplacian,
-    quotient_connected_predicate,
 )
 
 TOL = 1e-6
@@ -123,7 +122,7 @@ def sweep(oracle_spectrum):
             quotient=quotient_spec,
             quotient_trace=float(np.trace(sym)),
             quotient_norm=float(np.linalg.norm(sym)),
-            quotient_components=component_count(q.adjacency),
+            quotient_components=component_count(q.adjacency()),
         )
     return Sweep(records, time.perf_counter() - started)
 
@@ -250,10 +249,11 @@ def test_criterion_6_structural_suite():
     started = time.perf_counter()
     violations = []
     for n in range(2, 301):
-        prime = is_prime(n)
-        if (quotient_connected_predicate(n) is None) != prime:
-            violations.append((n, "quotient predicate misclassifies prime input"))
-        if prime:
+        q = build_quotient(n)
+        state = quotient_connectivity_state(q)
+        if (state == "empty") != is_prime(n):
+            violations.append((n, "quotient state misclassifies prime input"))
+        if state == "empty":
             continue
         graph = build_full_graph(n)
         v = np.array(graph.vertices)
@@ -277,10 +277,9 @@ def test_criterion_6_structural_suite():
                 between = int(a[np.ix_(idx_i, idx_j)].sum())
                 if between not in (0, len(idx_i) * len(idx_j)):
                     violations.append((n, f"partial join {di}-{dj}"))
-        q = build_quotient(n)
-        connected = quotient_connectivity_state(q) == "connected"
-        if connected != quotient_connected_predicate(n):
-            violations.append((n, "quotient connectivity disagrees with the predicate"))
+        connected = component_count(q.adjacency()) == 1
+        if (state == "connected") != connected:
+            violations.append((n, "quotient connectivity disagrees with a search"))
     elapsed = time.perf_counter() - started
     conclude(6, "structural suite over all n <= 300", violations, elapsed)
 

@@ -19,17 +19,20 @@ text) holds the class rows and one row's edges and text, never a strip's
 or the whole text, so its peak is counted in the same units.
 
 Quotient peaks are in units of one d x d float64 array, 8 d**2 bytes, at
-n = 720720 (d = 238). build_quotient holds boolean divisibility and
-adjacency arrays (an eighth of a unit each) and sums the weighted degrees
-STRIP_HEIGHT adjacency rows at a time, peaking at 0.58 units (0.31 at
-d = 1342); an int64 copy of the whole adjacency took it to 1.29.
-symmetric_laplacian writes the outer product of the square-root weights
-into the one array it returns, then zeroes the non-edges and sets the
-diagonal in place; it peaks at 1.30 units, the rest being numpy's
-fixed-size buffers (1.01 units at d = 1342). Masking a separate outer
-product, as np.where does, peaked at 2.01. eigenvalues_in_place then
-solves that array in place, so it is the solve's only d x d float array.
-A retained int64 Laplacian or a copy before the solve costs a unit more.
+n = 720720 (d = 238) or 735134400 (d = 1342). build_quotient forms no
+d x d array: the weights and weighted degrees are counts read off the
+factorization, one divisor at a time. It peaks at 0.02 units at
+d = 1342, where a d x d boolean array would be an eighth of a unit, and
+summing the degrees over one, a strip of rows at a time, peaked at 0.31.
+symmetric_laplacian builds the boolean adjacency from the exponent
+vectors first, writes the outer product of the square-root weights into
+the one array it returns, then zeroes the non-edges and sets the
+diagonal in place; it peaks at 1.42 units, the rest being the adjacency
+(an eighth) and numpy's fixed-size buffers (1.14 units at d = 1342).
+Masking a separate outer product, as np.where does, peaked at 2.01.
+eigenvalues_in_place then solves that array in place, so it is the
+solve's only d x d float array. A retained int64 Laplacian or a copy
+before the solve costs a unit more.
 
 Implicit QL works on two lists of Python floats, after the Householder
 reduction has released its panels. tracemalloc hooks every float it
@@ -49,6 +52,7 @@ from reference import eigenvalue_multiset, laplacian
 
 N = 720
 QUOTIENT_N = 720720
+LARGE_QUOTIENT_N = 735134400
 
 
 def traced_peak(fn, *args):
@@ -108,10 +112,11 @@ def test_quotient_solve_holds_one_matrix():
     assert traced_peak(assemble_spectrum, QUOTIENT_N) <= 3.0 * 8 * d**2
 
 
-def test_build_quotient_forms_no_int64_copy():
-    # an int64 copy of the adjacency for the weighted degrees is one unit
-    d = build_quotient(QUOTIENT_N).size
-    assert traced_peak(build_quotient, QUOTIENT_N) <= 0.9 * 8 * d**2
+def test_build_quotient_forms_no_square_array():
+    # a d x d boolean array alone is an eighth of a unit
+    d = build_quotient(LARGE_QUOTIENT_N).size
+    assert d == 1342
+    assert traced_peak(build_quotient, LARGE_QUOTIENT_N) <= 0.05 * 8 * d**2
 
 
 def test_symmetric_laplacian_forms_no_second_matrix():

@@ -8,9 +8,13 @@ from cozero import (
     is_prime,
     quotient_connectivity_state,
 )
-from cozero.eigen import STRIP_HEIGHT
-from cozero.quotient import integer_laplacian, symmetric_laplacian
-from reference import adjacency, eigenvalue_multiset, quotient_connected_predicate
+from cozero.quotient import (
+    full_graph_component_count,
+    integer_laplacian,
+    symmetric_laplacian,
+)
+from reference import adjacency, component_count, eigenvalue_multiset
+
 
 
 def prime_pairs(limit):
@@ -42,7 +46,7 @@ class TestBuildQuotient:
     def test_chain_has_no_edges(self):
         q = build_quotient(8)
         assert q.divisors == (2, 4)
-        assert q.edge_count == 0
+        assert q.edges() == []
 
     def test_prime_is_empty(self):
         q = build_quotient(11)
@@ -52,15 +56,22 @@ class TestBuildQuotient:
     def test_factorization_gives_the_same_graph(self):
         for n in (12, 30, 720720, 3 * 2**60):
             a, b = build_quotient(n), build_quotient(factorize(n))
-            assert (a.n, a.divisors, a.weights, a.degrees) == (b.n, b.divisors, b.weights, b.degrees)
-            assert np.array_equal(a.adjacency, b.adjacency)
+            assert a == b and hash(a) == hash(b)
+
+    def test_holds_no_array(self):
+        # every field is a tuple or an int, so the graph is hashable
+        q = build_quotient(720720)
+        assert q.exponents[:3] == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0))
+        assert not any(isinstance(v, np.ndarray) for v in vars(q).values())
+        hash(q)
 
     def test_adjacency_is_mutual_non_divisibility(self):
         for n in range(4, 1001):
             q = build_quotient(n)
-            for i, a in enumerate(q.divisors):
-                for j, b in enumerate(q.divisors):
-                    assert q.adjacency[i, j] == (a % b != 0 and b % a != 0)
+            a = q.adjacency()
+            for i, x in enumerate(q.divisors):
+                for j, y in enumerate(q.divisors):
+                    assert a[i, j] == (x % y != 0 and y % x != 0)
 
     def test_refuses_n_from_two_to_the_63(self):
         build_quotient(2**62 * 3 // 2)
@@ -85,15 +96,31 @@ class TestWeightedDegrees:
         for p, q in prime_pairs(100):
             assert build_quotient(p * q).degrees == (p - 1, q - 1)
 
-    @pytest.mark.parametrize("n", [27720, 720720])
-    def test_sums_across_strips_match_python_int_sums(self, n):
-        # 94 and 238 divisors: the degrees are summed over more than one
-        # strip of STRIP_HEIGHT adjacency rows
+    @staticmethod
+    def neighbour_weight_sums(q):
+        # the definition: the weights of each divisor's neighbours, summed
+        # as Python ints over its adjacency row
+        return tuple(
+            sum(q.weights[j] for j in np.flatnonzero(row).tolist()) for row in q.adjacency()
+        )
+
+    def test_closed_form_matches_python_int_sums_below_3000(self):
+        for n in range(4, 3000):
+            if not is_prime(n):
+                q = build_quotient(n)
+                assert q.degrees == self.neighbour_weight_sums(q), n
+
+    # 94, 238, 1342 and 2686 proper divisors; 4 times a prime above 1e9;
+    # 3 times the square of a prime above 1e5; 3 times a prime above
+    # 2**53, whose degrees are exact Python ints above 2**53
+    @pytest.mark.parametrize("n", [
+        27720, 720720, 735134400, 13967553600,
+        4 * (10**9 + 7), 3 * 100003**2, 3 * (2**53 + 5),
+    ])
+    def test_closed_form_matches_python_int_sums(self, n):
         q = build_quotient(n)
-        assert q.size > STRIP_HEIGHT
-        rows = q.adjacency.tolist()
-        expected = tuple(sum(w for w, adj in zip(q.weights, row) if adj) for row in rows)
-        assert q.degrees == expected
+        assert q.degrees == self.neighbour_weight_sums(q)
+        assert all(type(deg) is int for deg in q.degrees)
 
     def test_matches_full_graph_degrees(self):
         # the partition is equitable: every vertex of the class of d has
@@ -204,13 +231,19 @@ class TestConnectivity:
         assert quotient_connectivity_state(build_quotient(12)) == "connected"
 
     def test_bfs_matches_predicate(self):
-        for n in range(2, 1001):
-            predicted = quotient_connected_predicate(n)
+        # the closed forms against a breadth-first search of the quotient
+        # for n < 3000, and of the full graph for n <= 1000
+        for n in range(2, 3000):
+            q = build_quotient(n)
+            state = quotient_connectivity_state(q)
             if is_prime(n):
-                assert predicted is None
+                assert (state, full_graph_component_count(q)) == ("empty", 0)
                 continue
-            state = quotient_connectivity_state(build_quotient(n))
-            assert state == ("connected" if predicted else "disconnected")
+            components = component_count(q.adjacency())
+            assert state == ("connected" if components == 1 else "disconnected"), n
+            if n <= 1000:
+                expected = component_count(adjacency(build_full_graph(n)))
+                assert full_graph_component_count(q) == expected, n
 
 
 class TestDisplayHelpers:

@@ -160,6 +160,7 @@ class TestClosedFormTwoPrimes:
             closed = closed_form_pq(p, q)
             assembled = assemble_spectrum(p * q)
             assert integer_part(closed) == integer_part(assembled)
+            assert closed.quotient == assembled.quotient
             cmp = compare_multisets(closed.combined, assembled.combined)
             assert cmp.matched, f"(p, q) = ({p}, {q})"
 
