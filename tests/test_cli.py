@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cozero import build_quotient, cli
+from cozero import build_quotient, cli, factorize, is_prime, numbers
 from cozero.cli import main
 
 
@@ -213,6 +213,83 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("cozero: implicit QL cap of 0 exhausted (residual ")
         assert err.count("\n") == 1
+
+
+def prime_in(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            return p
+
+
+@pytest.fixture
+def fresh_scan_table(monkeypatch):
+    """An unbuilt table for the vectorized scan, in place of the shared one."""
+    table = [None] * len(numbers._INVERSES)
+    monkeypatch.setattr(numbers, "_INVERSES", table)
+    return table
+
+
+class TestFactoringPath:
+    """The spectra of p^a q^b with primes up to 10**6 are factored by trial
+    division and the vectorized scan, never by rho, and n that never reach
+    the scan leave its table unbuilt."""
+
+    def test_large_prime_families_factor_without_rho(self, capsys, monkeypatch):
+        no_rho(monkeypatch)
+        rng = random.Random(31)
+        cases = []
+        for _ in range(20):
+            p = prime_in(rng, 10**5, 10**6)
+            q = prime_in(rng, p + 1, 10**6 + 1)
+            cases.append(((p, 1), (q, 1)))
+        for small, e in ((2, 3), (3, 2), (5, 1)):
+            cases.append(((small, e), (prime_in(rng, 10**5, 10**6), 1)))
+        cases.append(((3, 1), (100003, 2)))
+        for factors in cases:
+            n = math.prod(p**e for p, e in factors)
+            assert factorize(n).factors == factors
+            code, out, _ = run(capsys, "spectrum", str(n), "--format", "csv")
+            assert code == 0 and out.startswith("value,multiplicity,exact\n")
+
+    def test_rho_splits_primes_above_the_scan(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_pollard_brent")
+        n = 1048583 * 1048589
+        assert factorize(n).factors == ((1048583, 1), (1048589, 1))
+        assert calls == [n]
+
+    @pytest.mark.parametrize("n", [6, 720720, 1000000007])
+    def test_smooth_and_prime_n_leave_the_table_unbuilt(
+        self, capsys, fresh_scan_table, n
+    ):
+        code, _, _ = run(capsys, "spectrum", str(n), "--format", "csv")
+        assert code in (0, 2)
+        assert all(segment is None for segment in fresh_scan_table)
+
+    def test_most_divisors_below_two_to_the_63_leave_the_table_unbuilt(
+        self, fresh_scan_table
+    ):
+        assert len(factorize(897612484786617600).factors) == 12
+        assert all(segment is None for segment in fresh_scan_table)
+
+    @pytest.mark.parametrize(
+        "factors,segments",
+        [
+            # isqrt(n) = 316166 lies in the third segment of 2**17 numbers;
+            # the scan works down to 100291 in the first, and 996703 left
+            # over is below 1000**2, so prime
+            (((100291, 1), (996703, 1)), {0, 1, 2}),
+            # isqrt(n) is above 2**20: the last segment holds 1048573, and
+            # Miller-Rabin settles 1048583
+            (((1048573, 1), (1048583, 1)), {7}),
+        ],
+    )
+    def test_a_scan_builds_only_the_segments_it_reaches(
+        self, fresh_scan_table, factors, segments
+    ):
+        assert factorize(math.prod(p for p, _ in factors)).factors == factors
+        built = {k for k, segment in enumerate(fresh_scan_table) if segment is not None}
+        assert built == segments
 
 
 class TestVerifyCommand:

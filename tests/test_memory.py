@@ -34,6 +34,14 @@ eigenvalues_in_place then solves that array in place, so it is the
 solve's only d x d float array. A retained int64 Laplacian or a copy
 before the solve costs a unit more.
 
+The vectorized scan's table holds the inverse mod 2**64 of each of the
+81,857 primes in [1000, 2**20), 8 bytes each (655 KB), and nothing else
+that lasts. It is built a segment of 2**17 numbers at a time, so only one
+segment's sieve, primes and Newton temporaries live beside it: a full
+build peaks at about 1.45 tables. Four segments that double in size,
+the last holding half the primes, peaked at 3.2, and a sieve of all of
+[0, 2**20) is 1.6 tables by itself.
+
 Implicit QL works on two lists of Python floats, after the Householder
 reduction has released its panels. tracemalloc hooks every float it
 creates, which makes QL some sixty times slower, so here it passes the
@@ -45,7 +53,15 @@ import tracemalloc
 
 import pytest
 
-from cozero import assemble_spectrum, build_full_graph, build_quotient, cli, eigen
+from cozero import (
+    assemble_spectrum,
+    build_full_graph,
+    build_quotient,
+    cli,
+    eigen,
+    factorize,
+    numbers,
+)
 from cozero.quotient import symmetric_laplacian
 from cozero.spectrum import verify_against_oracle
 from reference import eigenvalue_multiset, laplacian
@@ -53,6 +69,8 @@ from reference import eigenvalue_multiset, laplacian
 N = 720
 QUOTIENT_N = 720720
 LARGE_QUOTIENT_N = 735134400
+# the primes in [SMALL_PRIME_LIMIT, SCAN_PRIME_LIMIT): pi(2**20) - pi(1000)
+SCAN_PRIMES = 82025 - 168
 
 
 def traced_peak(fn, *args):
@@ -122,3 +140,20 @@ def test_build_quotient_forms_no_square_array():
 def test_symmetric_laplacian_forms_no_second_matrix():
     q = build_quotient(QUOTIENT_N)
     assert traced_peak(symmetric_laplacian, q) <= 1.5 * 8 * q.size**2
+
+
+def test_scan_table_holds_eight_bytes_per_prime(monkeypatch):
+    table = [None] * len(numbers._INVERSES)
+    monkeypatch.setattr(numbers, "_INVERSES", table)
+    tracemalloc.start()
+    try:
+        # no prime factor below 2**20: the scan builds every segment
+        factorize(1048583 * 1048589)
+        resident, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = 8 * SCAN_PRIMES
+    assert sum(segment.nbytes for segment in table) == size
+    # beside the arrays' data: their headers and numpy's first-use caches
+    assert resident <= size + 2**14
+    assert peak <= 2 * size

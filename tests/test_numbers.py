@@ -1,6 +1,10 @@
+import random
+import sys
+import threading
 from collections import Counter
 from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
 
 from cozero import (
@@ -9,6 +13,7 @@ from cozero import (
     divisor_exponents,
     factorize,
     is_prime,
+    numbers,
 )
 from reference import gcd_class_count
 
@@ -16,6 +21,8 @@ from reference import gcd_class_count
 # the least composite that is a strong probable prime to every prime base 2..41
 PSI_13 = 3317044064679887385961981
 SIEVE_LIMIT = 10**5
+# 2**63 // 1048573 rounded down to a prime, so 1048573 * NEAR_TOP < 2**63
+NEAR_TOP = 8796118188103
 
 
 def factorization(n):
@@ -119,7 +126,7 @@ class TestFactorize:
             ((3, 1), (100003, 2)),
             ((999983, 2), (1000003, 1)),
             ((1000003, 3),),
-            # just above trial division; rho finds the larger prime first
+            # just above trial division, in the scan's first segment
             ((1009, 1), (1013, 1)),
             ((1009, 2),),
             # 897612484786617600, the n below 2**63 with the most divisors
@@ -128,6 +135,14 @@ class TestFactorize:
             # above the Miller-Rabin bound: smooth, or with a prime cofactor below it
             ((2, 200), (3, 100), (997, 20)),
             ((2, 70), (1000000000000000003, 1)),
+            # the largest prime the scan tries, times the least above it
+            ((1048573, 1), (1048583, 1)),
+            # both primes above the scan, so rho splits them
+            ((1048583, 1), (1048589, 1)),
+            ((1048573, 3),),
+            # near 2**63 the filter passes non-divisors too, which the exact
+            # check rejects; Miller-Rabin settles the prime left over
+            ((1048573, 1), (NEAR_TOP, 1)),
         ],
     )
     def test_constructed(self, factors):
@@ -145,6 +160,91 @@ class TestFactorize:
         assert factorize(8).is_prime_power
         assert not factorize(8).is_prime
         assert not factorize(12).is_prime_power
+
+
+@pytest.fixture(scope="module")
+def scan_primes():
+    """The primes from SMALL_PRIME_LIMIT to below SCAN_PRIME_LIMIT."""
+    sieve = bytearray([1]) * numbers.SCAN_PRIME_LIMIT
+    for p in range(2, isqrt(numbers.SCAN_PRIME_LIMIT - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, numbers.SCAN_PRIME_LIMIT, p)))
+    return [p for p in range(numbers.SMALL_PRIME_LIMIT, numbers.SCAN_PRIME_LIMIT) if sieve[p]]
+
+
+class TestScan:
+    """The vectorized divisibility scan against exact trial division."""
+
+    def test_table_holds_the_inverse_of_every_prime(self, scan_primes):
+        table = np.concatenate(
+            [numbers._inverse_segment(k) for k in range(len(numbers._INVERSES))]
+        )
+        assert len(table) == len(scan_primes) == 81857
+        assert np.all(table * np.array(scan_primes, dtype=np.uint64) == 1)
+
+    def test_matches_trial_division(self, scan_primes):
+        rng = random.Random(31)
+        primorial = prod(p for p in range(2, numbers.SMALL_PRIME_LIMIT) if is_prime(p))
+        for _ in range(40):
+            m = 2**63
+            while m >= 2**62:
+                m = prod(rng.choice(scan_primes) ** rng.randrange(1, 3)
+                         for _ in range(rng.randrange(4)))
+            while True:
+                # a cofactor with no prime factor below SMALL_PRIME_LIMIT
+                # that leaves m composite, as the scan requires
+                r = rng.randrange(1, 2**63 // m)
+                if gcd(r, primorial) == 1 and m * r > 1 and not is_prime(m * r):
+                    break
+            m *= r
+            small, rest = [], m
+            for d in scan_primes:
+                while rest % d == 0:
+                    small.append(d)
+                    rest //= d
+            found, left = numbers._scan(m)
+            if left == 1:
+                # what the scan stopped on is 1 or a prime it joined
+                assert sorted(found) == sorted(small + ([rest] if rest > 1 else [])), m
+                assert rest == 1 or is_prime(rest)
+            else:
+                assert (sorted(found), left) == (small, rest), m
+                assert not is_prime(left)
+
+    def test_exact_check_rejects_what_the_filter_passes(self):
+        m = 1048573 * NEAR_TOP
+        # isqrt(m) is above 2**20, so the scan starts at the last segment
+        last = numbers._inverse_segment(len(numbers._INVERSES) - 1)
+        candidates = last * np.uint64(m) <= m // numbers.SMALL_PRIME_LIMIT
+        assert np.count_nonzero(candidates) > 1
+        assert numbers._scan(m) == ([1048573, NEAR_TOP], 1)
+
+    def test_threads_that_build_the_table_at_once_agree(self, monkeypatch, scan_primes):
+        table = [None] * len(numbers._INVERSES)
+        monkeypatch.setattr(numbers, "_INVERSES", table)
+        # scans that start in different segments; the last reads them all
+        cases = {99960340573: ((100291, 1), (996703, 1)),
+                 598992816949: ((599003, 1), (999983, 1)),
+                 1099515822059: ((1048573, 1), (1048583, 1)),
+                 1099532599387: ((1048583, 1), (1048589, 1))}
+        results = []
+
+        def work(n):
+            results.append((n, factorize(n).factors))
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in list(cases) * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == sorted(list(cases.items()) * 2)
+        assert np.all(np.concatenate(table) * np.array(scan_primes, dtype=np.uint64) == 1)
 
 
 class TestIsPrime:
