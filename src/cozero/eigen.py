@@ -223,9 +223,9 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rest[rows] -= U[swap, rows].T @ U
     # each diagonal entry is final once its step has updated it, and the
     # last subdiagonal entry once the last panel has
-    sub = np.diagonal(a, -1).copy()
+    sub = a.diagonal(-1).copy()
     sub[:len(alphas)] = alphas
-    return np.diagonal(a).copy(), sub
+    return a.diagonal().copy(), sub
 
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -242,7 +242,7 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     # Python floats: scalar access to numpy arrays costs more than the arithmetic
     d, e = diag.tolist(), sub.tolist()
     e2 = [x * x for x in e] + [0.0]
-    tol2 = (float(np.finfo(np.float64).eps) * max(map(abs, d + e))) ** 2
+    tol2 = (sys.float_info.epsilon * max(map(abs, d + e))) ** 2
     start = 0
     while start < m:
         end = start
@@ -312,22 +312,22 @@ def _symmetrized(a: np.ndarray) -> float:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
     asym = scale = 0.0
-    for lo in range(0, m, PANEL_WIDTH):
-        hi = min(lo + PANEL_WIDTH, m)
-        rows = a[lo:hi, lo:]
-        cols = a[lo:, lo:hi].T
-        half_rows = 0.5 * rows
-        half_cols = 0.5 * cols
-        with np.errstate(invalid="ignore"):  # inf - inf, refused below
-            strip_asym = float(np.max(np.abs(half_rows - half_cols)))
-        # every entry is in rows or cols; an inf or a nan leaves strip_asym non-finite
-        if not math.isfinite(strip_asym):
-            raise ValueError("matrix has a non-finite entry")
-        asym = max(asym, strip_asym)
-        scale = max(scale, float(np.max(np.abs(rows))), float(np.max(np.abs(cols))))
-        mean = np.add(half_rows, half_cols, out=half_rows)
-        a[lo:hi, lo:] = mean
-        a[lo:, lo:hi] = mean.T
+    with np.errstate(invalid="ignore"):  # inf - inf, refused below
+        for lo in range(0, m, PANEL_WIDTH):
+            hi = min(lo + PANEL_WIDTH, m)
+            rows = a[lo:hi, lo:]
+            cols = a[lo:, lo:hi].T
+            half_rows = 0.5 * rows
+            half_cols = 0.5 * cols
+            strip_asym = float(np.abs(half_rows - half_cols).max())
+            # every entry is in rows or cols; an inf or a nan leaves strip_asym non-finite
+            if not math.isfinite(strip_asym):
+                raise ValueError("matrix has a non-finite entry")
+            asym = max(asym, strip_asym)
+            scale = max(scale, float(np.abs(rows).max()), float(np.abs(cols).max()))
+            mean = np.add(half_rows, half_cols, out=half_rows)
+            a[lo:hi, lo:] = mean
+            a[lo:, lo:hi] = mean.T
     limit = SYMMETRY_TOL * max(1.0, scale)
     if asym > 0.5 * limit:
         raise ValueError(f"matrix is asymmetric by {2.0 * asym:.3e} (limit {limit:.3e})")
@@ -346,7 +346,8 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     norm = math.sqrt(float(null @ null))
     if not math.isfinite(norm):  # an inf or a nan entry makes it non-finite
         raise ValueError("null vector has a non-finite norm")
-    residual = math.sqrt(float(np.sum((a @ null) ** 2)))
+    product = a @ null
+    residual = math.sqrt(float(product @ product))
     scale = math.sqrt(float(np.vdot(a, a))) * norm
     if norm == 0.0 or residual > NULL_VECTOR_TOL * scale:
         raise ValueError(
@@ -359,8 +360,8 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
     p -= (0.5 * beta * float(v @ p)) * v
     for lo in range(0, len(a), STRIP_HEIGHT):
         rows = slice(lo, lo + STRIP_HEIGHT)
-        a[rows] -= np.outer(v[rows], p)
-        a[rows] -= np.outer(p[rows], v)
+        a[rows] -= np.multiply.outer(v[rows], p)
+        a[rows] -= np.multiply.outer(p[rows], v)
     return _eigenvalues(a[1:, 1:])
 
 

@@ -1,9 +1,9 @@
 """Exact integer arithmetic underpinning the graph construction.
 
-Factorization is deterministic. Trial division by the primes below
-SMALL_PRIME_LIMIT strips the small factors, which settles smooth n of any
-size. Each cofactor left over is tested by Miller-Rabin with the 13
-prime bases 2..41, which is proven to decide primality below
+Factorization is deterministic. The primes below SMALL_PRIME_LIMIT that
+divide n's gcd with their product are divided out, which settles smooth
+n of any size. Each cofactor left over is tested by Miller-Rabin with
+the 13 prime bases 2..41, which is proven to decide primality below
 MILLER_RABIN_LIMIT (Sorenson & Webster 2017, Math. Comp. 86). A composite
 one below 2**64 is scanned for its prime factors below SCAN_PRIME_LIMIT
 (2**20) by a wrapping uint64 product with the primes' inverses mod 2**64,
@@ -32,23 +32,23 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 
-def _primes_in(lo: int, hi: int) -> np.ndarray:
-    """The primes of [lo, hi), ascending, by a sieve of Eratosthenes on that segment."""
-    sieve = np.ones(hi - lo, dtype=bool)
-    sieve[: max(2 - lo, 0)] = False
-    root = isqrt(hi - 1)
-    for p in _primes_in(2, root + 1).tolist() if root >= 2 else ():
-        start = max(p * p, -(-lo // p) * p)
-        sieve[start - lo :: p] = False
-    primes = np.flatnonzero(sieve)
-    primes += lo
-    return primes
+def _odd_primes_in(lo: int, hi: int, sieving: tuple[int, ...]) -> np.ndarray:
+    """The odd primes of [lo, hi), 3 <= lo < hi, ascending, by a sieve of
+    Eratosthenes on the odd numbers of that segment with sieving, the odd
+    primes up to isqrt(hi - 1) or further."""
+    first = lo | 1
+    # sieve[i] stands for first + 2i
+    sieve = np.ones((hi - first + 1) // 2, dtype=bool)
+    for p in sieving:
+        # the least odd multiple of p from max(p * p, first) up
+        start = max(p * p, -(-first // p) * p)
+        sieve[(start + p * (start % 2 == 0) - first) // 2 :: p] = False
+    return first + 2 * np.flatnonzero(sieve)
 
 
-# trial division covers the primes below this; a cofactor below its square
-# with no prime factor below it is prime
+# the gcd with the primorial covers the primes below this; a cofactor below
+# its square with no prime factor below it is prime
 SMALL_PRIME_LIMIT = 1000
-_SMALL_PRIMES = tuple(_primes_in(2, SMALL_PRIME_LIMIT).tolist())
 # the 13 smallest primes; psi_13, the least composite that is a strong
 # probable prime to all of them, bounds where the test is proven
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -61,6 +61,11 @@ SCAN_PRIME_LIMIT = 1 << 20
 # scan first reaches it; smaller segments leave less of their sieve and
 # temporaries resident, larger ones save a few microseconds per scan
 SCAN_SEGMENT = 1 << 17
+# the odd primes up to isqrt(SCAN_PRIME_LIMIT - 1) = 1023, sieved with those
+# up to 31; they sieve every segment of the scan's table
+_SIEVING_PRIMES = tuple(_odd_primes_in(3, 1024, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)).tolist())
+_SMALL_PRIMES = (2, *(p for p in _SIEVING_PRIMES if p < SMALL_PRIME_LIMIT))
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 _INVERSES: list[np.ndarray | None] = [None] * (SCAN_PRIME_LIMIT // SCAN_SEGMENT)
 # rho differences multiplied together before one gcd
 RHO_BATCH = 128
@@ -93,28 +98,32 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Prime-power decomposition of n >= 2, primes strictly ascending.
 
-    Trial division by the primes below SMALL_PRIME_LIMIT, then Miller-Rabin
-    on the cofactor left over. A composite cofactor below 2**64 is scanned
-    for its prime factors below SCAN_PRIME_LIMIT, and Pollard-Brent rho
-    splits what the scan leaves composite. Raises ValueError for
-    n < 2, and when that cofactor is at or above MILLER_RABIN_LIMIT, where
-    its primality cannot be decided.
+    The primes below SMALL_PRIME_LIMIT that divide n's gcd with their
+    product are divided out, then Miller-Rabin decides the cofactor left.
+    A composite cofactor below 2**64 is scanned for its prime factors
+    below SCAN_PRIME_LIMIT, and Pollard-Brent rho splits what the scan
+    leaves composite. Raises ValueError for n < 2, and when that cofactor
+    is at or above MILLER_RABIN_LIMIT, where its primality cannot be
+    decided.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors: list[tuple[int, int]] = []
     rest = n
+    # the small primes that divide n divide this gcd; the loop ends once it is used up
+    small = gcd(n, _SMALL_PRIMORIAL)
     for p in _SMALL_PRIMES:
-        if p * p > rest:
+        if small == 1:
             break
-        if rest % p == 0:
+        if small % p == 0:
+            small //= p
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             factors.append((p, e))
+    # rest has no prime factor below SMALL_PRIME_LIMIT, so below its square it is 1 or prime
     if rest >= SMALL_PRIME_LIMIT**2:
-        # the loop ran out, so no prime factor of rest lies below SMALL_PRIME_LIMIT
         factors.extend(sorted(Counter(_prime_factors(rest)).items()))
     elif rest > 1:
         factors.append((rest, 1))
@@ -190,8 +199,8 @@ def _scan(m: int) -> tuple[list[int], int]:
 
     m < 2**64 is composite and has no prime factor below SMALL_PRIME_LIMIT.
     If a prime d with inverse v mod 2**64 divides m, then m * v mod 2**64
-    is m // d, at most m // SMALL_PRIME_LIMIT (Granlund & Montgomery 1994,
-    PLDI). So one wrapping product and one compare per segment of the
+    is m // d <= m // lo, lo the start of d's segment (Granlund & Montgomery
+    1994, PLDI). So one wrapping product and one compare per segment of the
     table give every prime factor in it, among the few non-divisors that
     an exact m % d rejects. The least prime factor of m is at most its
     square root, so the scan starts at the segment that holds isqrt(m) and
@@ -208,7 +217,8 @@ def _scan(m: int) -> tuple[list[int], int]:
         start = m
         # the candidates for the m a segment starts with include those for
         # any m left after dividing out a factor
-        for i in np.flatnonzero(inverses * np.uint64(m) <= m // SMALL_PRIME_LIMIT):
+        bound = m // max(k * SCAN_SEGMENT, SMALL_PRIME_LIMIT)
+        for i in (inverses * np.uint64(m) <= bound).nonzero()[0]:
             d = pow(int(inverses[i]), -1, 1 << 64)
             while m % d == 0:
                 m //= d
@@ -231,7 +241,7 @@ def _inverse_segment(k: int) -> np.ndarray:
     inverses = _INVERSES[k]
     if inverses is None:
         lo = max(k * SCAN_SEGMENT, SMALL_PRIME_LIMIT)
-        primes = _primes_in(lo, (k + 1) * SCAN_SEGMENT).view(np.uint64)
+        primes = _odd_primes_in(lo, (k + 1) * SCAN_SEGMENT, _SIEVING_PRIMES).view(np.uint64)
         # Newton's step v -> v * (2 - p * v) doubles the number of correct
         # low bits of the inverse, and v = p is right in 3 bits for odd p,
         # so five steps in wrapping uint64 arithmetic reach all 64

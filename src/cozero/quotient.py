@@ -14,14 +14,12 @@ spectrum, so n must lie below 2**63.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numbers import (
     Factorization,
-    divisor_exponents,
     factorize,
     is_prime,
     totient_prime_power,
@@ -93,19 +91,19 @@ def build_quotient(n: int | Factorization) -> QuotientGraph:
     f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
     if not f.is_prime:
         _require_below_int64(f.n)
-    proper = divisor_exponents(f)[1:-1]
-    phis = [[totient_prime_power(p, e - a) for a in range(e + 1)] for p, e in f.factors]
-    weights, degrees = [], []
-    for d, vec in proper:
-        w = math.prod(phi[a] for phi, a in zip(phis, vec))
-        below = math.prod(
-            p**e if a == e else p**e - p ** (e - a - 1) for (p, e), a in zip(f.factors, vec)
-        )
-        weights.append(w)
-        degrees.append(f.n - f.n // d - below + w)
+    # (d, exponents, phi(n/d), prod c_p), expanded one prime at a time as
+    # divisor_exponents expands the divisors
+    rows = [(1, (), 1, 1)]
+    for p, e in f.factors:
+        phis = [totient_prime_power(p, e - a) for a in range(e + 1)]
+        cs = [p**e - p ** (e - a - 1) for a in range(e)] + [p**e]
+        rows = [(d * p**a, vec + (a,), w * phis[a], c * cs[a])
+                for d, vec, w, c in rows for a in range(e + 1)]
+    rows.sort()
+    proper = rows[1:-1]
     return QuotientGraph(
-        f.n, tuple(d for d, _ in proper), tuple(vec for _, vec in proper),
-        tuple(weights), tuple(degrees),
+        f.n, tuple(r[0] for r in proper), tuple(r[1] for r in proper),
+        tuple(r[2] for r in proper), tuple(f.n - f.n // d - c + w for d, _, w, c in proper),
     )
 
 
@@ -160,5 +158,5 @@ def symmetric_laplacian(q: QuotientGraph) -> np.ndarray:
     # that into +0.0 and leaves every other entry as it is
     symmetric *= adjacency
     symmetric += 0.0
-    np.fill_diagonal(symmetric, q.degrees)
+    symmetric.reshape(-1)[:: q.size + 1] = q.degrees
     return symmetric

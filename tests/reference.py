@@ -1,25 +1,25 @@
 """Independent references the tests compare the library against.
 
 Each one computes its answer the slow, literal way: from the ring
-definition, by scanning residues, by a search that visits one vertex at
-a time, by exact Horner evaluation, or in exact integer arithmetic. The
-paper's two exact results live here too: the closed-form spectrum of
-n = p*q and the quartic characteristic polynomial of the p**2 * q
-quotient, with Faddeev-LeVerrier as the exact polynomial of any small
-integer matrix and Sturm bisection over Fractions for its real roots.
-true_spectrum takes those roots for the quotient that the library
-builds, so it checks the solver and the merge, not the divisor lattice.
-None is used by the library itself. Three helpers are
-no independent references: integer_part reads the class table off an
-assembled spectrum's quotient, eigenvalue_multiset wraps the library's
-solver so that a test can pass any matrix and get a merged multiset, and
-with_flipped_pairs makes a graph the builder cannot, for the oracle's
-refusals to be tested.
+definition, by scanning residues, by trial division, divisor by divisor,
+by a search that visits one vertex at a time, by exact Horner
+evaluation, or in exact integer arithmetic. The paper's two exact
+results live here too: the closed-form spectrum of n = p*q and the
+quartic characteristic polynomial of the p**2 * q quotient, with
+Faddeev-LeVerrier as the exact polynomial of any small integer matrix
+and Sturm bisection over Fractions for its real roots. true_spectrum
+takes those roots for the quotient that the library builds, so it checks
+the solver and the merge, not the divisor lattice. None is used by the
+library itself. Three helpers are no independent references:
+integer_part reads the class table off an assembled spectrum's quotient,
+eigenvalue_multiset wraps the library's solver so that a test can pass
+any matrix and get a merged multiset, and with_flipped_pairs makes a
+graph the builder cannot, for the oracle's refusals to be tested.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, prod
 
 import numpy as np
 
@@ -30,10 +30,12 @@ from cozero import (
     SpectrumEntry,
     SpectrumMultiset,
     build_quotient,
+    divisor_exponents,
     is_prime,
     merge_spectrum,
 )
 from cozero.eigen import eigenvalues_in_place
+from cozero.numbers import totient_prime_power
 from cozero.quotient import integer_laplacian
 
 CHARPOLY_MAX_DIM = 64
@@ -137,6 +139,41 @@ def eigenvalue_multiset(matrix, null_vector=None) -> SpectrumMultiset:
 def gcd_class_count(n: int, d: int) -> int:
     """|{x in [1, n-1] : gcd(x, n) == d}| by direct scan."""
     return sum(1 for x in range(1, n) if gcd(x, n) == d)
+
+
+def trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime-power factors of n >= 2, ascending, by dividing out every
+    d = 2, 3, 4, ... up to the square root of what is left."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def closed_form_quotient(f) -> QuotientGraph:
+    """The quotient of f.n, one proper divisor d at a time, by the closed
+    form in build_quotient's docstring: weight phi(n/d), and with
+    a = v_p(d), p^e || n and c_p = p^e - p^(e - a - 1), or p^e if a = e,
+    weighted degree n - n/d - prod c_p + phi(n/d)."""
+    divisors, exponents, weights, degrees = [], [], [], []
+    for d, vec in divisor_exponents(f)[1:-1]:
+        pairs = list(zip(f.factors, vec))
+        w = prod(totient_prime_power(p, e - a) for (p, e), a in pairs)
+        c = prod(p**e if a == e else p**e - p ** (e - a - 1) for (p, e), a in pairs)
+        divisors.append(d)
+        exponents.append(vec)
+        weights.append(w)
+        degrees.append(f.n - f.n // d - c + w)
+    return QuotientGraph(f.n, tuple(divisors), tuple(exponents), tuple(weights), tuple(degrees))
 
 
 def poly_eval_int(coeffs, x: int) -> int:

@@ -231,9 +231,9 @@ def fresh_scan_table(monkeypatch):
 
 
 class TestFactoringPath:
-    """The spectra of p^a q^b with primes up to 10**6 are factored by trial
-    division and the vectorized scan, never by rho, and n that never reach
-    the scan leave its table unbuilt."""
+    """The spectra of p^a q^b with primes up to 10**6 are factored by the
+    small primes' gcd and the vectorized scan, never by rho, and n that
+    never reach the scan leave its table unbuilt."""
 
     def test_large_prime_families_factor_without_rho(self, capsys, monkeypatch):
         no_rho(monkeypatch)

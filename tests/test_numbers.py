@@ -15,7 +15,7 @@ from cozero import (
     is_prime,
     numbers,
 )
-from reference import gcd_class_count
+from reference import gcd_class_count, trial_division
 
 
 # the least composite that is a strong probable prime to every prime base 2..41
@@ -149,6 +149,30 @@ class TestFactorize:
         n = prod(p**e for p, e in factors)
         assert factorize(n) == Factorization(n, factors)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # repeated small factors: the gcd names the prime once
+            2**62, 3**39, 2**40 * 3**20, 997**6,
+            # the largest small primes, alone and with a prime above them
+            997, 991 * 997, 991 * 997**2, 991 * 997 * 1009, 991 * 997 * 999983,
+            2 * 997 * (10**9 + 7),
+            # smooth n
+            720720, 897612484786617600, 2**8 * 3**4 * 5**2 * 7**2 * 11 * 997,
+            # prime n, small and large
+            2, 3, 1009, 999983, 1000003, 2**31 - 1, 10**9 + 7, 999999999989,
+            # squares of primes on either side of SMALL_PRIME_LIMIT
+            997**2, 1009**2, 997 * 1009,
+        ],
+    )
+    def test_matches_trial_division_reference(self, n):
+        assert factorize(n).factors == trial_division(n)
+
+    def test_matches_trial_division_reference_below_a_million(self):
+        rng = random.Random(32)
+        for n in [*range(999_000, 1_000_000), *rng.sample(range(2, 1_000_000), 2000)]:
+            assert factorize(n).factors == trial_division(n), n
+
     @pytest.mark.parametrize("n", [PSI_13, 2 * PSI_13, PSI_13 * 1000003])
     def test_refuses_undecidable_cofactor(self, n):
         with pytest.raises(ValueError, match=f"proven only below {PSI_13}"):
@@ -214,10 +238,28 @@ class TestScan:
     def test_exact_check_rejects_what_the_filter_passes(self):
         m = 1048573 * NEAR_TOP
         # isqrt(m) is above 2**20, so the scan starts at the last segment
-        last = numbers._inverse_segment(len(numbers._INVERSES) - 1)
-        candidates = last * np.uint64(m) <= m // numbers.SMALL_PRIME_LIMIT
-        assert np.count_nonzero(candidates) > 1
+        k = len(numbers._INVERSES) - 1
+        last = numbers._inverse_segment(k)
+        products = last * np.uint64(m)
+        # a bound of m // SMALL_PRIME_LIMIT passes non-divisors too, which
+        # only the exact m % d would reject; the segment's own bound
+        # m // (k * SCAN_SEGMENT) passes the divisor alone here
+        assert np.count_nonzero(products <= m // numbers.SMALL_PRIME_LIMIT) > 1
+        passed = np.flatnonzero(products <= m // (k * numbers.SCAN_SEGMENT))
+        assert [pow(int(last[i]), -1, 2**64) for i in passed] == [1048573]
         assert numbers._scan(m) == ([1048573, NEAR_TOP], 1)
+
+    def test_segment_bound_passes_the_least_prime_of_each_segment(self, scan_primes):
+        # m = d * q with d the least prime of segment k and q the largest
+        # prime that keeps m below 2**64, so m // d is as close to the
+        # segment's bound as it gets
+        for k in range(len(numbers._INVERSES)):
+            lo = max(k * numbers.SCAN_SEGMENT, numbers.SMALL_PRIME_LIMIT)
+            d = next(p for p in scan_primes if p >= lo)
+            q = (2**64 - 1) // d
+            while not is_prime(q):
+                q -= 1
+            assert numbers._scan(d * q) == ([d, q], 1), k
 
     def test_threads_that_build_the_table_at_once_agree(self, monkeypatch, scan_primes):
         table = [None] * len(numbers._INVERSES)

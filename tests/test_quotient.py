@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,12 @@ from cozero.quotient import (
     integer_laplacian,
     symmetric_laplacian,
 )
-from reference import adjacency, component_count, eigenvalue_multiset
+from reference import (
+    adjacency,
+    closed_form_quotient,
+    component_count,
+    eigenvalue_multiset,
+)
 
 
 
@@ -57,6 +64,25 @@ class TestBuildQuotient:
         for n in (12, 30, 720720, 3 * 2**60):
             a, b = build_quotient(n), build_quotient(factorize(n))
             assert a == b and hash(a) == hash(b)
+
+    def test_matches_the_closed_form_reference_below_3000(self):
+        for n in range(4, 3001):
+            if not is_prime(n):
+                f = factorize(n)
+                assert build_quotient(f) == closed_form_quotient(f), n
+
+    # the exponent signatures of the spectrum ladder, 30 to 238 divisors,
+    # larger exponents on the smaller primes and on the larger ones
+    @pytest.mark.parametrize("signature", [
+        (3, 1, 1, 1), (2, 2, 1, 1), (4, 2, 1, 1), (3, 2, 1, 1, 1),
+        (4, 2, 1, 1, 1), (4, 2, 2, 1, 1), (4, 2, 1, 1, 1, 1),
+    ])
+    @pytest.mark.parametrize("primes", [(2, 3, 5, 7, 11, 13), (19, 17, 13, 11, 7, 5)])
+    def test_matches_the_closed_form_reference_on_the_ladder(self, signature, primes):
+        n = prod(p**e for p, e in zip(primes, signature))
+        f = factorize(n)
+        assert sorted(e for _, e in f.factors) == sorted(signature)
+        assert build_quotient(f) == closed_form_quotient(f)
 
     def test_holds_no_array(self):
         # every field is a tuple or an int, so the graph is hashable
