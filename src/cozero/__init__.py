@@ -12,7 +12,6 @@ graph. All public functions are pure and thread-safe.
 from .errors import ConvergenceError, EmptyGraphError, VertexCapError
 from .numbers import (
     Factorization,
-    divisor_exponents,
     factorize,
     is_prime,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "build_full_graph",
     "build_quotient",
     "compare_multisets",
-    "divisor_exponents",
     "factorize",
     "full_graph_component_count",
     "is_laplacian_integral",

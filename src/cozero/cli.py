@@ -16,15 +16,12 @@ import functools
 import json
 import sys
 import time
-from collections.abc import Iterable
 from datetime import datetime, timezone
 from itertools import chain
 
-import numpy as np
-
 from . import spectrum as sp
 from .errors import ConvergenceError, VertexCapError
-from .fullgraph import FullGraph, build_full_graph, factorize_for_full_graph
+from .fullgraph import factorize_for_full_graph
 from .quotient import (
     QuotientGraph,
     build_quotient,
@@ -49,12 +46,6 @@ FILTERS = {
     "png-q": lambda exponents: len(exponents) == 2 and exponents[0] == 1,
     "general2prime": lambda exponents: len(exponents) == 2,
 }
-
-# qualitative palette cycled per divisor class in the full graph's DOT
-_PALETTE = (
-    "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3", "#a6d854",
-    "#ffd92f", "#e5c494", "#b3b3b3", "#1f78b4", "#33a02c",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,11 +101,6 @@ def _build_parser() -> _Parser:
     p_struct = command("structure", ("text", "json", "csv", "dot"),
                        "divisor quotient graph and class table")
     p_struct.add_argument("n", type=_modulus)
-    p_struct.add_argument("--full", action="store_true",
-                          help="with --format dot, emit the full graph instead")
-    # _cmd_structure refuses --full without --format dot through this
-    # parser's usage
-    p_struct.set_defaults(parser=p_struct)
 
     p_int = command("integrality", ("text", "json"),
                     "report whether the spectrum is all-integer")
@@ -123,8 +109,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(lines: Iterable[str], args) -> None:
-    """Write each of lines (a list, or a generator of chunks) and a newline to --out or stdout."""
+def _emit(lines: list[str], args) -> None:
+    """Write each of lines and a newline to --out or stdout."""
     text = (f"{line}\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -274,25 +260,6 @@ def _quotient_dot(q: QuotientGraph) -> list[str]:
     return lines + ["}"]
 
 
-def _full_graph_dot(graph: FullGraph) -> Iterable[str]:
-    """The full graph: vertex label is the ring element, fill color marks the
-    class. Edges are read one adjacency row at a time, and each row's edges
-    to later vertices, if it has any, are one chunk, never the whole text."""
-    color_of = {
-        c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(sorted(set(graph.classes)))
-    }
-    yield f"graph cozero_divisor_{graph.n} {{\n  node [style=filled];"
-    vertices = graph.vertices
-    for v, c in zip(vertices, graph.classes):
-        yield f'  v{v} [label="{v}", fillcolor="{color_of[c]}", tooltip="class {c}"];'
-    for i, v in enumerate(vertices):
-        (row,) = graph.adjacency_rows(slice(i, i + 1))
-        later = np.flatnonzero(row[i + 1:])
-        if len(later):
-            yield "\n".join([f"  v{v} -- v{vertices[j]};" for j in (later + (i + 1)).tolist()])
-    yield "}"
-
-
 def _laplacian_csv(q: QuotientGraph) -> list[str]:
     """The integer quotient Laplacian as bare CSV rows."""
     return [",".join(map(str, row)) for row in integer_laplacian(q).tolist()]
@@ -430,16 +397,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    if args.full and args.format != "dot":
-        args.parser.error("argument --full: only with --format dot")
     n = args.n
-    # --full builds no quotient: the vertex bound refuses n, not 2**63
-    f = factorize_for_full_graph(n) if args.full else factorize_for_quotient(n)
+    f = factorize_for_quotient(n)
     if f.is_prime and args.format != "json":
         return _emit_degenerate(n, args, "no proper divisors")
-    if args.full:
-        _emit(_full_graph_dot(build_full_graph(f)), args)
-        return EXIT_OK
     q = build_quotient(f)
     if args.format == "csv":
         _emit(_laplacian_csv(q), args)

@@ -15,9 +15,9 @@ about n**(1/4) steps, recursing until every part is prime. The slowest
 n below 2**63, products of two primes near 3*10**9, take a few tens of
 milliseconds, a tenth of a second in the tail. A cofactor at or above
 MILLER_RABIN_LIMIT cannot be decided, and the input is refused with a
-ValueError. One Factorization carries everything derived from n:
-primality, phi(n) and the divisors, enumerated once together with their
-exponent vectors. All functions are pure and safe to call concurrently;
+ValueError. One Factorization carries what is derived from n alone:
+its prime powers, primality and phi(n); the quotient expands the
+divisors from it. All functions are pure and safe to call concurrently;
 threads that build the same segment of the scan's table at once store
 equal arrays.
 """
@@ -131,19 +131,20 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division below SMALL_PRIME_LIMIT, then Miller-Rabin.
+    """Primality from n's gcd with the product of the primes below
+    SMALL_PRIME_LIMIT, as factorize reads it, then Miller-Rabin.
 
-    Raises ValueError when n has no prime factor below SMALL_PRIME_LIMIT
-    and is at or above MILLER_RABIN_LIMIT, where the test is not proven.
+    n with a prime factor below SMALL_PRIME_LIMIT is prime only if it is
+    that prime; n with none is prime below SMALL_PRIME_LIMIT**2, and above
+    it as Miller-Rabin decides. Raises ValueError when n has no prime
+    factor below SMALL_PRIME_LIMIT and is at or above MILLER_RABIN_LIMIT,
+    where the test is not proven.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return n == p
-    return _miller_rabin(n)
+    if gcd(n, _SMALL_PRIMORIAL) > 1:
+        return n in _SMALL_PRIMES
+    return n < SMALL_PRIME_LIMIT**2 or _miller_rabin(n)
 
 
 def _miller_rabin(m: int) -> bool:
@@ -289,11 +290,3 @@ def totient_prime_power(p: int, e: int) -> int:
     if e == 0:
         return 1
     return p ** (e - 1) * (p - 1)
-
-
-def divisor_exponents(f: Factorization) -> list[tuple[int, tuple[int, ...]]]:
-    """Every divisor of f.n with its exponent vector over f.primes, ascending."""
-    divs: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-    for p, e in f.factors:
-        divs = [(d * p**a, vec + (a,)) for d, vec in divs for a in range(e + 1)]
-    return sorted(divs)

@@ -71,7 +71,7 @@ def factorize_for_quotient(n: int) -> Factorization:
     """factorize(n), but a composite n >= 2**63 is refused before any factoring.
 
     A prime n passes, so that it can still be reported degenerate:
-    is_prime is trial division and Miller-Rabin, with no rho.
+    is_prime reads a gcd and runs Miller-Rabin, with no rho.
     """
     if n >= 2**63 and not is_prime(n):
         _require_below_int64(n)
@@ -91,8 +91,7 @@ def build_quotient(n: int | Factorization) -> QuotientGraph:
     f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
     if not f.is_prime:
         _require_below_int64(f.n)
-    # (d, exponents, phi(n/d), prod c_p), expanded one prime at a time as
-    # divisor_exponents expands the divisors
+    # (d, exponents, phi(n/d), prod c_p), expanded one prime at a time
     rows = [(1, (), 1, 1)]
     for p, e in f.factors:
         phis = [totient_prime_power(p, e - a) for a in range(e + 1)]

@@ -93,10 +93,9 @@ def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     return AssembledSpectrum(f.n, q, quotient_part, combined, degenerate)
 
 
-def is_laplacian_integral(spectrum: AssembledSpectrum | eigen.SpectrumMultiset) -> bool:
+def is_laplacian_integral(spectrum: AssembledSpectrum) -> bool:
     """True iff every eigenvalue is exact, an integer as merge_spectrum decided."""
-    multiset = spectrum.combined if isinstance(spectrum, AssembledSpectrum) else spectrum
-    return multiset.is_integral()
+    return spectrum.combined.is_integral()
 
 
 # ---------------------------------------------------------------------------

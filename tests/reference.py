@@ -19,6 +19,7 @@ graph the builder cannot, for the oracle's refusals to be tested.
 
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import product
 from math import floor, gcd, prod
 
 import numpy as np
@@ -30,7 +31,6 @@ from cozero import (
     SpectrumEntry,
     SpectrumMultiset,
     build_quotient,
-    divisor_exponents,
     is_prime,
     merge_spectrum,
 )
@@ -163,9 +163,14 @@ def closed_form_quotient(f) -> QuotientGraph:
     """The quotient of f.n, one proper divisor d at a time, by the closed
     form in build_quotient's docstring: weight phi(n/d), and with
     a = v_p(d), p^e || n and c_p = p^e - p^(e - a - 1), or p^e if a = e,
-    weighted degree n - n/d - prod c_p + phi(n/d)."""
+    weighted degree n - n/d - prod c_p + phi(n/d). The divisors are every
+    exponent vector of f.factors, sorted by the divisor each makes."""
+    every = sorted(
+        (prod(p**a for (p, _), a in zip(f.factors, vec)), vec)
+        for vec in product(*(range(e + 1) for _, e in f.factors))
+    )
     divisors, exponents, weights, degrees = [], [], [], []
-    for d, vec in divisor_exponents(f)[1:-1]:
+    for d, vec in every[1:-1]:
         pairs = list(zip(f.factors, vec))
         w = prod(totient_prime_power(p, e - a) for (p, e), a in pairs)
         c = prod(p**e if a == e else p**e - p ** (e - a - 1) for (p, e), a in pairs)

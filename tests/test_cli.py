@@ -329,6 +329,15 @@ class TestVerifyCommand:
         assert out == ""
         assert "at least 1821274895348 vertices" in err
 
+    def test_refuses_by_the_vertex_bound_before_factoring(self, capsys, monkeypatch):
+        # a composite n has at least isqrt(n) - 1 vertices, the multiples
+        # of its least prime, so 2**64 is refused unfactored
+        calls = count_calls(monkeypatch, "factorize")
+        code, out, err = run(capsys, "verify", str(2**64))
+        assert (code, out) == (3, "")
+        assert "needs at least 4294967295 vertices" in err
+        assert calls == []
+
     def test_prime_above_the_cap_bound_is_degenerate(self, capsys, monkeypatch):
         no_rho(monkeypatch)
         code, out, _ = run(capsys, "verify", "9223372036854775837")
@@ -476,47 +485,6 @@ class TestStructureCommand:
         code, out, _ = run(capsys, "structure", "12", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "2,-2,0,0"
-
-    def test_full_graph_dot(self, capsys):
-        code, out, _ = run(capsys, "structure", "12", "--format", "dot", "--full")
-        assert code == 0
-        assert out.startswith("graph cozero_divisor_12 {")
-
-    def test_full_builds_no_quotient(self, capsys, monkeypatch):
-        # --full renders the full graph alone, so the vertex cap refuses n
-        # before any d x d quotient array exists
-        expected = run(capsys, "structure", "30", "--format", "dot", "--full")
-        golden = (Path(__file__).parent / "golden" / "structure.txt").read_text(encoding="utf-8")
-        block = golden.split("$ cozero structure 12 --format dot --full\nexit 0\n")[1]
-
-        def refuse(n):
-            raise AssertionError("structure --full built the quotient")
-
-        monkeypatch.setattr(cli, "build_quotient", refuse)
-        assert expected[0] == 0
-        assert run(capsys, "structure", "30", "--format", "dot", "--full") == expected
-        code, out, _ = run(capsys, "structure", "12", "--format", "dot", "--full")
-        assert code == 0
-        assert out == block.split("$ cozero ")[0]
-        code, _, err = run(capsys, "structure", "720720", "--format", "dot", "--full")
-        assert code == 3
-        assert "cap" in err
-
-    def test_full_cap_exceeded(self, capsys):
-        code, out, err = run(capsys, "structure", "40022", "--format", "dot", "--full")
-        assert (code, out) == (3, "")
-        assert err == "cozero: n = 40022 needs 20011 vertices, above the cap of 20000\n"
-
-    def test_full_refuses_by_the_vertex_bound_before_factoring(self, capsys, monkeypatch):
-        # --full builds no quotient, so the quotient's 2**63 bound is not
-        # its refusal: the vertex bound refuses n, unfactored, as verify does
-        calls = count_calls(monkeypatch, "factorize")
-        n = str(2**64)
-        code, out, err = run(capsys, "structure", n, "--format", "dot", "--full")
-        assert (code, out) == (3, "")
-        assert "needs at least 4294967295 vertices" in err
-        assert run(capsys, "verify", n) == (code, out, err)
-        assert calls == []
 
     def test_prime_degenerate(self, capsys):
         code, out, _ = run(capsys, "structure", "11")
@@ -685,13 +653,13 @@ class TestUsageErrors:
         ["scan", "4", "8", "--format", "dot"],
         ["spectrum", "30", "--cap", "5"],
         ["integrality", "12", "--cap", "1"],
-        ["structure", "30", "--full", "--format", "json"],
+        ["structure", "30", "--format", "svg"],
         ["structure", "30", "--cap", "1"],
         ["structure", "30", "--format", "dot", "--cap", "1"],
     ])
     def test_options_a_command_does_not_use_are_refused(self, capsys, argv):
-        # each command takes only the formats it renders, structure --full
-        # only with --format dot, and no command takes --cap
+        # each command takes only the formats it renders, and no command
+        # takes --cap
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
@@ -699,17 +667,23 @@ class TestUsageErrors:
         assert out == ""
         assert argv[-2] in err
 
+    @pytest.mark.parametrize("flag", [["--cap", "100"], ["--full"]], ids=["cap", "full"])
     @pytest.mark.parametrize("argv", [
         ["verify", "30"],
         ["scan", "4", "9"],
-        ["structure", "30", "--format", "dot", "--full"],
-    ], ids=["verify", "scan", "structure"])
-    def test_cap_is_unknown(self, capsys, argv):
-        # the vertex cap is the constant cozero.VERTEX_CAP, not an option
+        ["structure", "30"],
+        ["structure", "30", "--format", "dot"],
+    ], ids=["verify", "scan", "structure", "structure-dot"])
+    def test_removed_flags_are_unknown(self, capsys, argv, flag):
+        # the vertex cap is the constant cozero.VERTEX_CAP, not an option,
+        # and structure renders the quotient only: the full graph is built
+        # for the oracle alone
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--cap", "100"])
+            main([*argv, *flag])
         assert exc.value.code == 64
-        assert "--cap" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_missing_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -793,7 +767,7 @@ class TestParserReuse:
             out_file = tmp_path / f"in{i}.json"
             results.append(in_process(
                 capsys, [a.format(out=out_file) for a in argv]))
-        assert [r[2] for r in results] == [3, 0, 64, 0, 0, 0, 3, 0]
+        assert [r[2] for r in results] == [3, 0, 64, 64, 0, 0, 3, 0]
 
         for i, argv in enumerate(sequence):
             out_file = tmp_path / f"fresh{i}.json"

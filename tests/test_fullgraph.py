@@ -137,20 +137,6 @@ class TestBuildFullGraph:
         assert err.value.vertex_count == isqrt(n) - 1
         assert err.value.cap == fullgraph.VERTEX_CAP
 
-    @pytest.mark.parametrize("n", [12, 720, 1155, 3**6])
-    def test_dot_edges_walk_the_upper_triangle(self, n, cli_output):
-        # the DOT's edge lines, row by row; the null graph of 3**6 has none
-        code, out = cli_output("structure", str(n), "--format", "dot", "--full")
-        assert code == 0
-        graph = build_full_graph(n)
-        index = {f"v{x}": k for k, x in enumerate(graph.vertices)}
-        edges = [
-            tuple(index[v] for v in line.strip().rstrip(";").split(" -- "))
-            for line in out.splitlines() if " -- " in line
-        ]
-        i, j = np.nonzero(np.triu(adjacency(graph), 1))
-        assert edges == list(zip(i.tolist(), j.tolist()))
-
     def test_verify_mode(self):
         # every pair re-checked against the ring definition
         for n in (12, 30, 60):
@@ -249,14 +235,6 @@ class TestExports:
         lap = laplacian(build_full_graph(30))
         assert np.array_equal(lap.sum(axis=1), np.zeros(21))
         assert np.array_equal(lap, lap.T)
-
-    def test_dot_output(self, cli_output):
-        code, out = cli_output("structure", "12", "--format", "dot", "--full")
-        assert code == 0
-        graph = build_full_graph(12)
-        for v in graph.vertices:
-            assert f'v{v} [label="{v}"' in out
-        assert out.count(" -- ") == int(adjacency(graph).sum()) // 2
 
 
 def split_spectrum(graph):

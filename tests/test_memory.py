@@ -13,11 +13,6 @@ second block or an m x m int16 Laplacian (a quarter unit each), nor for
 a stored m x m boolean adjacency (an eighth). The tests'
 eigenvalue_multiset on the whole Laplacian forms one full working copy.
 
-The full graph's DOT is rendered one adjacency row at a time: structure
-720 --format dot --full (527 vertices, 70,120 edges, about 1.1 MB of
-text) holds the class rows and one row's edges and text, never a strip's
-or the whole text, so its peak is counted in the same units.
-
 Quotient peaks are in units of one d x d float64 array, 8 d**2 bytes, at
 n = 720720 (d = 238) or 735134400 (d = 1342). build_quotient forms no
 d x d array: the weights and weighted degrees are counts read off the
@@ -48,7 +43,6 @@ creates, which makes QL some sixty times slower, so here it passes the
 diagonal through: the values are wrong, the arrays are the real ones.
 """
 
-import os
 import tracemalloc
 
 import pytest
@@ -57,7 +51,6 @@ from cozero import (
     assemble_spectrum,
     build_full_graph,
     build_quotient,
-    cli,
     eigen,
     factorize,
     numbers,
@@ -110,18 +103,6 @@ def test_oracle_holds_one_working_copy(unit):
 def test_full_graph_build_forms_no_full_size_temporary(unit):
     # an m x m boolean matrix would be an eighth of a unit
     assert traced_peak(build_full_graph, N) <= 0.05 * unit
-
-
-def test_full_graph_dot_holds_the_class_rows_and_one_row(unit):
-    argv = ["structure", str(N), "--format", "dot", "--full", "--out", os.devnull]
-    # the first call also builds the CLI's parser
-    assert cli.main(argv) == 0
-    codes = []
-    peak = traced_peak(lambda: codes.append(cli.main(argv)))
-    assert codes == [0]
-    # one row's edges and text measure about 0.045 units; one strip of 64
-    # rows, about 1.03, and the whole text as lines over four
-    assert peak <= 0.1 * unit
 
 
 def test_quotient_solve_holds_one_matrix():

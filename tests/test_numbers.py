@@ -10,11 +10,13 @@ import pytest
 from cozero import (
     Factorization,
     build_quotient,
-    divisor_exponents,
     factorize,
     is_prime,
     numbers,
 )
+from cozero.errors import VertexBoundError
+from cozero.fullgraph import factorize_for_full_graph
+from cozero.quotient import factorize_for_quotient
 from reference import gcd_class_count, trial_division
 
 
@@ -35,7 +37,7 @@ def totient(n):
 
 
 def all_divisors(n):
-    return [d for d, _ in divisor_exponents(factorization(n))]
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def proper_divisors(n):
@@ -336,6 +338,55 @@ class TestIsPrime:
         assert not is_prime(PSI_13 + 1)
 
 
+class TestSmallPrimeBoundary:
+    """is_prime reads n's gcd with the product of the primes below
+    SMALL_PRIME_LIMIT (1000), as factorize does: the inputs at either
+    side of each branch."""
+
+    @pytest.mark.parametrize("n,prime", [
+        (2, True),  # the least small prime
+        (997, True),  # the largest small prime
+        (1009, True),  # the least prime above SMALL_PRIME_LIMIT
+        (997**2, False),  # a small factor, squared
+        (991 * 997, False),  # two small factors, the largest two
+        (10**6 - 1, False),  # 3**3 * 7 * 11 * 13 * 37
+        (10**6 + 1, False),  # 101 * 9901
+        (1009 * 1013, False),  # no small factor, above SMALL_PRIME_LIMIT**2
+    ])
+    def test_each_branch(self, n, prime):
+        assert is_prime(n) == prime
+
+    def test_no_small_factor_below_the_square_is_prime(self):
+        assert numbers.SMALL_PRIME_LIMIT**2 == 10**6
+        for n in range(10**6 - 2000, 10**6):
+            if gcd(n, numbers._SMALL_PRIMORIAL) == 1:
+                assert is_prime(n) and trial_division(n) == ((n, 1),), n
+
+    def test_refuses_a_composite_with_no_small_factor_above_the_bound(self):
+        n = (2**61 - 1) ** 2
+        assert n >= numbers.MILLER_RABIN_LIMIT
+        with pytest.raises(ValueError, match="cannot decide"):
+            is_prime(n)
+
+    @pytest.mark.parametrize("n,quotient,full_graph", [
+        # a prime above 2**63 passes both, to be reported degenerate
+        (2**64 - 59, None, None),
+        # composites with a small factor are refused by each bound
+        (2**64, ValueError, VertexBoundError),
+        (997 * (2**61 - 1), ValueError, VertexBoundError),
+        # no small factor and too large to decide: refused by is_prime
+        ((2**61 - 1) ** 2, ValueError, ValueError),
+    ])
+    def test_admissions(self, n, quotient, full_graph):
+        for admit, refusal in ((factorize_for_quotient, quotient),
+                               (factorize_for_full_graph, full_graph)):
+            if refusal is None:
+                assert admit(n).is_prime
+            else:
+                with pytest.raises(refusal):
+                    admit(n)
+
+
 class TestTotient:
     @pytest.mark.parametrize("n,expected", [(1, 1), (15, 8), (12, 4), (2, 1)])
     def test_examples(self, n, expected):
@@ -363,12 +414,11 @@ class TestDivisors:
         [(7, []), (30, [2, 3, 5, 6, 10, 15]), (12, [2, 3, 4, 6]), (4, [2])],
     )
     def test_proper_divisor_examples(self, n, expected):
-        assert proper_divisors(n) == expected
+        assert list(build_quotient(n).divisors) == expected
 
     def test_complete_and_ascending(self):
         for n in range(2, 501):
-            scan = [d for d in range(2, n) if n % d == 0]
-            assert proper_divisors(n) == scan
+            assert list(build_quotient(n).divisors) == proper_divisors(n)
 
     def test_all_divisors(self):
         assert all_divisors(1) == [1]
@@ -376,11 +426,12 @@ class TestDivisors:
 
     def test_exponent_vectors_rebuild_each_divisor(self):
         for n in range(2, 501):
-            f = factorize(n)
-            pairs = divisor_exponents(f)
-            assert [d for d, _ in pairs] == all_divisors(n)
-            for d, vec in pairs:
-                assert d == prod(p**a for p, a in zip(f.primes, vec))
+            primes = factorize(n).primes
+            q = build_quotient(n)
+            assert list(q.divisors) == proper_divisors(n)
+            for d, vec in zip(q.divisors, q.exponents):
+                assert len(vec) == len(primes)
+                assert d == prod(p**a for p, a in zip(primes, vec))
 
 
 class TestDivisorClassPartition:

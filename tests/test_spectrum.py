@@ -279,10 +279,6 @@ class TestLaplacianIntegrality:
         ]
         assert distances and min(distances) > 0.1
 
-    def test_accepts_raw_multiset(self):
-        s = assemble_spectrum(15)
-        assert is_laplacian_integral(s.combined)
-
 
 class TestOracleVerification:
     def test_thirty_matches(self):
