@@ -18,6 +18,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from itertools import chain
+from typing import NamedTuple, Sequence
 
 from . import spectrum as sp
 from .errors import ConvergenceError, VertexCapError
@@ -119,17 +120,19 @@ def _emit(lines: list[str], args) -> None:
         sys.stdout.writelines(text)
 
 
-_INF = float("inf")
+# json's text of an int or a float is its repr, except for nan and the infinities
+_NON_FINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(x)
+    return _NON_FINITE_TEXT.get(text, text)
+
+
+def _number_texts(values) -> list[str]:
+    """The JSON text of each of values, Python ints and floats."""
+    texts = list(map(repr, values))
+    return list(map(_NON_FINITE_TEXT.get, texts, texts))
 
 
 _string_text = json.encoder.encode_basestring_ascii
@@ -153,16 +156,38 @@ _CONTAINERS = (dict, list, tuple)
 _encode_flat = json.JSONEncoder(separators=(",\0", ": "), check_circular=False).encode
 
 
+class _Table(NamedTuple):
+    """A JSON list of objects with the same keys (which hold no %), held as
+    one column per key of ints or JSON texts, written by one %-format."""
+
+    keys: tuple[str, ...]
+    columns: tuple[Sequence, ...]
+
+    def text(self, indent: str) -> str:
+        """json.dumps(list of the row objects, indent=2), byte for byte,
+        with its first line at indent."""
+        cells = tuple(chain.from_iterable(zip(*self.columns)))
+        if not cells:
+            return "[]"
+        inner = indent + "  "
+        fields = f",\n{inner}  ".join([f"{_string_text(k)}: %s" for k in self.keys])
+        row = f"{{\n{inner}  {fields}\n{inner}}}"
+        body = f",\n{inner}".join([row] * (len(cells) // len(self.keys)))
+        return f"[\n{inner}{body}\n{indent}]" % cells
+
+
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, with value's first line at indent.
 
     Takes exactly these types: dicts with str keys, lists, tuples, str,
-    int, float, bool and None. The C encoder writes every flat container;
-    on CPython before 3.13, json.dumps with an indent runs the pure-Python
-    encoder instead.
+    int, float, bool, None and _Table, which writes itself. The C encoder
+    writes every other flat container; on CPython before 3.13, json.dumps
+    with an indent runs the pure-Python encoder instead.
     """
     kind = type(value)
     if kind not in _CONTAINERS:
+        if kind is _Table:
+            return value.text(indent)
         write = _SCALAR_TEXT.get(kind)
         if write is None:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -218,22 +243,23 @@ def _verdict_line(n: int, status: str, vertices: int, deviation: float, integral
     )
 
 
-def _divisor_classes(q: QuotientGraph) -> list[dict]:
+def _divisor_classes(q: QuotientGraph) -> _Table:
     """The class table of JSON output: divisor, class size and weighted degree."""
-    return [{"d": d, "size": w, "D": deg} for d, w, deg in zip(q.divisors, q.weights, q.degrees)]
+    return _Table(("d", "size", "D"), (q.divisors, q.weights, q.degrees))
 
 
 def _spectrum_report(assembled: sp.AssembledSpectrum) -> dict:
     """spectrum's JSON payload. It never runs the oracle (verify does), so
     "oracle_checked" is always false and "max_deviation" always null."""
+    entries = assembled.combined.entries
+    values, multiplicities, exact = zip(*entries) if entries else ((), (), ())
     return {
         "n": assembled.n,
         "vertex_count": assembled.vertex_count,
         "divisor_classes": _divisor_classes(assembled.quotient),
-        "spectrum": [
-            {"value": e.value, "multiplicity": e.multiplicity, "exact": e.exact}
-            for e in assembled.combined.entries
-        ],
+        "spectrum": _Table(("value", "multiplicity", "exact"), (
+            _number_texts(values), multiplicities, ["true" if e else "false" for e in exact]
+        )),
         "laplacian_integral": sp.is_laplacian_integral(assembled),
         "oracle_checked": False,
         "max_deviation": None,

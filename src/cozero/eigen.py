@@ -121,41 +121,35 @@ def merge_spectrum(triples: Iterable[tuple[float, int, bool]]) -> SpectrumMultis
     Exact values keep their type, so Python ints stay exact above 2**53
     in comparisons and ordering; only the tolerance tests round them.
     """
-    items = sorted(
-        ((v if e else float(v), int(m), bool(e)) for v, m, e in triples if m > 0),
-        key=lambda t: (-t[0], not t[2]),
-    )
+    items = [(v if e else float(v), int(m), bool(e)) for v, m, e in triples if m > 0]
+    items.sort(key=lambda t: (-t[0], not t[2]))
+    # joins no group: it closes the last one and opens one that is dropped
+    items.append((None, 0, True))
     # the open group: its anchor, first exact member, multiplicity and
     # the running sum of value * multiplicity over its numeric members
     entries = []
     anchor = pinned = None
     mult = total = 0
     for value, m, exact in items:
-        fits = anchor is not None and anchor - value < MERGE_TOL
-        if fits and exact and pinned is not None and pinned != value:
-            fits = False  # conflicting exact values stay separate
-        if not fits:
-            if anchor is not None:
-                entries.append(_group_entry(pinned, mult, total))
-            anchor, pinned, mult, total = value, None, 0, 0
-        mult += m
-        if not exact:
-            total += value * m
-        elif pinned is None:
-            pinned = value
-    if anchor is not None:
-        entries.append(_group_entry(pinned, mult, total))
+        # within MERGE_TOL of the anchor, and no exact value other than the pin
+        if (value is not None and anchor is not None and anchor - value < MERGE_TOL
+                and (not exact or pinned is None or pinned == value)):
+            mult += m
+            if not exact:
+                total += value * m
+            elif pinned is None:
+                pinned = value
+            continue
+        if pinned is not None:
+            entries.append(SpectrumEntry(pinned, mult, True))
+        elif anchor is not None:
+            mean = total / mult
+            nearest = round(mean)
+            entries.append(SpectrumEntry(nearest, mult, True) if abs(mean - nearest) <= INTEGER_TOL
+                           else SpectrumEntry(mean, mult, False))
+        anchor, mult = value, m
+        pinned, total = (value, 0) if exact else (None, value * m)
     return SpectrumMultiset(tuple(entries))
-
-
-def _group_entry(pinned, mult: int, total: float) -> SpectrumEntry:
-    if pinned is not None:
-        return SpectrumEntry(pinned, mult, True)
-    mean = total / mult
-    nearest = round(mean)
-    if abs(mean - nearest) <= INTEGER_TOL:
-        return SpectrumEntry(nearest, mult, True)
-    return SpectrumEntry(mean, mult, False)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +255,22 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
             sigma = d[l] - rte / (sigma + math.copysign(math.hypot(sigma, 1.0), sigma))
             gamma = d[end] - sigma
             p = gamma * gamma
-            c, s, low = 1.0, 0.0, end
-            for i in range(end - 1, l - 1, -1):
+            c, s, low, j = 1.0, 0.0, end, end
+            for i in range(end - 1, l - 1, -1):  # j is i + 1
                 bb = e2[i]
                 r = p + bb
                 t = s * r
-                e2[i + 1] = t
+                e2[j] = t
                 if t <= tol2:
-                    low = i + 1
-                oldc = c
-                c = p / r
+                    low = j
+                oldc, c = c, p / r
                 s = bb / r
                 oldgam = gamma
                 alpha = d[i]
                 gamma = c * (alpha - sigma) - s * oldgam
-                d[i + 1] = oldgam + (alpha - gamma)
-                p = gamma * gamma / c if c != 0.0 else oldc * bb
+                d[j] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c else oldc * bb
+                j = i
             e2[l] = s * p
             d[l] = sigma + gamma
             if e2[l] <= tol2:

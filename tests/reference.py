@@ -15,17 +15,21 @@ integer_part reads the class table off an assembled spectrum's quotient,
 eigenvalue_multiset wraps the library's solver so that a test can pass
 any matrix and get a merged multiset, and with_flipped_pairs makes a
 graph the builder cannot, for the oracle's refusals to be tested.
+Two are the library's own hot loops written plainly, which the tuned
+ones must match bit for bit: merge_spectrum_loop and ql_loop.
 """
 
+import sys
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
-from math import floor, gcd, prod
+from math import copysign, floor, gcd, hypot, prod, sqrt
 
 import numpy as np
 
 from cozero import (
     AssembledSpectrum,
+    ConvergenceError,
     FullGraph,
     QuotientGraph,
     SpectrumEntry,
@@ -34,7 +38,12 @@ from cozero import (
     is_prime,
     merge_spectrum,
 )
-from cozero.eigen import eigenvalues_in_place
+from cozero.eigen import (
+    INTEGER_TOL,
+    MERGE_TOL,
+    QL_MAX_ITERATIONS,
+    eigenvalues_in_place,
+)
 from cozero.numbers import totient_prime_power
 from cozero.quotient import integer_laplacian
 
@@ -134,6 +143,95 @@ def eigenvalue_multiset(matrix, null_vector=None) -> SpectrumMultiset:
     if null_vector is not None:
         triples.append((0, 1, True))
     return merge_spectrum(triples)
+
+
+def merge_spectrum_loop(triples) -> SpectrumMultiset:
+    """merge_spectrum written plainly: the sorted triples walked once, a
+    group closed by a helper call when the next value does not fit it,
+    and the last group closed after the walk."""
+    items = sorted(
+        ((v if e else float(v), int(m), bool(e)) for v, m, e in triples if m > 0),
+        key=lambda t: (-t[0], not t[2]),
+    )
+    entries = []
+    anchor = pinned = None
+    mult = total = 0
+    for value, m, exact in items:
+        fits = anchor is not None and anchor - value < MERGE_TOL
+        if fits and exact and pinned is not None and pinned != value:
+            fits = False  # conflicting exact values stay separate
+        if not fits:
+            if anchor is not None:
+                entries.append(_group_entry(pinned, mult, total))
+            anchor, pinned, mult, total = value, None, 0, 0
+        mult += m
+        if not exact:
+            total += value * m
+        elif pinned is None:
+            pinned = value
+    if anchor is not None:
+        entries.append(_group_entry(pinned, mult, total))
+    return SpectrumMultiset(tuple(entries))
+
+
+def _group_entry(pinned, mult: int, total: float) -> SpectrumEntry:
+    if pinned is not None:
+        return SpectrumEntry(pinned, mult, True)
+    mean = total / mult
+    nearest = round(mean)
+    if abs(mean - nearest) <= INTEGER_TOL:
+        return SpectrumEntry(nearest, mult, True)
+    return SpectrumEntry(mean, mult, False)
+
+
+def ql_loop(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """eigen._tridiagonal_eigenvalues written plainly: the same root-free
+    QL sweeps, indexing d[i + 1] and e2[i + 1] in the inner loop."""
+    m = len(diag)
+    d, e = diag.tolist(), sub.tolist()
+    e2 = [x * x for x in e] + [0.0]
+    tol2 = (sys.float_info.epsilon * max(map(abs, d + e))) ** 2
+    start = 0
+    while start < m:
+        end = start
+        while e2[end] > tol2:
+            end += 1
+        l, iterations = start, 0
+        while l < end:
+            iterations += 1
+            if iterations > QL_MAX_ITERATIONS:
+                raise ConvergenceError(
+                    f"implicit QL cap of {QL_MAX_ITERATIONS} exhausted",
+                    residual=sqrt(e2[l]),
+                )
+            rte = sqrt(e2[l])
+            sigma = (d[l + 1] - d[l]) / (2.0 * rte)
+            sigma = d[l] - rte / (sigma + copysign(hypot(sigma, 1.0), sigma))
+            gamma = d[end] - sigma
+            p = gamma * gamma
+            c, s, low = 1.0, 0.0, end
+            for i in range(end - 1, l - 1, -1):
+                bb = e2[i]
+                r = p + bb
+                t = s * r
+                e2[i + 1] = t
+                if t <= tol2:
+                    low = i + 1
+                oldc = c
+                c = p / r
+                s = bb / r
+                oldgam = gamma
+                alpha = d[i]
+                gamma = c * (alpha - sigma) - s * oldgam
+                d[i + 1] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * bb
+            e2[l] = s * p
+            d[l] = sigma + gamma
+            if e2[l] <= tol2:
+                l, iterations = l + 1, 0
+            end = low
+        start = end + 1
+    return np.array(d)
 
 
 def gcd_class_count(n: int, d: int) -> int:

@@ -11,8 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from cozero import build_quotient, cli, factorize, is_prime, numbers
+from cozero import (
+    AssembledSpectrum,
+    SpectrumEntry,
+    SpectrumMultiset,
+    build_quotient,
+    cli,
+    factorize,
+    is_prime,
+    numbers,
+)
+from cozero import spectrum as sp
 from cozero.cli import main
+from cozero.quotient import full_graph_component_count, quotient_connectivity_state
 
 
 def run(capsys, *argv):
@@ -629,6 +640,92 @@ class TestJsonEmitter:
         code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
         assert code == 0
         assert json.loads(out)["schema"] == 1
+
+
+def spectrum_doc(assembled):
+    """spectrum's JSON document as a dict per table row, with no timestamp."""
+    q, entries = assembled.quotient, assembled.combined.entries
+    return {
+        "schema": 1,
+        "n": assembled.n,
+        "vertex_count": assembled.vertex_count,
+        "divisor_classes": [
+            {"d": d, "size": w, "D": deg} for d, w, deg in zip(q.divisors, q.weights, q.degrees)
+        ],
+        "spectrum": [
+            {"value": e.value, "multiplicity": e.multiplicity, "exact": e.exact} for e in entries
+        ],
+        "laplacian_integral": sp.is_laplacian_integral(assembled),
+        "oracle_checked": False,
+        "max_deviation": None,
+        "degenerate": assembled.degenerate,
+    }
+
+
+def structure_doc(n):
+    """structure's JSON document as a dict per class row, with no timestamp."""
+    q = build_quotient(n)
+    return {
+        "schema": 1,
+        "n": n,
+        "divisor_classes": [
+            {"d": d, "size": w, "D": deg} for d, w, deg in zip(q.divisors, q.weights, q.degrees)
+        ],
+        "edges": [list(e) for e in q.edges()],
+        "quotient_connectivity": quotient_connectivity_state(q),
+        "full_graph_connected": None if q.is_empty else full_graph_component_count(q) == 1,
+        "boundary_case": n == 4,
+    }
+
+
+class TestJsonTables:
+    """spectrum and structure write their tables from tuples; the bytes
+    must be those of the document with a dict per row, as the emitter
+    writes it and as json.dumps(doc, indent=2) does."""
+
+    def assert_renders(self, capsys, monkeypatch, command, ns):
+        assembled = []
+        assemble = sp.assemble_spectrum
+        monkeypatch.setattr(sp, "assemble_spectrum", lambda n: assembled.append(assemble(n))
+                            or assembled[-1])
+        for n in ns:
+            code, out, _ = run(capsys, command, str(n), "--format", "json", "--no-timestamp")
+            assert code in (0, 2), n
+            doc = spectrum_doc(assembled.pop()) if command == "spectrum" else structure_doc(n)
+            assert out == cli._json_text(doc) + "\n", n
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", n
+
+    @pytest.mark.parametrize("command", ["spectrum", "structure"])
+    def test_every_n_below_3000(self, capsys, monkeypatch, command):
+        self.assert_renders(capsys, monkeypatch, command, range(2, 3000))
+
+    @pytest.mark.parametrize("n", [720720, 735134400, 7, 2**61 - 1, 81, 2**40])
+    @pytest.mark.parametrize("command", ["spectrum", "structure"])
+    def test_large_prime_and_prime_power_n(self, capsys, monkeypatch, command, n):
+        self.assert_renders(capsys, monkeypatch, command, [n])
+
+    def test_non_finite_values(self):
+        entries = SpectrumMultiset((
+            SpectrumEntry(math.inf, 1, False), SpectrumEntry(2**60 + 3, 2, True),
+            SpectrumEntry(1e300, 1, False), SpectrumEntry(0.1, 4, False),
+            SpectrumEntry(-0.0, 1, False), SpectrumEntry(5e-324, 1, False),
+            SpectrumEntry(math.nan, 1, False), SpectrumEntry(-math.inf, 3, False),
+        ))
+        assembled = AssembledSpectrum(12, build_quotient(12), entries, entries, None)
+        doc = {"schema": 1, **cli._spectrum_report(assembled)}
+        assert cli._json_text(doc) == json.dumps(spectrum_doc(assembled), indent=2)
+
+    @pytest.mark.parametrize("indent", ["", "  ", "      "])
+    def test_table_at_any_depth(self, indent):
+        keys = tuple(s + str(i) for i, s in enumerate(AWKWARD_STRINGS))
+        cells = ["%s", "100%", *AWKWARD_STRINGS]
+        columns = [[cli._string_text(cells[(k + r) % len(cells)]) for r in range(4)]
+                   for k in range(len(keys))]
+        rows = [{key: cells[(k + r) % len(cells)] for k, key in enumerate(keys)} for r in range(4)]
+        table = cli._Table(keys, tuple(columns))
+        assert table.text(indent) == json.dumps(rows, indent=2).replace("\n", "\n" + indent)
+        assert cli._json_text({"a": [table, 1]}) == json.dumps({"a": [rows, 1]}, indent=2)
+        assert cli._Table(keys, tuple([] for _ in keys)).text(indent) == "[]"
 
 
 class TestUsageErrors:

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +9,12 @@ import pytest
 from cozero import (
     ConvergenceError,
     SpectrumEntry,
+    assemble_spectrum,
     build_full_graph,
     build_quotient,
     is_prime,
     merge_spectrum,
+    verify_against_oracle,
 )
 from cozero import eigen
 from cozero.eigen import (
@@ -30,7 +35,9 @@ from reference import (
     component_count,
     eigenvalue_multiset,
     laplacian,
+    merge_spectrum_loop,
     poly_eval_int,
+    ql_loop,
     real_roots,
 )
 
@@ -662,6 +669,84 @@ class TestMergeAgainstGroupList:
         triples = [(3.0 + float(x), 1, False) for x in rng.uniform(-4e-7, 4e-7, 1000)]
         triples += [(1.5, 2, False), (2**53 + 1, 3, True)]
         assert typed(merge_spectrum(triples).entries) == typed(reference_merge(triples))
+
+
+    def test_matches_the_plain_loop_on_random_triples(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(3000):
+            triples = self.random_triples(rng)
+            assert bits(merge_spectrum(triples).entries) == bits(
+                merge_spectrum_loop(triples).entries
+            ), triples
+
+
+def bits(entries):
+    """Entries with each value's type and repr, so -0.0 differs from 0.0."""
+    return [(type(v), repr(v), m, e) for v, m, e in entries]
+
+
+def benchmark_commands(monkeypatch, seeds=(1, 2, 9)):
+    """(command, n) of every input of the three benchmark workloads at seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up while its classes are made
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return sorted({
+        (i.argv[0], i.n)
+        for workload in module.WORKLOADS for seed in seeds
+        for i in module.make_inputs(workload, seed)
+    })
+
+
+class TestTunedLoopsMatchThePlainOnes:
+    """QL's inner loop and merge_spectrum's per-item loop are tuned for
+    speed; each must return what its plain version in reference.py
+    returns, bit for bit."""
+
+    def test_every_benchmark_input(self, monkeypatch):
+        solved, merged = [], []
+        ql, merge = eigen._tridiagonal_eigenvalues, eigen.merge_spectrum
+
+        def recorded_ql(diag, sub):
+            values = ql(diag, sub)
+            solved.append((diag.copy(), sub.copy(), values))
+            return values
+
+        def recorded_merge(triples):
+            triples = list(triples)
+            merged.append((triples, merge(triples)))
+            return merged[-1][1]
+
+        commands = benchmark_commands(monkeypatch)
+        monkeypatch.setattr(eigen, "_tridiagonal_eigenvalues", recorded_ql)
+        monkeypatch.setattr(eigen, "merge_spectrum", recorded_merge)
+        for command, n in commands:
+            (verify_against_oracle if command == "verify" else assemble_spectrum)(n)
+        # the quotients from d = 4 to 238, and the oracle blocks up to 1001 at n = 3010
+        assert {"spectrum", "verify"} == {command for command, _ in commands}
+        assert max(len(diag) for diag, _, _ in solved) == 1001
+        for diag, sub, values in solved:
+            assert values.tobytes() == ql_loop(diag, sub).tobytes()
+        for triples, multiset in merged:
+            assert bits(multiset.entries) == bits(merge_spectrum_loop(triples).entries)
+
+    def test_random_tridiagonals_that_split(self):
+        rng = np.random.default_rng(44)
+        for trial in range(400):
+            m = int(rng.integers(1, 50))
+            if trial % 2:
+                # small integers: exact zeros, repeated values and exact cancellations
+                diag = rng.integers(-3, 4, m).astype(np.float64)
+                sub = rng.integers(-2, 3, m - 1).astype(np.float64)
+            else:
+                diag = rng.standard_normal(m)
+                sub = rng.standard_normal(m - 1)
+                sub[rng.random(m - 1) < 0.25] = 0.0
+                sub[rng.random(m - 1) < 0.1] *= 1e-18  # under the threshold: a split
+            ours = _tridiagonal_eigenvalues(diag, sub)
+            assert ours.tobytes() == ql_loop(diag, sub).tobytes(), trial
 
 
 class TestCharacteristicPolynomial:
