@@ -7,6 +7,13 @@ check). Exit codes: 0 success, 1 error or failed verification,
 2 degenerate input (prime or prime power), 3 vertex cap exceeded,
 64 usage error. Every output format (text, JSON, CSV and DOT) is rendered
 here; the library modules only compute.
+
+main() dispatches on the command word: when the first argument names a
+command, that command's own sub-parser parses the rest, and the top parser
+refuses whatever it leaves over. The top parser parses everything else:
+help, an unknown command, and arguments before the command word. Every
+usage error prints what the top parser alone would print, with exit 64.
+`cozero -h` shows this docstring without this last paragraph.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import spectrum as sp
 from .errors import ConvergenceError, VertexCapError
@@ -55,6 +62,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Command(NamedTuple):
+    parser: _Parser
+    run: Callable[[argparse.Namespace], int]
+
+
 def _modulus(text: str) -> int:
     """The argparse type of n: Z_n has no non-zero non-unit below n = 2,
     so n < 2 is a usage error."""
@@ -68,46 +80,52 @@ def _modulus(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    # built on the first main() call and reused: parse_args returns a fresh
-    # Namespace each time, and no argument has a mutable default or appends
-    parser = _Parser(prog="cozero", description=__doc__)
+def _build_parser() -> tuple[_Parser, dict[str, _Command]]:
+    """The top parser, and each command's sub-parser and handler by name.
+
+    Built on the first main() call and reused: parsing returns a fresh
+    Namespace each time, and no argument has a mutable default or appends.
+    """
+    parser = _Parser(prog="cozero", description=__doc__ and __doc__.rpartition("\n\n")[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--no-timestamp", action="store_true",
                         help="suppress timestamps/timing for byte-identical output")
     common.add_argument("--out", default=None, help="write output to a file")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def command(name: str, formats: tuple[str, ...], summary: str) -> _Parser:
+    def command(name: str, formats: tuple[str, ...], summary: str,
+                handler: Callable[[argparse.Namespace], int]) -> _Parser:
         # each command takes only the formats it renders
         p = sub.add_parser(name, parents=[common], help=summary)
         p.add_argument("--format", choices=formats, default="text")
+        commands[name] = _Command(p, handler)
         return p
 
     p_spec = command("spectrum", ("text", "json", "csv"),
-                     "assembled Laplacian spectrum of one n")
+                     "assembled Laplacian spectrum of one n", _cmd_spectrum)
     p_spec.add_argument("n", type=_modulus)
 
     p_verify = command("verify", ("text", "json"),
-                       "check the assembly against the brute-force oracle")
+                       "check the assembly against the brute-force oracle", _cmd_verify)
     p_verify.add_argument("n", type=_modulus)
 
     p_scan = command("scan", ("text", "json", "csv"),
-                     "verify every eligible n in a range")
+                     "verify every eligible n in a range", _cmd_scan)
     p_scan.add_argument("lo", type=int)
     p_scan.add_argument("hi", type=int)
     p_scan.add_argument("--filter", choices=FILTERS, default="all")
 
     p_struct = command("structure", ("text", "json", "csv", "dot"),
-                       "divisor quotient graph and class table")
+                       "divisor quotient graph and class table", _cmd_structure)
     p_struct.add_argument("n", type=_modulus)
 
     p_int = command("integrality", ("text", "json"),
-                    "report whether the spectrum is all-integer")
+                    "report whether the spectrum is all-integer", _cmd_integrality)
     p_int.add_argument("n", type=_modulus)
 
-    return parser
+    return parser, commands
 
 
 def _emit(lines: list[str], args) -> None:
@@ -491,17 +509,23 @@ def _cmd_integrality(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "spectrum": _cmd_spectrum,
-        "verify": _cmd_verify,
-        "scan": _cmd_scan,
-        "structure": _cmd_structure,
-        "integrality": _cmd_integrality,
-    }
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # help, an unknown command, or an argument before the command word
+        args = parser.parse_args(argv)
+        command = commands[args.command]
+    else:
+        # the top parser hands every token after the command word to its
+        # sub-parser and refuses what that leaves over; this does the same
+        # without the top parser's own pass over the tokens
+        args, extras = command.parser.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
-        return handlers[args.command](args)
+        return command.run(args)
     except VertexCapError as exc:
         sys.stderr.write(f"cozero: {exc}\n")
         return EXIT_CAP

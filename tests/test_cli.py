@@ -728,7 +728,51 @@ class TestJsonTables:
         assert cli._Table(keys, tuple([] for _ in keys)).text(indent) == "[]"
 
 
+# argvs that main parses through the top parser (help, an unknown command,
+# arguments before the command word) or dispatches to a sub-parser: usage
+# errors, help texts, abbreviations and valid calls of every command
+USAGE_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["frobnicate", "30"], ["spec", "30"],
+    ["--no-timestamp", "spectrum", "30"], ["--", "spectrum", "30"], ["-h", "spectrum"],
+    ["spectrum"], ["spectrum", "1"], ["spectrum", "x"], ["spectrum", "30", "31"],
+    ["spectrum", "30", "--bogus"], ["spectrum", "--bogus", "30"],
+    ["spectrum", "30", "--cap", "5"], ["spectrum", "30", "--jobs"],
+    ["spectrum", "30", "--full"], ["spectrum", "30", "--tol"],
+    ["spectrum", "30", "--form", "csv"], ["spectrum", "30", "--no-t"],
+    ["spectrum", "30", "--", "--x"], ["spectrum", "--", "30"], ["spectrum", "--format"],
+    ["spectrum", "30", "--format", "dot"], ["spectrum", "30", "extra", "--bogus"],
+    ["spectrum", "-h"], ["verify", "--help"], ["spectrum", "6", "-h", "--bogus"],
+    ["scan", "4", "9", "--filter", "zz"], ["scan", "4", "9", "--jobs", "2"],
+    ["scan", "4"], ["verify", "30", "--format", "csv"], ["structure", "30", "--format", "svg"],
+    ["integrality", "-h"],
+    ["spectrum", "30", "--format=json", "--no-timestamp", "--out", "s.json"],
+    ["verify", "-5"], ["verify", "30", "--format", "json"],
+    ["scan", "4", "9", "--fil", "pq", "--format", "csv"],
+    ["structure", "30", "--format", "dot"], ["integrality", "12", "--no-timestamp"],
+]
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_parses_as_the_top_parser(self, capsys, monkeypatch, argv):
+        # main enters a command's sub-parser directly; what it prints, its
+        # exit code and the Namespace it runs the command on must be the top
+        # parser's on the same argv
+        monkeypatch.setenv("COLUMNS", "80")
+        parser, commands = cli._build_parser()
+        dispatched = []
+        for name, command in commands.items():
+            monkeypatch.setitem(commands, name, command._replace(
+                run=lambda args: dispatched.append(args) or 0))
+        got = in_process(capsys, argv)
+        try:
+            want = vars(parser.parse_args(argv))
+            code = 0
+        except SystemExit as exc:
+            want, code = None, exc.code
+        assert got == (*capsys.readouterr(), code)
+        assert [vars(args) for args in dispatched] == ([want] if want else [])
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "30"])
@@ -846,6 +890,23 @@ class TestParserReuse:
         assert run(capsys, "scan", "4", "9")[0] == 0
         assert run(capsys, "spectrum", "30", "--out", str(tmp_path / "s.txt"))[0] == 0
         assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "30", "--format", "csv"], ["verify", "30"], ["scan", "4", "9"],
+        ["structure", "12", "--format", "dot"], ["integrality", "12", "--format", "json"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_skip_the_top_parser(self, capsys, monkeypatch, argv):
+        # the top parser's pass over the tokens is what dispatching saves;
+        # patched on the instance only, since the sub-parsers share its class
+        parser, _ = cli._build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top parser ran")
+
+        monkeypatch.setitem(vars(parser), "parse_known_args", refuse)
+        with pytest.raises(AssertionError, match="the top parser ran"):
+            main(["--no-timestamp", *argv])
+        assert run(capsys, *argv)[0] == 0
 
     def test_in_process_sequence_matches_fresh_processes(self, capsys, tmp_path):
         # each pair checks that nothing of one call leaks into the next
