@@ -97,7 +97,8 @@ def build_full_graph(n: int | Factorization) -> FullGraph:
 
     # the non-units are the multiples of n's primes
     vertices = np.unique(np.concatenate([np.arange(p, n, p) for p in f.primes]))
-    assert len(vertices) == m
+    if len(vertices) != m:
+        raise AssertionError(f"{len(vertices)} non-units of {n}, expected {m}")
     return FullGraph(n, tuple(vertices.tolist()), tuple(np.gcd(vertices, n).tolist()))
 
 

@@ -17,6 +17,7 @@ factored: quotient.factorize_for_quotient, fullgraph.factorize_for_full_graph.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,14 +117,26 @@ def compare_multisets(
     The spectra match when no paired values differ by more than
     eigen.MATCH_TOL.
     """
-    va, vb = a.values(), b.values()
-    if len(va) != len(vb):
-        mismatches = _multiplicity_mismatches(a, b)
-        return MultisetComparison(False, math.inf, mismatches)
-    dev = float(np.max(np.abs(va - vb))) if len(va) else 0.0
-    matched = dev <= eigen.MATCH_TOL
-    mismatches = () if matched else _multiplicity_mismatches(a, b)
-    return MultisetComparison(matched, dev, mismatches)
+    return _compare(a, b.values(), lambda: b)
+
+
+def _compare(
+    a: eigen.SpectrumMultiset,
+    values: np.ndarray,
+    grouped: Callable[[], eigen.SpectrumMultiset],
+) -> MultisetComparison:
+    """a against the descending array values, paired index by index.
+
+    grouped() gives values as a multiset; it is called only when the check
+    fails, to list the multiplicity mismatches.
+    """
+    va = a.values()
+    dev = math.inf
+    if len(va) == len(values):
+        dev = float(np.max(np.abs(va - values))) if len(va) else 0.0
+        if dev <= eigen.MATCH_TOL:
+            return MultisetComparison(True, dev, ())
+    return MultisetComparison(False, dev, _multiplicity_mismatches(a, grouped()))
 
 
 def _multiplicity_mismatches(
@@ -160,6 +173,11 @@ class OracleReport:
     component_count: int
 
 
+def _zero_count(values: np.ndarray) -> int:
+    """How many of the raw values lie within eigen.ZERO_TOL of 0."""
+    return int(np.count_nonzero(np.abs(values) <= eigen.ZERO_TOL))
+
+
 def verify_against_oracle(n: int | Factorization) -> OracleReport:
     """Assembled spectrum versus a brute-force eigensolve of the full graph.
 
@@ -172,7 +190,13 @@ def verify_against_oracle(n: int | Factorization) -> OracleReport:
     negation_split checks that exactly (an AssertionError refuses a graph
     that fails) and splits L by it: the first m // 2 degrees are
     eigenvalues, and the rest of the spectrum is that of one float64 block
-    of about m / 2, solved in place; the two halves are merged once.
+    of about m / 2, solved in place. The two halves are sorted once into
+    one descending array of raw values, which is compared index by index
+    with the assembled values: max_deviation is taken against the raw
+    values, and on a passing check MERGE_TOL and INTEGER_TOL never touch
+    them. Only a failing check groups them with merge_spectrum, to list
+    the multiplicity mismatches. zero_multiplicity counts the raw values
+    within ZERO_TOL of 0.
     The component count is read off the assembled quotient, not searched
     in the full graph. Raises VertexCapError when the graph would exceed
     fullgraph.VERTEX_CAP, for an int n before factoring it when its vertex
@@ -184,11 +208,12 @@ def verify_against_oracle(n: int | Factorization) -> OracleReport:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f)
     degrees, even = negation_split(graph)
-    oracle = eigen.merge_spectrum(
-        (v, 1, False) for v in np.concatenate((degrees, eigen.eigenvalues_in_place(even)))
-    )
+    raw = np.sort(np.concatenate((degrees, eigen.eigenvalues_in_place(even))))[::-1]
     assembled = assemble_spectrum(f)
-    comparison = compare_multisets(assembled.combined, oracle)
+    comparison = _compare(
+        assembled.combined, raw,
+        lambda: eigen.merge_spectrum((v, 1, False) for v in raw.tolist()),
+    )
     return OracleReport(
         n=f.n,
         vertex_count=graph.vertex_count,
@@ -197,6 +222,6 @@ def verify_against_oracle(n: int | Factorization) -> OracleReport:
         multiplicity_mismatches=comparison.multiplicity_mismatches,
         laplacian_integral=is_laplacian_integral(assembled),
         degenerate=assembled.degenerate,
-        zero_multiplicity=oracle.zero_multiplicity(),
+        zero_multiplicity=_zero_count(raw),
         component_count=full_graph_component_count(assembled.quotient),
     )

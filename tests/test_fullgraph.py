@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -166,6 +169,21 @@ class TestBuildFullGraph:
         graph = build_full_graph(1009**2)
         assert graph.vertices == tuple(range(1009, 1009**2, 1009))
         assert len(calls) <= graph.vertex_count
+
+    def test_vertex_count_check_survives_optimisation(self):
+        # 30 with the factors of 6: 19 non-units where 30 - 2 - 1 = 27 are due
+        code = (
+            "from cozero import Factorization, build_full_graph\n"
+            "try:\n"
+            "    build_full_graph(Factorization(30, ((2, 1), (3, 1))))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(fullgraph.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "19 non-units of 30, expected 27\n"
 
     @pytest.mark.parametrize("n", [720, 1155])
     def test_holds_no_vertex_by_vertex_array(self, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,9 @@ from cozero import (
     is_prime,
     verify_against_oracle,
 )
+from cozero import eigen, spectrum
+from cozero.eigen import eigenvalues_in_place, merge_spectrum
+from cozero.fullgraph import negation_split
 from cozero.quotient import integer_laplacian
 from reference import (
     adjacency,
@@ -349,6 +353,70 @@ class TestOracleVerification:
         assert report.matched
         assert report.max_deviation < 1e-8
         assert report.zero_multiplicity == report.component_count == 1
+
+
+def raw_oracle_values(n):
+    """The oracle's eigenvalues as it solves them, descending: the split's
+    degrees and its even block's values, neither grouped nor snapped."""
+    degrees, even = negation_split(build_full_graph(n))
+    return np.sort(np.concatenate((degrees, eigenvalues_in_place(even))))[::-1]
+
+
+class TestRawOracleComparison:
+    """The oracle's values reach merge_spectrum only when the check fails."""
+
+    def test_zero_count_reads_the_raw_values(self):
+        # grouping snapped 2e-7 to an exact 0, and merged 5e-7 with 1e-12
+        # into one 0 of multiplicity 2, so both counted with 1e-6, not ZERO_TOL
+        assert merge_spectrum([(2e-7, 1, False), (3.0, 1, False)]).zero_multiplicity() == 1
+        assert merge_spectrum([(5e-7, 1, False), (1e-12, 1, False)]).zero_multiplicity() == 2
+        assert spectrum._zero_count(np.array([2e-7, 3.0])) == 0
+        assert spectrum._zero_count(np.array([5e-7, 1e-12])) == 1
+
+    def test_max_deviation_is_against_the_raw_values(self):
+        for n in [n for n in range(4, 401) if not is_prime(n)] + [1155, 3010]:
+            report = verify_against_oracle(n)
+            raw = raw_oracle_values(n)
+            assembled = assemble_spectrum(n).combined.values()
+            assert report.matched, n
+            assert report.max_deviation == float(np.max(np.abs(assembled - raw))), n
+
+    def test_passing_check_merges_only_the_assembled_side(self, monkeypatch):
+        calls = []
+
+        def counted(triples):
+            calls.append(None)
+            return merge(triples)
+
+        merge = eigen.merge_spectrum
+        monkeypatch.setattr(eigen, "merge_spectrum", counted)
+        assemble_spectrum(204)
+        assembled_calls = len(calls)
+        calls.clear()
+        report = verify_against_oracle(204)
+        assert report.matched and report.vertex_count == 139
+        assert len(calls) == assembled_calls == 2
+
+    def test_failing_check_lists_the_grouped_raw_values(self, monkeypatch):
+        # the largest class's degree, shifted by 1, moves its w - 1 copies
+        def shifted(f):
+            s = assemble_spectrum(f)
+            q = s.quotient
+            largest = q.weights.index(max(q.weights))
+            triples = [(deg + (i == largest), w - 1, True)
+                       for i, (deg, w) in enumerate(zip(q.degrees, q.weights))]
+            triples.extend(s.quotient_part.entries)
+            return dataclasses.replace(s, combined=merge_spectrum(triples))
+
+        monkeypatch.setattr(spectrum, "assemble_spectrum", shifted)
+        report = verify_against_oracle(204)
+        expected = compare_multisets(
+            shifted(204).combined,
+            merge_spectrum((v, 1, False) for v in raw_oracle_values(204)),
+        )
+        assert not report.matched and not expected.matched
+        assert report.multiplicity_mismatches == expected.multiplicity_mismatches
+        assert report.multiplicity_mismatches
 
 
 class TestExactQuotientZero:
