@@ -163,34 +163,30 @@ _SCALAR_TEXT = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-_SCALARS = frozenset(_SCALAR_TEXT)
-_CONTAINERS = (dict, list, tuple)
-
-# Writes a flat container (a dict or list whose members are all scalars),
-# or a list of flat containers of one kind, in one C-encoder call, with a
-# NUL after each item separator. json writes a NUL inside a string as
-# \u0000, so a raw NUL only ever marks a separator, and one between two
-# containers follows a closing bracket, which no scalar's text ends with.
-_encode_flat = json.JSONEncoder(separators=(",\0", ": "), check_circular=False).encode
 
 
 class _Table(NamedTuple):
-    """A JSON list of objects with the same keys (which hold no %), held as
-    one column per key of ints or JSON texts, written by one %-format."""
+    """A JSON list of rows of one shape, held as one column per field of
+    ints or JSON texts and written by one %-format: objects with keys
+    (which hold no %), or arrays when keys is None."""
 
-    keys: tuple[str, ...]
+    keys: tuple[str, ...] | None
     columns: tuple[Sequence, ...]
 
     def text(self, indent: str) -> str:
-        """json.dumps(list of the row objects, indent=2), byte for byte,
-        with its first line at indent."""
+        """json.dumps(list of the rows, indent=2), byte for byte, with its
+        first line at indent."""
         cells = tuple(chain.from_iterable(zip(*self.columns)))
         if not cells:
             return "[]"
         inner = indent + "  "
-        fields = f",\n{inner}  ".join([f"{_string_text(k)}: %s" for k in self.keys])
-        row = f"{{\n{inner}  {fields}\n{inner}}}"
-        body = f",\n{inner}".join([row] * (len(cells) // len(self.keys)))
+        if self.keys is None:
+            opening, closing, fields = "[", "]", ["%s"] * len(self.columns)
+        else:
+            opening, closing = "{", "}"
+            fields = [f"{_string_text(k)}: %s" for k in self.keys]
+        row = f"{opening}\n{inner}  " + f",\n{inner}  ".join(fields) + f"\n{inner}{closing}"
+        body = f",\n{inner}".join([row] * (len(cells) // len(self.columns)))
         return f"[\n{inner}{body}\n{indent}]" % cells
 
 
@@ -198,38 +194,21 @@ def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, with value's first line at indent.
 
     Takes exactly these types: dicts with str keys, lists, tuples, str,
-    int, float, bool, None and _Table, which writes itself. The C encoder
-    writes every other flat container; on CPython before 3.13, json.dumps
-    with an indent runs the pure-Python encoder instead.
+    int, float, bool, None and _Table, which writes itself. It never runs
+    the pure-Python encoder that json.dumps with an indent runs on CPython
+    before 3.13.
     """
     kind = type(value)
-    if kind not in _CONTAINERS:
-        if kind is _Table:
-            return value.text(indent)
-        write = _SCALAR_TEXT.get(kind)
-        if write is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    write = _SCALAR_TEXT.get(kind)
+    if write is not None:
         return write(value)
+    if kind is _Table:
+        return value.text(indent)
+    if kind not in (dict, list, tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         return "{}" if kind is dict else "[]"
     inner = indent + "  "
-    if _SCALARS.issuperset(map(type, value.values() if kind is dict else value)):
-        text = _encode_flat(value)
-        body = text[1:-1].replace(",\0", ",\n" + inner)
-        return f"{text[0]}\n{inner}{body}\n{indent}{text[-1]}"
-    first = type(value[0]) if kind is not dict else None
-    if (first in _CONTAINERS and {first}.issuperset(map(type, value)) and all(value)
-            and _SCALARS.issuperset(map(type, chain.from_iterable(
-                map(dict.values, value) if first is dict else value)))):
-        # "[{...},\0{...}]": the outer brackets come off, and a separator
-        # that follows a closing bracket is one between two members
-        text = _encode_flat(value)
-        opening, closing = text[1], text[-2]
-        member = inner + "  "
-        body = text[2:-2].replace(
-            f"{closing},\0{opening}", f"\n{inner}{closing},\n{inner}{opening}\n{member}"
-        ).replace(",\0", ",\n" + member)
-        return f"[\n{inner}{opening}\n{member}{body}\n{inner}{closing}\n{indent}]"
     sep = ",\n" + inner
     if kind is dict:
         body = sep.join([
@@ -462,7 +441,7 @@ def _cmd_structure(args) -> int:
         _emit_json({
             "n": n,
             "divisor_classes": _divisor_classes(q),
-            "edges": [list(e) for e in edges],
+            "edges": _Table(None, tuple(zip(*edges))),
             "quotient_connectivity": state,
             "full_graph_connected": connected,
             "boundary_case": boundary,

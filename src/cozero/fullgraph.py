@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigen import STRIP_HEIGHT
 from .errors import EmptyGraphError, VertexBoundError, VertexCapError
-from .numbers import Factorization, factorize, is_prime
+from .numbers import Factorization, checked_factorization, factorize, is_prime
 
 # the most vertices any full graph may have, read at each call
 VERTEX_CAP = 20_000
@@ -79,15 +79,16 @@ def factorize_for_full_graph(n: int) -> Factorization:
 def build_full_graph(n: int | Factorization) -> FullGraph:
     """Build the graph for composite n, given as n or its factorization.
 
-    An int n is admitted by factorize_for_full_graph. Prime n raises
-    EmptyGraphError (no vertices at all, distinct from the edgeless null
-    graphs of prime powers), and more than VERTEX_CAP vertices raises
-    VertexCapError before any array is built. The cap bounds time and the
+    An int n is admitted by factorize_for_full_graph, a factorization by
+    checked_factorization. Prime n raises EmptyGraphError (no vertices at
+    all, distinct from the edgeless null graphs of prime powers), and more
+    than VERTEX_CAP vertices raises VertexCapError before any array is
+    built. The cap bounds time and the
     oracle's memory: the graph itself holds a class row of m booleans per
     distinct gcd, fewer than the divisors of n, and each reader a strip or
     a row at a time.
     """
-    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n)
+    f = checked_factorization(n) if isinstance(n, Factorization) else factorize_for_full_graph(n)
     n = f.n
     if f.is_prime:
         raise EmptyGraphError(n)

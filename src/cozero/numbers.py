@@ -25,7 +25,7 @@ equal arrays.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from math import gcd, isqrt, prod
 
@@ -73,10 +73,14 @@ RHO_BATCH = 128
 
 @dataclass(frozen=True)
 class Factorization:
-    """n = p1^e1 * ... * pk^ek with primes strictly ascending."""
+    """n = p1^e1 * ... * pk^ek with primes strictly ascending.
+
+    One that factorize made is proven; checked_factorization checks any other.
+    """
 
     n: int
     factors: tuple[tuple[int, int], ...]
+    _proven: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -127,7 +131,46 @@ def factorize(n: int) -> Factorization:
         factors.extend(sorted(Counter(_prime_factors(rest)).items()))
     elif rest > 1:
         factors.append((rest, 1))
-    return Factorization(n, tuple(factors))
+    f = Factorization(n, tuple(factors))
+    object.__setattr__(f, "_proven", True)
+    return f
+
+
+def checked_factorization(f: Factorization) -> Factorization:
+    """f, when it factors f.n >= 2: exponents of at least 1, primes strictly
+    ascending and passing is_prime, and their powers multiply to n.
+
+    factorize's are proven and returned at once. Raises ValueError naming
+    the first fault of any other.
+    """
+    if f._proven:
+        return f
+    n, factors = f.n, f.factors
+    primes = [p for p, _ in factors]
+    if n < 2:
+        fault = "n is below 2"
+    elif any(e < 1 for _, e in factors):
+        fault = "an exponent is below 1"
+    elif any(a >= b for a, b in zip([1, *primes], primes)):
+        fault = "the primes do not strictly ascend from 2"
+    elif not _multiply_to(factors, n):
+        fault = "the prime powers do not multiply to n"
+    else:
+        fault = next((f"{p} is not prime" for p in primes if not is_prime(p)), None)
+        if fault is None:
+            return f
+    raise ValueError(f"not a factorization of {n}: {fault}")
+
+
+def _multiply_to(factors: tuple[tuple[int, int], ...], n: int) -> bool:
+    """Whether the powers p^e of factors, every p >= 2, multiply to n; one
+    division per prime factor, so a huge exponent fails fast."""
+    for p, e in factors:
+        for _ in range(e):
+            n, r = divmod(n, p)
+            if r:
+                return False
+    return n == 1
 
 
 def is_prime(n: int) -> bool:

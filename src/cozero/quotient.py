@@ -20,6 +20,7 @@ import numpy as np
 
 from .numbers import (
     Factorization,
+    checked_factorization,
     factorize,
     is_prime,
     totient_prime_power,
@@ -81,14 +82,14 @@ def factorize_for_quotient(n: int) -> Factorization:
 def build_quotient(n: int | Factorization) -> QuotientGraph:
     """Quotient graph on the proper divisors, ascending. Empty for prime n.
 
-    Takes n or its factorization; a composite n must lie below 2**63. With
-    a = v_p(d), p^e || n and c_p = p^e - p^(e - a - 1), or p^e if a = e,
-    the weighted degree of d is n - n/d - prod c_p + phi(n/d), in Python
-    ints: the non-units, less the multiples of d, less the non-units whose
-    gcd with n divides d (prod c_p - phi(n) of them), plus the class of d,
-    counted in both.
+    Takes n or its factorization, which checked_factorization checks; a
+    composite n must lie below 2**63. With a = v_p(d), p^e || n and
+    c_p = p^e - p^(e - a - 1), or p^e if a = e, the weighted degree of d
+    is n - n/d - prod c_p + phi(n/d), in Python ints: the non-units, less
+    the multiples of d, less the non-units whose gcd with n divides d
+    (prod c_p - phi(n) of them), plus the class of d, counted in both.
     """
-    f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
+    f = checked_factorization(n) if isinstance(n, Factorization) else factorize_for_quotient(n)
     if not f.is_prime:
         _require_below_int64(f.n)
     # (d, exponents, phi(n/d), prod c_p), expanded one prime at a time

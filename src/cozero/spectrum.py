@@ -28,7 +28,7 @@ from .fullgraph import (
     factorize_for_full_graph,
     negation_split,
 )
-from .numbers import Factorization
+from .numbers import Factorization, checked_factorization
 from .quotient import (
     QuotientGraph,
     build_quotient,
@@ -64,13 +64,14 @@ class AssembledSpectrum:
 def assemble_spectrum(n: int | Factorization) -> AssembledSpectrum:
     """Spectrum via the divisor-class join reduction.
 
-    Takes n or its factorization; n is factored once, here, and a
-    composite n >= 2**63 is refused before that. Prime n yields the empty
-    spectrum (marked degenerate "empty"); prime powers yield the all-zero
-    spectrum of a null graph ("null"). The quotient's zero eigenvalue is
-    exact: the square-root weights are deflated as a known null vector.
+    Takes n or its factorization, which checked_factorization checks; an
+    int n is factored once, here, and a composite n >= 2**63 is refused
+    before that. Prime n yields the empty spectrum (marked degenerate
+    "empty"); prime powers yield the all-zero spectrum of a null graph
+    ("null"). The quotient's zero eigenvalue is exact: the square-root
+    weights are deflated as a known null vector.
     """
-    f = n if isinstance(n, Factorization) else factorize_for_quotient(n)
+    f = checked_factorization(n) if isinstance(n, Factorization) else factorize_for_quotient(n)
     q = build_quotient(f)
     if f.is_prime:
         empty = eigen.SpectrumMultiset(())
@@ -181,8 +182,9 @@ def _zero_count(values: np.ndarray) -> int:
 def verify_against_oracle(n: int | Factorization) -> OracleReport:
     """Assembled spectrum versus a brute-force eigensolve of the full graph.
 
-    Takes n or its factorization; an int n is factored once, here, by
-    factorize_for_full_graph, and both sides read that factorization. The
+    Takes n or its factorization, which checked_factorization checks; an
+    int n is factored once, here, by factorize_for_full_graph, and both
+    sides read that factorization. The
     oracle builds the explicit vertex-level graph and solves its Laplacian
     L with no knowledge of the join structure. It uses one generic
     symmetry: Rx = R(-x) in any ring, so x and n - x have the same
@@ -203,7 +205,7 @@ def verify_against_oracle(n: int | Factorization) -> OracleReport:
     bound already does. Prime n verifies trivially (both sides empty) and
     is flagged degenerate.
     """
-    f = n if isinstance(n, Factorization) else factorize_for_full_graph(n)
+    f = checked_factorization(n) if isinstance(n, Factorization) else factorize_for_full_graph(n)
     if f.is_prime:
         return OracleReport(f.n, 0, True, 0.0, (), True, "empty", 0, 0)
     graph = build_full_graph(f)

@@ -15,6 +15,7 @@ from cozero import (
     AssembledSpectrum,
     SpectrumEntry,
     SpectrumMultiset,
+    VertexCapError,
     build_quotient,
     cli,
     factorize,
@@ -641,6 +642,34 @@ class TestJsonEmitter:
         assert code == 0
         assert json.loads(out)["schema"] == 1
 
+    def test_scan_rows_of_every_status_and_verify_mismatches(self, capsys, monkeypatch):
+        # rows that no table writes: objects whose keys differ by status,
+        # and verify's mismatch arrays, floats and strings among them
+        verify = sp.verify_against_oracle
+
+        def oracle(f):
+            n = getattr(f, "n", f)
+            if n == 9:
+                raise VertexCapError(9, 30000, 20000)
+            if n == 10:
+                raise ValueError('oracle failed: "x\0y"')
+            report = verify(f)
+            if n == 8:
+                return dataclasses.replace(report, matched=False, max_deviation=0.5,
+                                           multiplicity_mismatches=(
+                                               (2.5, 1, 0), (0.1, 0, 2), (math.nan, 3, 1)))
+            return report
+
+        monkeypatch.setattr(sp, "verify_against_oracle", oracle)
+        code, out, _ = run(capsys, "scan", "6", "10", "--format", "json", "--no-timestamp")
+        assert code == 1
+        assert [r["status"] for r in json.loads(out)["rows"]] == ["PASS", "FAIL", "CAP", "ERROR"]
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        code, out, _ = run(capsys, "verify", "8", "--format", "json", "--no-timestamp")
+        assert code == 1
+        assert len(json.loads(out)["multiplicity_mismatches"]) == 3
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
 
 def spectrum_doc(assembled):
     """spectrum's JSON document as a dict per table row, with no timestamp."""
@@ -722,10 +751,14 @@ class TestJsonTables:
         columns = [[cli._string_text(cells[(k + r) % len(cells)]) for r in range(4)]
                    for k in range(len(keys))]
         rows = [{key: cells[(k + r) % len(cells)] for k, key in enumerate(keys)} for r in range(4)]
-        table = cli._Table(keys, tuple(columns))
-        assert table.text(indent) == json.dumps(rows, indent=2).replace("\n", "\n" + indent)
-        assert cli._json_text({"a": [table, 1]}) == json.dumps({"a": [rows, 1]}, indent=2)
+        # the same cells as objects and, with no keys, as arrays
+        for table, written in ((cli._Table(keys, tuple(columns)), rows),
+                               (cli._Table(None, tuple(columns)), [list(r.values()) for r in rows])):
+            expected = json.dumps(written, indent=2).replace("\n", "\n" + indent)
+            assert table.text(indent) == expected
+            assert cli._json_text({"a": [table, 1]}) == json.dumps({"a": [written, 1]}, indent=2)
         assert cli._Table(keys, tuple([] for _ in keys)).text(indent) == "[]"
+        assert cli._Table(None, ([], [])).text(indent) == cli._Table(None, ()).text(indent) == "[]"
 
 
 # argvs that main parses through the top parser (help, an unknown command,

@@ -171,9 +171,11 @@ class TestBuildFullGraph:
         assert len(calls) <= graph.vertex_count
 
     def test_vertex_count_check_survives_optimisation(self):
-        # 30 with the factors of 6: 19 non-units where 30 - 2 - 1 = 27 are due
+        # 30 with the factors of 6, past the factorization check: 19
+        # non-units where 30 - 2 - 1 = 27 are due
         code = (
-            "from cozero import Factorization, build_full_graph\n"
+            "from cozero import Factorization, build_full_graph, fullgraph\n"
+            "fullgraph.checked_factorization = lambda f: f\n"
             "try:\n"
             "    build_full_graph(Factorization(30, ((2, 1), (3, 1))))\n"
             "except AssertionError as exc:\n"

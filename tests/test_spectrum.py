@@ -528,3 +528,35 @@ class TestReports:
             "2,3,true",
             "0,1,true",
         ]
+
+
+class TestPassedInFactorization:
+    """A Factorization not made by factorize is checked where it is used."""
+
+    ENTRY_POINTS = [build_quotient, assemble_spectrum, build_full_graph, verify_against_oracle]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n, factors, fault", [
+        (12, ((3, 1), (4, 1)), "4 is not prime"),
+        (30, ((2, 1), (15, 1)), "15 is not prime"),
+        (36, ((2, 2), (3, 1)), "the prime powers do not multiply to n"),
+        (1, (), "n is below 2"),
+        (12, ((2, 2), (3, 1), (5, 0)), "an exponent is below 1"),
+        (6, ((3, 1), (2, 1)), "the primes do not strictly ascend from 2"),
+        (6, ((1, 1), (2, 1), (3, 1)), "the primes do not strictly ascend from 2"),
+        (2**64, ((2, 10**30),), "the prime powers do not multiply to n"),
+    ])
+    def test_refuses_a_wrong_factorization(self, entry, n, factors, fault):
+        with pytest.raises(ValueError, match=f"^not a factorization of {n}: {fault}$"):
+            entry(Factorization(n, factors))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+    def test_takes_a_right_one_as_factorize_gives_it(self, entry):
+        assert entry(Factorization(12, ((2, 2), (3, 1)))) == entry(factorize(12))
+
+    def test_factorize_gives_one_that_needs_no_check(self, monkeypatch):
+        from cozero import numbers
+
+        f = factorize(720)
+        monkeypatch.setattr(numbers, "is_prime", lambda p: pytest.fail("checked again"))
+        assert verify_against_oracle(f).matched
