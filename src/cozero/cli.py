@@ -441,7 +441,7 @@ def _cmd_structure(args) -> int:
         _emit_json({
             "n": n,
             "divisor_classes": _divisor_classes(q),
-            "edges": _Table(None, tuple(zip(*edges))),
+            "edges": _Table(None, ([a for a, _ in edges], [b for _, b in edges])),
             "quotient_connectivity": state,
             "full_graph_connected": connected,
             "boundary_case": boundary,

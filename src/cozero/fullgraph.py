@@ -83,10 +83,9 @@ def build_full_graph(n: int | Factorization) -> FullGraph:
     checked_factorization. Prime n raises EmptyGraphError (no vertices at
     all, distinct from the edgeless null graphs of prime powers), and more
     than VERTEX_CAP vertices raises VertexCapError before any array is
-    built. The cap bounds time and the
-    oracle's memory: the graph itself holds a class row of m booleans per
-    distinct gcd, fewer than the divisors of n, and each reader a strip or
-    a row at a time.
+    built. The cap bounds time and the oracle's memory: the graph itself
+    holds a class row of m booleans per distinct gcd, fewer than the
+    divisors of n, and each reader a strip or a row at a time.
     """
     f = checked_factorization(n) if isinstance(n, Factorization) else factorize_for_full_graph(n)
     n = f.n

@@ -184,11 +184,11 @@ def verify_against_oracle(n: int | Factorization) -> OracleReport:
 
     Takes n or its factorization, which checked_factorization checks; an
     int n is factored once, here, by factorize_for_full_graph, and both
-    sides read that factorization. The
-    oracle builds the explicit vertex-level graph and solves its Laplacian
-    L with no knowledge of the join structure. It uses one generic
-    symmetry: Rx = R(-x) in any ring, so x and n - x have the same
-    neighbours, and they are mirror images in the vertex list.
+    sides read that factorization. The oracle builds the explicit
+    vertex-level graph and solves its Laplacian L with no knowledge of the
+    join structure. It uses one generic symmetry: Rx = R(-x) in any ring,
+    so x and n - x have the same neighbours, and they are mirror images in
+    the vertex list.
     negation_split checks that exactly (an AssertionError refuses a graph
     that fails) and splits L by it: the first m // 2 degrees are
     eigenvalues, and the rest of the spectrum is that of one float64 block
