@@ -279,7 +279,7 @@ def _quotient_dot(q: QuotientGraph) -> list[str]:
         f'  d{d} [label="{d}\\nw={w} D={deg}"];'
         for d, w, deg in zip(q.divisors, q.weights, q.degrees)
     )
-    lines.extend(f"  d{a} -- d{b};" for a, b in q.edges())
+    lines.extend(f"  d{a} -- d{b};" for a, b in zip(*q.edges()))
     return lines + ["}"]
 
 
@@ -441,14 +441,14 @@ def _cmd_structure(args) -> int:
         _emit_json({
             "n": n,
             "divisor_classes": _divisor_classes(q),
-            "edges": _Table(None, ([a for a, _ in edges], [b for _, b in edges])),
+            "edges": _Table(None, edges),
             "quotient_connectivity": state,
             "full_graph_connected": connected,
             "boundary_case": boundary,
         }, args)
     else:
         lines = [
-            f"n={n}: {q.size} proper divisors, {len(edges)} quotient edges",
+            f"n={n}: {q.size} proper divisors, {len(edges[0])} quotient edges",
             f"quotient {state}; full graph connected: {str(connected).lower()}",
         ]
         if boundary:
@@ -456,8 +456,8 @@ def _cmd_structure(args) -> int:
         lines.append("divisor  size  D")
         for d, w, deg in zip(q.divisors, q.weights, q.degrees):
             lines.append(f"{d:7d}  {w:4d}  {deg}")
-        if edges:
-            lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in edges))
+        if edges[0]:
+            lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in zip(*edges)))
         _emit(lines, args)
     return EXIT_DEGENERATE if f.is_prime else EXIT_OK
 

@@ -17,10 +17,12 @@ largest entry of T: e_i**2 <= (eps |T|)**2.
 eigenvalues_in_place is the one entry point: it solves a float64 matrix
 that the caller hands over as the working array, such as the oracle's
 half-size negation block or the quotient's symmetric Laplacian, and
-returns raw values for the caller to merge. A known null vector, such as
-the square-root weights of a weighted Laplacian, is deflated from the
-whole matrix, so its zero eigenvalue is never computed; any other zero
-eigenvalue is computed like the rest.
+returns raw values for the caller to merge. The matrix must be finite
+and exactly symmetric, as both of those are by construction: the entry
+checks that and refuses any other, and repairs nothing. A known null
+vector, such as the square-root weights of a weighted Laplacian, is
+deflated from the whole matrix, so its zero eigenvalue is never
+computed; any other zero eigenvalue is computed like the rest.
 
 Every function is pure, except that eigenvalues_in_place destroys its
 argument; concurrent calls on distinct matrices are safe.
@@ -47,8 +49,6 @@ INTEGER_TOL = 1e-6
 MATCH_TOL = 1e-6
 # a value within ZERO_TOL of 0 counts as a zero eigenvalue
 ZERO_TOL = 1e-8
-# a matrix may be asymmetric by SYMMETRY_TOL * max(1, |A|), |A| its largest entry
-SYMMETRY_TOL = 1e-12
 # |A u| <= NULL_VECTOR_TOL * |A| |u| for a null vector u to be deflated
 NULL_VECTOR_TOL = 1e-12
 # columns per panel of the blocked tridiagonalization
@@ -291,40 +291,27 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     return _tridiagonal_eigenvalues(diag[::-1], sub[::-1])
 
 
-def _symmetrized(a: np.ndarray) -> float:
+def _checked_scale(a: np.ndarray) -> float:
     """|A|, the largest absolute entry of a, a float64 square matrix that
-    is checked and symmetrised in place.
-
-    A non-finite entry, or an asymmetry above SYMMETRY_TOL * max(1, |A|),
-    is refused. Both are judged on halves of the entries, whose
-    difference and mean cannot overflow.
+    must be finite and exactly symmetric and is refused otherwise.
 
     Works on strips of PANEL_WIDTH rows and the matching columns, so
     each temporary holds one strip.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    asym = scale = 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf, refused below
-        for lo in range(0, m, PANEL_WIDTH):
-            hi = min(lo + PANEL_WIDTH, m)
-            rows = a[lo:hi, lo:]
-            cols = a[lo:, lo:hi].T
-            half_rows = 0.5 * rows
-            half_cols = 0.5 * cols
-            strip_asym = float(np.abs(half_rows - half_cols).max())
-            # every entry is in rows or cols; an inf or a nan leaves strip_asym non-finite
-            if not math.isfinite(strip_asym):
-                raise ValueError("matrix has a non-finite entry")
-            asym = max(asym, strip_asym)
-            scale = max(scale, float(np.abs(rows).max()), float(np.abs(cols).max()))
-            mean = np.add(half_rows, half_cols, out=half_rows)
-            a[lo:hi, lo:] = mean
-            a[lo:, lo:hi] = mean.T
-    limit = SYMMETRY_TOL * max(1.0, scale)
-    if asym > 0.5 * limit:
-        raise ValueError(f"matrix is asymmetric by {2.0 * asym:.3e} (limit {limit:.3e})")
+    scale = 0.0
+    for lo in range(0, a.shape[0], PANEL_WIDTH):
+        rows = a[lo:lo + PANEL_WIDTH, lo:]
+        cols = a[lo:, lo:lo + PANEL_WIDTH].T
+        # every entry is in rows or cols; both are tested for a nan or an
+        # inf first, as array_equal would call a nan an asymmetry
+        strip = float(np.abs(rows).max())
+        if not (math.isfinite(strip) and np.isfinite(cols).all()):
+            raise ValueError("matrix has a non-finite entry")
+        if not np.array_equal(rows, cols):
+            raise ValueError("matrix is asymmetric")
+        scale = max(scale, strip)
     return scale
 
 
@@ -360,9 +347,10 @@ def _deflated_eigenvalues(a: np.ndarray, null: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues_in_place(a: np.ndarray, null_vector=None) -> np.ndarray:
-    """Unsorted eigenvalues of a, a real symmetric float64 matrix that is
-    the solver's working array: it is checked and symmetrised, then
-    destroyed. A matrix with an inf or a nan is refused with a ValueError.
+    """Unsorted eigenvalues of a, a finite and exactly symmetric float64
+    matrix that is the solver's working array: it is checked, not
+    symmetrised, then destroyed. A matrix with an inf or a nan, or with
+    a[i, j] != a[j, i] anywhere, is refused with a ValueError.
     The solve runs on a times 2**-e, e = frexp(|A|)[1] (0 for a zero
     matrix), which is exact and brings |A| into [1/2, 1); the values and
     a ConvergenceError's residual are scaled back. So 2**k a has the
@@ -379,7 +367,7 @@ def eigenvalues_in_place(a: np.ndarray, null_vector=None) -> np.ndarray:
     """
     if a.dtype != np.float64:
         raise ValueError(f"expected a float64 matrix, got {a.dtype}")
-    exponent = math.frexp(_symmetrized(a))[1]
+    exponent = math.frexp(_checked_scale(a))[1]
     np.ldexp(a, -exponent, out=a)
     try:
         if null_vector is None:

@@ -69,10 +69,12 @@ def factorize_for_full_graph(n: int) -> Factorization:
     """factorize(n), but VertexBoundError, before any factoring, when a
     composite n has more than VERTEX_CAP vertices by its bound of
     isqrt(n) - 1 (the multiples of its least prime). A prime n passes, to
-    be reported degenerate: is_prime runs no rho."""
-    bound = math.isqrt(n) - 1
-    if bound > VERTEX_CAP and not is_prime(n):
-        raise VertexBoundError(n, bound, VERTEX_CAP)
+    be reported degenerate: is_prime runs no rho. n < 2 has no bound and
+    gets factorize's refusal."""
+    if n >= 2:
+        bound = math.isqrt(n) - 1
+        if bound > VERTEX_CAP and not is_prime(n):
+            raise VertexBoundError(n, bound, VERTEX_CAP)
     return factorize(n)
 
 

@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
 from math import gcd, isqrt, prod
+from operator import index
 
 import numpy as np
 
@@ -106,10 +107,12 @@ def factorize(n: int) -> Factorization:
     product are divided out, then Miller-Rabin decides the cofactor left.
     A composite cofactor below 2**64 is scanned for its prime factors
     below SCAN_PRIME_LIMIT, and Pollard-Brent rho splits what the scan
-    leaves composite. Raises ValueError for n < 2, and when that cofactor
-    is at or above MILLER_RABIN_LIMIT, where its primality cannot be
-    decided.
+    leaves composite. n may be of any integer type, numpy's too; it is
+    taken as a Python int, and anything else raises TypeError. Raises
+    ValueError for n < 2, and when that cofactor is at or above
+    MILLER_RABIN_LIMIT, where its primality cannot be decided.
     """
+    n = index(n)
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors: list[tuple[int, int]] = []
@@ -131,7 +134,12 @@ def factorize(n: int) -> Factorization:
         factors.extend(sorted(Counter(_prime_factors(rest)).items()))
     elif rest > 1:
         factors.append((rest, 1))
-    f = Factorization(n, tuple(factors))
+    return _proven(n, tuple(factors))
+
+
+def _proven(n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+    """Factorization(n, factors), marked as needing no check."""
+    f = Factorization(n, factors)
     object.__setattr__(f, "_proven", True)
     return f
 
@@ -140,12 +148,15 @@ def checked_factorization(f: Factorization) -> Factorization:
     """f, when it factors f.n >= 2: exponents of at least 1, primes strictly
     ascending and passing is_prime, and their powers multiply to n.
 
-    factorize's are proven and returned at once. Raises ValueError naming
-    the first fault of any other.
+    factorize's are proven and returned at once. Any other is checked and
+    returned as a proven copy in Python ints, which a caller passes on so
+    that no later stage checks it again. Raises ValueError naming the
+    first fault, and TypeError for a number that is not an integer.
     """
     if f._proven:
         return f
-    n, factors = f.n, f.factors
+    n = index(f.n)
+    factors = tuple((index(p), index(e)) for p, e in f.factors)
     primes = [p for p, _ in factors]
     if n < 2:
         fault = "n is below 2"
@@ -158,7 +169,7 @@ def checked_factorization(f: Factorization) -> Factorization:
     else:
         fault = next((f"{p} is not prime" for p in primes if not is_prime(p)), None)
         if fault is None:
-            return f
+            return _proven(n, factors)
     raise ValueError(f"not a factorization of {n}: {fault}")
 
 
@@ -181,8 +192,10 @@ def is_prime(n: int) -> bool:
     that prime; n with none is prime below SMALL_PRIME_LIMIT**2, and above
     it as Miller-Rabin decides. Raises ValueError when n has no prime
     factor below SMALL_PRIME_LIMIT and is at or above MILLER_RABIN_LIMIT,
-    where the test is not proven.
+    where the test is not proven. n may be of any integer type, as for
+    factorize.
     """
+    n = index(n)
     if n < 2:
         return False
     if gcd(n, _SMALL_PRIMORIAL) > 1:

@@ -55,10 +55,13 @@ class QuotientGraph:
             divides &= col[:, None] <= col[None, :]
         return ~(divides | divides.T)
 
-    def edges(self) -> list[tuple[int, int]]:
+    def edges(self) -> tuple[list[int], list[int]]:
+        """The edges as two columns of divisors: the smaller end of each
+        edge, ascending, and the larger end, ascending among the edges of
+        one smaller end."""
         i, j = np.nonzero(np.triu(self.adjacency(), 1))
         d = np.array(self.divisors, dtype=np.int64)
-        return list(zip(d[i].tolist(), d[j].tolist()))
+        return d[i].tolist(), d[j].tolist()
 
 
 def _require_below_int64(n: int) -> None:

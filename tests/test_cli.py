@@ -700,7 +700,7 @@ def structure_doc(n):
         "divisor_classes": [
             {"d": d, "size": w, "D": deg} for d, w, deg in zip(q.divisors, q.weights, q.degrees)
         ],
-        "edges": [list(e) for e in q.edges()],
+        "edges": [list(e) for e in zip(*q.edges())],
         "quotient_connectivity": quotient_connectivity_state(q),
         "full_graph_connected": None if q.is_empty else full_graph_component_count(q) == 1,
         "boundary_case": n == 4,

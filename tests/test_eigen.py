@@ -22,7 +22,6 @@ from cozero.eigen import (
     MERGE_TOL,
     PANEL_WIDTH,
     STRIP_HEIGHT,
-    SYMMETRY_TOL,
     _householder_tridiagonalize,
     _tridiagonal_eigenvalues,
     eigenvalues_in_place,
@@ -97,7 +96,7 @@ class TestEigenvaluesSymmetric:
             eigenvalues_in_place(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_rejects_an_infinite_entry(self):
-        # inf - inf is nan, which no asymmetry bound catches
+        # inf equals inf, so the matrix is symmetric; it is refused as non-finite
         with pytest.raises(ValueError, match="non-finite"):
             eigenvalues_in_place(np.array([[1.0, math.inf], [math.inf, 2.0]]))
 
@@ -179,9 +178,11 @@ class TestEigenvaluesSymmetric:
         reference = np.linalg.eigvalsh(lap)[::-1]
         assert float(np.max(np.abs(ours - reference))) < 1e-8
 
-    def test_symmetrises_within_the_limit(self):
-        a = np.array([[2.0, 1.0 + 5e-13], [1.0, 2.0]])
-        assert [e.value for e in eigenvalue_multiset(a).entries] == [3.0, 1.0]
+    def test_refuses_a_one_ulp_asymmetry(self):
+        # the entry checks exact symmetry and repairs nothing
+        a = np.array([[2.0, np.nextafter(1.0, 2.0)], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="asymmetric"):
+            eigenvalue_multiset(a)
 
     def test_empty_matrix(self):
         s = eigenvalue_multiset(np.zeros((0, 0)))
@@ -231,9 +232,15 @@ class TestEigenvaluesInPlace:
     def test_refuses_a_non_finite_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
             eigenvalues_in_place(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+        # a nan below the diagonal only, in the columns of the first strip
+        # but outside its rows: it is non-finite, not an asymmetry
+        a = np.zeros((PANEL_WIDTH + 8, PANEL_WIDTH + 8))
+        a[PANEL_WIDTH + 3, 2] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues_in_place(a)
 
     def test_refuses_an_asymmetry_beyond_the_largest_float_as_asymmetric(self):
-        # 1e308 - (-1e308) overflows; the halves of the entries do not
+        # compared, not subtracted, so 1e308 - (-1e308) never overflows
         with pytest.raises(ValueError, match="asymmetric"):
             eigenvalues_in_place(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
@@ -338,15 +345,15 @@ class TestGradedAndClustered:
         assert_matches_eigvalsh(a + np.triu(a, 1).T)
 
     def test_graded_matrix_from_the_full_product(self):
-        # g_i * b_ij * g_j and g_j * b_ji * g_i round apart: the asymmetry
-        # is above SYMMETRY_TOL in absolute terms, far below it relative to
-        # the entries, which reach 1e6
+        # g_i * b_ij * g_j and g_j * b_ji * g_i round apart: an asymmetry
+        # of rounding, far below the entries, which reach 1e6, is refused
         m = 40
         b = np.random.default_rng(m).standard_normal((m, m))
         g = np.logspace(0, 3, m)
         a = g[:, None] * (b + b.T) * g[None, :]
-        assert float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL
-        assert_matches_eigvalsh(a)
+        assert 0.0 < float(np.max(np.abs(a - a.T))) < 1e-12 * float(np.max(np.abs(a)))
+        with pytest.raises(ValueError, match="asymmetric"):
+            eigenvalues_in_place(a)
 
     def test_rejects_relative_asymmetry(self):
         # 1e-9 of the largest entry is far above rounding

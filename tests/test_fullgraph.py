@@ -325,8 +325,10 @@ class TestNegationSplit:
         expected[:h, :h] = np.diag(degrees)
         expected[h:, h:] = even
         assert np.max(np.abs(rotated - expected)) <= 1e-12 * m
-        # the Householder reduction reads the sign of a zero: none is -0.0
+        # the Householder reduction reads the sign of a zero: none is -0.0;
+        # and the solver takes only an exactly symmetric block
         assert not np.signbit(even[even == 0]).any()
+        assert np.array_equal(even, even.T)
 
     @pytest.mark.parametrize(
         "n, m",

@@ -560,3 +560,42 @@ class TestPassedInFactorization:
         f = factorize(720)
         monkeypatch.setattr(numbers, "is_prime", lambda p: pytest.fail("checked again"))
         assert verify_against_oracle(f).matched
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+    def test_checks_a_passed_in_one_once(self, entry, monkeypatch):
+        # the entry point checks it and passes a proven copy on, which no
+        # later stage checks again
+        from cozero import numbers
+
+        calls = []
+        original = numbers.is_prime
+        monkeypatch.setattr(numbers, "is_prime", lambda p: calls.append(p) or original(p))
+        entry(Factorization(3010, ((2, 1), (5, 1), (7, 1), (43, 1))))
+        assert calls == [2, 5, 7, 43]
+
+
+class TestIntegerTypes:
+    """n of any integer type, numpy's too, gives what the same Python int
+    gives, exact values included as Python ints; other types are refused."""
+
+    @pytest.mark.parametrize("n, kind", [
+        (n, kind) for n in (30, 720, 4526152, 3000000021)
+        for kind in (int, np.int64, np.int32, np.uint64)
+        if kind is int or n <= np.iinfo(kind).max
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_takes_any_integer_type(self, n, kind):
+        assert factorize(kind(n)) == factorize(n)
+        assert is_prime(kind(n)) == is_prime(n)
+        assembled = assemble_spectrum(kind(n))
+        assert assembled.combined.entries == assemble_spectrum(n).combined.entries
+        assert all(type(e.value) is int for e in assembled.combined.entries if e.exact)
+        if n < 1000:
+            assert verify_against_oracle(kind(n)) == verify_against_oracle(n)
+
+    @pytest.mark.parametrize("entry", [factorize, *TestPassedInFactorization.ENTRY_POINTS],
+                             ids=lambda f: f.__name__)
+    def test_refuses_a_float_and_gives_factorize_message_below_two(self, entry):
+        with pytest.raises(TypeError):
+            entry(30.0)
+        with pytest.raises(ValueError, match="^factorize requires n >= 2, got -5$"):
+            entry(-5)
